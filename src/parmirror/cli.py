@@ -27,6 +27,7 @@ from .chambers import (
     walls_to_jsonable,
 )
 from .cstar_fixed import (
+    IdentityCheckError,
     PermWord,
     components_to_csv,
     count_S,
@@ -348,6 +349,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except IdentityCheckError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, OSError, SamplingExhaustedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

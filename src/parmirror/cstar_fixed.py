@@ -17,6 +17,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
 from . import kernels
@@ -48,6 +49,11 @@ class LimitError(ValueError):
 
 class NonIntegralDegreeError(ValueError):
     """The degree congruence fails, so the component degree is not an integer."""
+
+
+class IdentityCheckError(RuntimeError):
+    """An internal cross-check of the exact computation failed: a
+    mathematical failure, not a usage error."""
 
 
 @dataclass(frozen=True)
@@ -215,11 +221,11 @@ def enumerate_components(p: ModuliParams, w: WeightSystem, threads: int = 1):
         raise NonGenericWeightsError(f"weights sit on a wall for {p}")
     den = weight_denominator(w)
     wnum = tuple(tuple(int(a * den) for a in row) for row in w.alpha)
-    words = kernels.words_lex(p.n)
+    words = [PermWord(letters) for letters in kernels.words_lex(p.n)]
     out = []
     for t_idx, m, s, dn in _census_rows(p, wnum, den, threads):
-        t = PermTuple(tuple(PermWord(words[i]) for i in t_idx))
-        out.append(ComponentType11(t, tuple(int(x) for x in m), tuple(int(x) for x in s), int(dn)))
+        t = PermTuple(tuple(words[i] for i in t_idx))
+        out.append(ComponentType11(t, tuple(map(int, m)), tuple(map(int, s)), int(dn)))
     return tuple(out)
 
 
@@ -238,23 +244,37 @@ def variant_total_bruteforce(
 ) -> BivarPoly:
     """Sum of the census contributions, shifted by (uv)^(dim/2).
 
-    Computed twice: term by term over every census row, and grouped by m
-    with rows beyond the slice support dropped. Both must agree.
+    A contribution depends only on the twist vector m, so each distinct m
+    gets one product: its row count times (n^2g - 1) times the slices of its
+    m_j, summed in sorted-m order. The slices vanish beyond 2g - 2, so the
+    terms with some m_j > 2g - 2 are summed apart and must add to zero; the
+    full sum adds both parts. Raises IdentityCheckError when that check
+    fails or the m counts miss census rows.
     """
     if components is None:
         components = enumerate_components(p, w, threads)
-    full = ZERO
-    for c in components:
-        full = full + component_variant_epoly(p, c)
+    counts = Counter(c.m for c in components)
+    if sum(counts.values()) != len(components):
+        raise IdentityCheckError(
+            f"m-histogram holds {sum(counts.values())} rows, census has {len(components)}"
+        )
+    top = max((mj for m in counts for mj in m), default=0)
+    slices = [binom_deg_slice(p.g - 1, mj) for mj in range(top + 1)]
     scalar = p.n ** (2 * p.g) - 1
-    counts = Counter(c.m for c in components if max(c.m, default=0) <= 2 * p.g - 2)
-    grouped = ZERO
+    grouped = outside = ZERO
     for m, cnt in sorted(counts.items()):
         term = BivarPoly.constant(cnt * scalar)
         for mj in m:
-            term = term * binom_deg_slice(p.g - 1, mj)
-        grouped = grouped + term
-    assert full == grouped
+            term = term * slices[mj]
+        if max(m, default=0) <= 2 * p.g - 2:
+            grouped = grouped + term
+        else:
+            outside = outside + term
+    full = grouped + outside
+    if full != grouped:
+        raise IdentityCheckError(
+            f"census terms with some m_j > {2 * p.g - 2} do not sum to zero for {p}"
+        )
     h = dim_hitchin_base(p)
     return full.shift(h, h)
 
@@ -263,7 +283,8 @@ def variant_closed_form(p: ModuliParams) -> BivarPoly:
     """((n^2g - 1)/n) (n!)^k (uv)^(dim/2) ((1-u)(1-v))^((n-1)(g-1))."""
     n, g, k = p.n, p.g, p.k
     c = (n ** (2 * g) - 1) * factorial(n) ** k
-    assert c % n == 0
+    if c % n:
+        raise IdentityCheckError(f"closed-form scalar {c} is not divisible by n = {n}")
     h = dim_hitchin_base(p)
     return (((ONE - U) * (ONE - V)) ** ((n - 1) * (g - 1)) * (c // n)).shift(h, h)
 
@@ -400,22 +421,20 @@ def insertion_bijection_check(prev: PermWord) -> bool:
 
 
 def components_to_csv(components, dest) -> None:
-    """Write the census as CSV: words, m, s, d_n, homogeneous degree."""
+    """Write the census as CSV: words, m, s, d_n, homogeneous degree.
+
+    Rows share few distinct word tuples and m and s vectors, so each one is
+    rendered to text once.
+    """
     own = isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__")
     fh = open(dest, "w", newline="") if own else dest
     try:
         writer = csv.writer(fh)
         writer.writerow(["words", "m", "s", "d_n", "degree"])
+        words_text = cache(str)
+        spaced = cache(lambda values: " ".join(map(str, values)))
         for c in components:
-            writer.writerow(
-                [
-                    str(c.words),
-                    " ".join(str(x) for x in c.m),
-                    " ".join(str(x) for x in c.s),
-                    c.d_n,
-                    sum(c.m),
-                ]
-            )
+            writer.writerow([words_text(c.words), spaced(c.m), spaced(c.s), c.d_n, sum(c.m)])
     finally:
         if own:
             fh.close()

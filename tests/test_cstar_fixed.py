@@ -11,6 +11,7 @@ from itertools import permutations
 
 import pytest
 
+from parmirror import cli, cstar_fixed
 from parmirror.chambers import (
     NonGenericWeightsError,
     WeightSystem,
@@ -19,6 +20,7 @@ from parmirror.chambers import (
 )
 from parmirror.cstar_fixed import (
     ComponentType11,
+    IdentityCheckError,
     LimitError,
     NonIntegralDegreeError,
     PermTuple,
@@ -39,8 +41,8 @@ from parmirror.cstar_fixed import (
     variant_total_bruteforce,
     variant_total_cyclotomic,
 )
-from parmirror.exactpoly import ONE, U, V, ZERO, CycInt, poly_pow, uv_power
-from parmirror.moduli import ModuliParams
+from parmirror.exactpoly import ONE, U, V, ZERO, BivarPoly, CycInt, poly_pow, uv_power
+from parmirror.moduli import ModuliParams, dim_hitchin_base
 
 W21 = PermTuple.from_strings("21")
 W12 = PermTuple.from_strings("12")
@@ -153,24 +155,70 @@ def test_variant_totals_hand_values():
     assert variant_closed_form(ModuliParams(2, 3, 2, 0)) == _closed_oracle(2, 3, 2, 126)
 
 
-@pytest.mark.parametrize(
-    "n,g,k,d",
-    [
-        (2, 2, 1, 0),
-        (2, 2, 1, 1),
-        (2, 3, 1, 0),
-        (2, 2, 2, 1),
-        (3, 2, 1, 0),
-        (3, 2, 1, 2),
-        (3, 2, 2, 1),
-        (5, 2, 1, 3),
-    ],
-)
+BRUTEFORCE_GRID = [
+    (2, 2, 1, 0),
+    (2, 2, 1, 1),
+    (2, 3, 1, 0),
+    (2, 2, 2, 1),
+    (3, 2, 1, 0),
+    (3, 2, 1, 2),
+    (3, 2, 2, 1),
+    (5, 2, 1, 3),
+]
+
+
+@pytest.mark.parametrize("n,g,k,d", BRUTEFORCE_GRID)
 def test_bruteforce_equals_closed_form(n, g, k, d):
     p = ModuliParams(n, g, k, d)
     scale = Fraction(1, 2) if n <= 3 else small_weight_margin(p)
     w = sample_generic_weights(p, seed=2, scale=scale)
     assert variant_total_bruteforce(p, w) == variant_closed_form(p)
+
+
+def _census_instances():
+    """Every census instance of this file and of the rank-five acceptance
+    criterion, all with at most 20k components."""
+    cases = [("alpha", P221, ALPHA), ("alpha", ModuliParams(2, 2, 1, 1), ALPHA)]
+    for n, g, k, d in BRUTEFORCE_GRID:
+        p = ModuliParams(n, g, k, d)
+        scale = Fraction(1, 2) if n <= 3 else small_weight_margin(p)
+        cases.append(("seed2", p, sample_generic_weights(p, seed=2, scale=scale)))
+    for d in (0, 1, 2):
+        p = ModuliParams(5, 2, 1, d)
+        cases.append(("seed1", p, sample_generic_weights(p, seed=1, scale=small_weight_margin(p))))
+    return [pytest.param(p, w, id=f"{label}-{p.n}-{p.g}-{p.k}-{p.d}") for label, p, w in cases]
+
+
+@pytest.mark.parametrize("p,w", _census_instances())
+def test_bruteforce_matches_row_by_row_oracle(p, w):
+    comps = enumerate_components(p, w)
+    assert len(comps) <= 20_000
+    h = dim_hitchin_base(p)
+    oracle = sum((component_variant_epoly(p, c) for c in comps), ZERO).shift(h, h)
+    assert variant_total_bruteforce(p, w, components=comps) == oracle
+
+
+def test_census_check_failure_raises_and_exits_1(monkeypatch, capsys):
+    real = cstar_fixed.binom_deg_slice
+
+    def leaky(G, m):
+        return real(G, m) if m <= 2 * G else BivarPoly.monomial(m, 0)
+
+    monkeypatch.setattr(cstar_fixed, "binom_deg_slice", leaky)
+    p = ModuliParams(3, 2, 1, 0)
+    w = sample_generic_weights(p, seed=2, scale=Fraction(1, 2))
+    assert any(max(c.m) > 2 * p.g - 2 for c in enumerate_components(p, w))
+    with pytest.raises(IdentityCheckError):
+        variant_total_bruteforce(p, w)
+    argv = ["variant", "--n", "3", "--g", "2", "--marked", "1", "--seed", "2", "--scale", "1/2"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_closed_form_divisibility_check_raises(monkeypatch):
+    monkeypatch.setattr(cstar_fixed, "factorial", lambda n: 1)
+    with pytest.raises(IdentityCheckError):
+        variant_closed_form(ModuliParams(3, 2, 1, 0))
 
 
 def test_bruteforce_weight_independent():
@@ -246,4 +294,21 @@ def test_components_csv_golden():
         "12,1,0,-1,1",
         "21,0,1,-1,0",
         "21,2,1,0,2",
+    ]
+
+
+def test_components_csv_golden_multiword():
+    p = ModuliParams(2, 2, 2, 0)
+    w = WeightSystem.from_rows([[0, Fraction(1, 10)], [0, Fraction(1, 3)]])
+    buf = io.StringIO()
+    components_to_csv(enumerate_components(p, w), buf)
+    assert buf.getvalue().splitlines() == [
+        "words,m,s,d_n,degree",
+        "12|12,0,0,-2,0",
+        "12|12,2,0,-1,2",
+        "12|21,1,1,-1,1",
+        "12|21,3,1,0,3",
+        "21|12,1,1,-1,1",
+        "21|21,0,2,-1,0",
+        "21|21,2,2,0,2",
     ]

@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import lcm
 
-from .exactpoly import format_rat, parse_rat
+from .exactpoly import IdentityCheckError, format_rat, parse_rat
 from .moduli import ModuliParams
 
 WEIGHT_DENOMINATOR = 10**6
@@ -148,10 +148,36 @@ def enumerate_walls(p: ModuliParams) -> tuple[Wall, ...]:
 
 
 def is_generic(w: WeightSystem, p: ModuliParams) -> bool:
-    """True iff the weight system lies on no wall."""
+    """True iff the weight system lies on no wall.
+
+    The check is wall_value scaled by the common weight denominator den > 0,
+    which keeps every zero a zero, so it runs in exact integers. Each
+    per-point part n * sum_J wnum - n' * sum wnum is computed once, the
+    first time a wall needs it, and each run of walls sharing (n', subsets)
+    in the sorted wall list adds its k parts once. wall_value is the
+    Fraction reference for the same test.
+    """
     if w.n != p.n or w.k != p.k:
         raise ValueError(f"weight system shape ({w.n}, {w.k}) does not match ({p.n}, {p.k})")
-    return all(wall_value(w, p, wall) != 0 for wall in enumerate_walls(p))
+    den, wnum = integer_weights(w)
+    n, d = p.n, p.d
+    parts = {}
+    group = None
+    for wall in enumerate_walls(p):
+        nprime = wall.nprime
+        if (nprime, wall.subsets) != group:
+            group = (nprime, wall.subsets)
+            scaled = 0
+            for point, subset in enumerate(wall.subsets):
+                key = (point, nprime, subset)
+                part = parts.get(key)
+                if part is None:
+                    row = wnum[point]
+                    part = parts[key] = n * sum(row[i - 1] for i in subset) - nprime * sum(row)
+                scaled += part
+        if (n * wall.dprime - nprime * d) * den + scaled == 0:
+            return False
+    return True
 
 
 def sample_generic_weights(p: ModuliParams, seed: int, scale=Fraction(1)) -> WeightSystem:
@@ -199,7 +225,8 @@ def small_weight_margin(p: ModuliParams) -> Fraction:
     eps = Fraction(1, 2 * n * (n - 1))
     for l in range(2, n + 1):
         coef = [(n - l + 1) * j if j <= l - 1 else (l - 1) * (n - j) for j in range(1, n)]
-        assert min(coef) >= 1
+        if min(coef) < 1:
+            raise IdentityCheckError(f"stability coefficients {coef} not positive at l = {l}")
         lhs_max = max(
             sum(c * m for c, m in zip(coef, corner))
             for corner in product((0, 2 * g - 2), repeat=n - 1)
@@ -224,7 +251,7 @@ def tensor_transform(w: WeightSystem, beta) -> tuple[WeightSystem, tuple[int, ..
 
     Returns the re-sorted weight system and the per-point wrap counts (how
     many weights passed 1). The wrapped weights are exactly the largest ones,
-    so the new order is a cyclic rotation of the old; that is asserted.
+    so the new order is a cyclic rotation of the old; that is checked.
     """
     betas = tuple(Fraction(b) for b in beta)
     if len(betas) != w.k:
@@ -240,7 +267,8 @@ def tensor_transform(w: WeightSystem, beta) -> tuple[WeightSystem, tuple[int, ..
             raise CollisionError(f"shift {b} collides weights {row}")
         wrap = sum(1 for a in row if a + b >= 1)
         rotated = raw[len(raw) - wrap:] + raw[: len(raw) - wrap]
-        assert rotated == sorted(raw)
+        if rotated != sorted(raw):
+            raise IdentityCheckError(f"shift {b} of {row} is not a cyclic rotation")
         rows.append(tuple(rotated))
         wraps.append(wrap)
     return WeightSystem(tuple(rows)), tuple(wraps)
@@ -270,6 +298,13 @@ def solve_beta_for_degree(w: WeightSystem, point: int, kshift: int) -> Fraction:
 def weight_denominator(w: WeightSystem) -> int:
     """Least common denominator of all weights."""
     return lcm(*(a.denominator for row in w.alpha for a in row), 1)
+
+
+def integer_weights(w: WeightSystem) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The weights over their common denominator: (den, wnum) with
+    wnum[p][i] = alpha[p][i] * den, all integers."""
+    den = weight_denominator(w)
+    return den, tuple(tuple(int(a * den) for a in row) for row in w.alpha)
 
 
 def walls_to_jsonable(walls) -> list[dict]:

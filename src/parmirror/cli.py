@@ -27,7 +27,6 @@ from .chambers import (
     walls_to_jsonable,
 )
 from .cstar_fixed import (
-    IdentityCheckError,
     PermWord,
     components_to_csv,
     count_S,
@@ -37,7 +36,7 @@ from .cstar_fixed import (
     variant_total_bruteforce,
     variant_total_cyclotomic,
 )
-from .exactpoly import parse_rat
+from .exactpoly import IdentityCheckError, NonIntegralCoefficientError, parse_rat
 from .moduli import ModuliParams, hitchin_section_check
 from .pgl_fixed import fixed_locus_invariants, prym_epoly, stringy_gamma_sum
 from .tms import (
@@ -349,7 +348,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except IdentityCheckError as exc:
+    except (IdentityCheckError, NonIntegralCoefficientError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError, SamplingExhaustedError) as exc:

@@ -24,8 +24,8 @@ from . import kernels
 from .chambers import (
     NonGenericWeightsError,
     WeightSystem,
+    integer_weights,
     is_generic,
-    weight_denominator,
 )
 from .exactpoly import (
     ONE,
@@ -35,6 +35,7 @@ from .exactpoly import (
     BivarPoly,
     CycBivarPoly,
     CycInt,
+    IdentityCheckError,
     binom_deg_slice,
     cyc_project,
 )
@@ -49,11 +50,6 @@ class LimitError(ValueError):
 
 class NonIntegralDegreeError(ValueError):
     """The degree congruence fails, so the component degree is not an integer."""
-
-
-class IdentityCheckError(RuntimeError):
-    """An internal cross-check of the exact computation failed: a
-    mathematical failure, not a usage error."""
 
 
 @dataclass(frozen=True)
@@ -219,8 +215,7 @@ def enumerate_components(p: ModuliParams, w: WeightSystem, threads: int = 1):
     (word tuple, m) order."""
     if not is_generic(w, p):
         raise NonGenericWeightsError(f"weights sit on a wall for {p}")
-    den = weight_denominator(w)
-    wnum = tuple(tuple(int(a * den) for a in row) for row in w.alpha)
+    den, wnum = integer_weights(w)
     words = [PermWord(letters) for letters in kernels.words_lex(p.n)]
     out = []
     for t_idx, m, s, dn in _census_rows(p, wnum, den, threads):

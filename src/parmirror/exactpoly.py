@@ -16,6 +16,11 @@ class NonIntegralCoefficientError(ValueError):
     """A quantity expected to be a rational integer is not one."""
 
 
+class IdentityCheckError(RuntimeError):
+    """An internal cross-check of the exact computation failed: a
+    mathematical failure, not a usage error."""
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactpoly import NonIntegralCoefficientError, is_prime
+from .exactpoly import IdentityCheckError, NonIntegralCoefficientError, is_prime
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,8 @@ def dim_hitchin_base(p: ModuliParams) -> int:
         Fraction((p.n**2 - 1) * (p.g - 1)) + Fraction(p.n * (p.n - 1) * p.k, 2),
         "Hitchin base dimension",
     )
-    assert 2 * val == dim_moduli(p)
+    if 2 * val != dim_moduli(p):
+        raise IdentityCheckError(f"Hitchin base dimension {val} is not half of {dim_moduli(p)}")
     return val
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import product
 from math import factorial
 
-from .exactpoly import ONE, U, V, BivarPoly, uv_power
+from .exactpoly import ONE, U, V, BivarPoly, IdentityCheckError, uv_power
 from .kernels import words_lex
 from .moduli import ModuliParams, dim_moduli, prym_dim
 from .torsion import NormFiberModel, SymplecticForm, TorsionVector, check_component_action
@@ -29,7 +29,9 @@ def fixed_locus_dim(n: int, g: int) -> int:
 def fermionic_shift(p: ModuliParams) -> int:
     """Half the codimension of the fixed locus: n(n-1)(g - 1 + k/2)."""
     val = p.n * (p.n - 1) * (2 * p.g - 2 + p.k) // 2
-    assert 2 * val == dim_moduli(p) - fixed_locus_dim(p.n, p.g)
+    codim = dim_moduli(p) - fixed_locus_dim(p.n, p.g)
+    if 2 * val != codim:
+        raise IdentityCheckError(f"fermionic shift {val} is not half the codimension {codim}")
     return val
 
 
@@ -50,7 +52,8 @@ def sn_quotient_count(n: int, k: int) -> int:
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     total = factorial(n) ** k
-    assert total % n == 0
+    if total % n:
+        raise IdentityCheckError(f"(n!)^k = {total} is not divisible by n = {n}")
     return total // n
 
 
@@ -71,9 +74,10 @@ def sn_quotient_count_bruteforce(n: int, k: int) -> int:
         fixed = sum(1 for w in words if rotate_word(w, r) == w)
         fixed_per_rotation.append(fixed)
         if r != 0 and fixed != 0:
-            raise AssertionError(f"rotation {r} fixes {fixed} words")
+            raise IdentityCheckError(f"rotation {r} fixes {fixed} words")
     average, rem = divmod(sum(f**k for f in fixed_per_rotation), n)
-    assert rem == 0
+    if rem:
+        raise IdentityCheckError(f"orbit-counting sum leaves remainder {rem} mod n = {n}")
     total = factorial(n) ** k
     if total <= _ORBIT_MATERIALIZE_LIMIT:
         lookup = {w: i for i, w in enumerate(words)}
@@ -89,7 +93,7 @@ def sn_quotient_count_bruteforce(n: int, k: int) -> int:
             for r in range(n):
                 seen.add(tuple(rot[r][i] for i in t))
         if orbits != average:
-            raise AssertionError(f"orbit marking {orbits} disagrees with average {average}")
+            raise IdentityCheckError(f"orbit marking {orbits} disagrees with average {average}")
     return average
 
 

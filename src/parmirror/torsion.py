@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import product
 from math import gcd
 
-from .exactpoly import is_prime
+from .exactpoly import IdentityCheckError, is_prime
 
 
 @dataclass(frozen=True)
@@ -202,7 +202,8 @@ def complete_basis(gamma: TorsionVector, form: SymplecticForm, l_gamma: int = 1)
     basis = (gamma, delta0, *chosen[1:])
     if len(basis) != 2 * g or not is_basis(basis):
         raise ValueError("failed to complete a basis")
-    assert weil_pairing(delta0, gamma, form) == l_gamma % n
+    if weil_pairing(delta0, gamma, form) != l_gamma % n:
+        raise IdentityCheckError(f"delta_0 does not pair to l_gamma = {l_gamma} with gamma")
     return basis
 
 

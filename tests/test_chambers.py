@@ -25,6 +25,7 @@ from parmirror.chambers import (
 from parmirror.cstar_fixed import PermTuple, PermWord, degree_constraint, stability_check
 from parmirror.moduli import ModuliParams
 
+import random
 from itertools import permutations, product
 
 
@@ -88,6 +89,45 @@ def test_is_generic_hand_cases():
     assert wall_value(off_wall, p, wall) != 0
     with pytest.raises(ValueError):
         is_generic(on_wall, ModuliParams(2, 2, 1, 0))
+
+
+ORACLE_DENOMINATORS = (4, 6, 7, 10, 12, 30, 60)
+
+
+def _small_denominator_weights(rng, n, k):
+    den = rng.choice([q for q in ORACLE_DENOMINATORS if q >= n])
+    return WeightSystem(
+        tuple(
+            tuple(Fraction(a, den) for a in sorted(rng.sample(range(den), n)))
+            for _ in range(k)
+        )
+    )
+
+
+def _oracle_outcomes(p, draws):
+    rng = random.Random(f"oracle-{p.n}-{p.k}-{p.d}")
+    outcomes = set()
+    for _ in range(draws):
+        w = _small_denominator_weights(rng, p.n, p.k)
+        generic = is_generic(w, p)
+        assert generic == all(wall_value(w, p, wall) != 0 for wall in enumerate_walls(p)), (p, w)
+        outcomes.add(generic)
+    return outcomes
+
+
+def test_is_generic_matches_fraction_oracle():
+    # Small denominators put many draws on walls, so both outcomes are tested.
+    outcomes = set()
+    for n, k, d in product((2, 3, 5), (1, 2, 3), (0, 1, 2)):
+        p = ModuliParams(n, 2, k, d)
+        walls = len(enumerate_walls(p))
+        if walls <= 20_000:
+            outcomes |= _oracle_outcomes(p, 8 if walls <= 1_000 else 1)
+    assert outcomes == {True, False}
+
+
+def test_is_generic_matches_fraction_oracle_many_points():
+    assert _oracle_outcomes(ModuliParams(2, 2, 11, 1), 3) == {True, False}
 
 
 def test_wall_jsonable_round_trip():

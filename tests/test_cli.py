@@ -9,6 +9,7 @@ import pytest
 from parmirror import schemas
 from parmirror.chambers import sample_generic_weights
 from parmirror.cli import main
+from parmirror.exactpoly import CycBivarPoly, NonIntegralCoefficientError
 from parmirror.moduli import ModuliParams
 
 
@@ -36,6 +37,16 @@ def test_lemma_json(tmp_path):
 def test_nonprime_rank_is_usage_error(capsys):
     assert main(["tms", "--n", "4", "--g", "2", "--marked", "1"]) == 2
     assert "not prime" in capsys.readouterr().err
+
+
+def test_non_integral_result_exits_1(monkeypatch, capsys):
+    # A computed quantity that fails to be integral is a mathematical failure.
+    def not_integral(self, m):
+        raise NonIntegralCoefficientError(f"{self!r} is not divisible by {m}")
+
+    monkeypatch.setattr(CycBivarPoly, "exact_div", not_integral)
+    assert main(["tms", "--n", "3", "--g", "2", "--marked", "1"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_bad_flag_exits_2():

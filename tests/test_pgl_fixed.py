@@ -11,7 +11,8 @@ from math import comb, factorial
 import pytest
 
 from parmirror.cstar_fixed import variant_closed_form
-from parmirror.exactpoly import ONE, U, V, poly_pow, uv_power
+from parmirror import pgl_fixed
+from parmirror.exactpoly import ONE, U, V, IdentityCheckError, poly_pow, uv_power
 from parmirror.moduli import ModuliParams, dim_moduli
 from parmirror.pgl_fixed import (
     FixedLocusInvariants,
@@ -85,6 +86,13 @@ def test_sn_quotient_count_bruteforce_limits():
         sn_quotient_count_bruteforce(7, 1)
     with pytest.raises(LimitError):
         sn_quotient_count_bruteforce(3, 5)
+
+
+def test_sn_quotient_count_bruteforce_fixed_word_raises(monkeypatch):
+    # With rotations acting trivially every word is fixed, which the scan rejects.
+    monkeypatch.setattr(pgl_fixed, "rotate_word", lambda word, r: word)
+    with pytest.raises(IdentityCheckError):
+        sn_quotient_count_bruteforce(3, 1)
 
 
 def test_invariant_epoly_hand_values():

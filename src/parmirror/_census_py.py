@@ -7,7 +7,9 @@ reference implementation and the fallback when the compiled kernel is
 unavailable or the int64 headroom check fails; it runs on unbounded ints.
 
 Row format: (word index tuple, m tuple, s tuple, d_n). Rows come out in
-lexicographic order of (word indices, m), which both kernels share.
+lexicographic order of (word indices, m), which both kernels share. The
+depth-first search over m steps its last coordinate by the one residue
+class mod n that meets the congruence, so every leaf it reaches is a row.
 """
 
 from __future__ import annotations
@@ -87,11 +89,19 @@ def enumerate_census(n, g, k, d, words, wnum, wden, t0_lo=0, t0_hi=None):
 
 
 def _dfs(n, nm, C, R, num, j, m, t, s, rows):
-    if j == nm:
-        if num % n == 0:
-            rows.append((t, tuple(m), s, num // n))
-        return
+    """Append the rows below the prefix m[:j], in increasing m order.
+
+    The last coordinate m_{n-1} enters the congruence with coefficient
+    n - 1, a unit mod n, so exactly one residue class of its values passes:
+    it is stepped from num mod n in strides of n, with no leaf filter.
+    """
     cap = min((R[li] - 1) // C[li][j] for li in range(nm))
+    if j == nm - 1:
+        for val in range(num % n, cap + 1, n):
+            m[j] = val
+            rows.append((t, tuple(m), s, (num + nm * val) // n))
+        m[j] = 0
+        return
     for val in range(cap + 1):
         m[j] = val
         nxt = R if val == 0 else [R[li] - C[li][j] * val for li in range(nm)]

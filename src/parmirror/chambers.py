@@ -237,12 +237,12 @@ def small_weight_margin(p: ModuliParams) -> Fraction:
         )
         point_load = Fraction(n * (n - l + 1) * (l - 1), 2)
         if point_load.denominator != 1 or s_max != k * point_load:
-            raise ValueError(f"descent corner mismatch at l = {l}")
+            raise IdentityCheckError(f"descent corner mismatch at l = {l}")
         weight_free_rhs = Fraction(n * (n - l + 1) * (l - 1) * (2 * g - 2 + k), 2)
         if lhs_max != weight_free_rhs - k * point_load:
-            raise ValueError(f"tight corner identity fails at l = {l}")
+            raise IdentityCheckError(f"tight corner identity fails at l = {l}")
         if not n * (n - l + 1) * eps < 1:
-            raise ValueError(f"weight slack too large at l = {l}")
+            raise IdentityCheckError(f"weight slack too large at l = {l}")
     return eps
 
 

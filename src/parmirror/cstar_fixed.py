@@ -17,7 +17,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from math import factorial
 
 from . import kernels
@@ -104,6 +104,17 @@ class PermTuple:
     def k(self) -> int:
         return len(self.words)
 
+    @cached_property
+    def descents(self) -> tuple[int, ...]:
+        """s_j: how many of the words step down at position j."""
+        n = self.n
+        s = [0] * (n - 1)
+        for w in self.words:
+            for i in range(n - 1):
+                if w.letters[i] > w.letters[i + 1]:
+                    s[i] += 1
+        return tuple(s)
+
     def __str__(self) -> str:
         return "|".join(str(w) for w in self.words)
 
@@ -116,13 +127,7 @@ def sigma(word) -> int:
 
 def descent_stats(t: PermTuple) -> tuple[int, ...]:
     """s_j: how many of the words step down at position j."""
-    n = t.n
-    s = [0] * (n - 1)
-    for w in t.words:
-        for i in range(n - 1):
-            if w.letters[i] > w.letters[i + 1]:
-                s[i] += 1
-    return tuple(s)
+    return t.descents
 
 
 @dataclass(frozen=True)
@@ -136,9 +141,10 @@ class ComponentType11:
     d_n: int
 
     def __post_init__(self):
-        if len(self.m) != self.words.n - 1 or len(self.s) != self.words.n - 1:
+        n = self.words.n
+        if len(self.m) != n - 1 or len(self.s) != n - 1:
             raise ValueError("m and s must have length n-1")
-        if any(mj < 0 for mj in self.m):
+        if min(self.m, default=0) < 0:
             raise ValueError(f"negative twist jump in {self.m}")
         if self.s != descent_stats(self.words):
             raise ValueError(f"s = {self.s} does not match the words {self.words}")
@@ -212,15 +218,22 @@ def _census_rows(p: ModuliParams, wnum, den, threads: int):
 
 def enumerate_components(p: ModuliParams, w: WeightSystem, threads: int = 1):
     """All type-(1,...,1) fixed components for generic weights, in canonical
-    (word tuple, m) order."""
+    (word tuple, m) order.
+
+    Rows with the same word indices share one PermTuple, so its descent
+    vector is computed once; every ComponentType11 check still runs per row.
+    """
     if not is_generic(w, p):
         raise NonGenericWeightsError(f"weights sit on a wall for {p}")
     den, wnum = integer_weights(w)
     words = [PermWord(letters) for letters in kernels.words_lex(p.n)]
+    tuples: dict[tuple[int, ...], PermTuple] = {}
     out = []
     for t_idx, m, s, dn in _census_rows(p, wnum, den, threads):
-        t = PermTuple(tuple(words[i] for i in t_idx))
-        out.append(ComponentType11(t, tuple(map(int, m)), tuple(map(int, s)), int(dn)))
+        t = tuples.get(t_idx)
+        if t is None:
+            t = tuples[t_idx] = PermTuple(tuple(words[i] for i in t_idx))
+        out.append(ComponentType11(t, m, s, dn))
     return tuple(out)
 
 

@@ -201,7 +201,7 @@ def complete_basis(gamma: TorsionVector, form: SymplecticForm, l_gamma: int = 1)
             chosen.append(cand)
     basis = (gamma, delta0, *chosen[1:])
     if len(basis) != 2 * g or not is_basis(basis):
-        raise ValueError("failed to complete a basis")
+        raise IdentityCheckError("failed to complete a basis")
     if weil_pairing(delta0, gamma, form) != l_gamma % n:
         raise IdentityCheckError(f"delta_0 does not pair to l_gamma = {l_gamma} with gamma")
     return basis

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from parmirror import chambers, cli
 from parmirror.chambers import (
     WEIGHT_DENOMINATOR,
     CollisionError,
@@ -23,6 +24,7 @@ from parmirror.chambers import (
     weight_denominator,
 )
 from parmirror.cstar_fixed import PermTuple, PermWord, degree_constraint, stability_check
+from parmirror.exactpoly import IdentityCheckError
 from parmirror.moduli import ModuliParams
 
 import random
@@ -175,6 +177,43 @@ def test_small_weight_margin_value_and_certificate():
     for n, g, k in [(2, 2, 1), (2, 3, 2), (3, 2, 1), (3, 3, 2), (5, 2, 1), (7, 2, 1)]:
         p = ModuliParams(n, g, k)
         assert small_weight_margin(p) == Fraction(1, 2 * n * (n - 1))
+
+
+_real_product = product
+_real_fraction = Fraction
+
+
+@pytest.mark.parametrize(
+    "name,fake,message",
+    [
+        # only the zero corner: the descent corner max drops to 0
+        ("product", lambda vals, repeat: [(0,) * repeat], "descent corner mismatch"),
+        # m corners at 2g - 1 = 3 instead of 2g - 2: the left side overshoots
+        (
+            "product",
+            lambda vals, repeat: _real_product((0, 3) if vals == (0, 2) else vals, repeat=repeat),
+            "tight corner identity fails",
+        ),
+        # eps comes out as 1 instead of 1/(2n(n-1))
+        (
+            "Fraction",
+            lambda num, den=1: _real_fraction(num, 1 if num == 1 else den),
+            "weight slack too large",
+        ),
+    ],
+    ids=["descent-corner", "tight-corner", "weight-slack"],
+)
+def test_small_weight_margin_failed_identity_raises(monkeypatch, name, fake, message):
+    monkeypatch.setattr(chambers, name, fake)
+    with pytest.raises(IdentityCheckError, match=message):
+        small_weight_margin(ModuliParams(3, 2, 1))
+
+
+def test_small_weight_margin_failure_exits_1(monkeypatch, capsys):
+    # rank five samples below the certified margin, so the CLI runs the check
+    monkeypatch.setattr(chambers, "product", lambda vals, repeat: [(0,) * repeat])
+    assert cli.main(["tms", "--n", "5", "--g", "2", "--marked", "1"]) == 1
+    assert "descent corner mismatch" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -127,6 +127,26 @@ def test_enumerate_components_parity_flip():
     assert len(comps) == len(enumerate_components(P221, ALPHA))
 
 
+def test_enumerate_components_checks_every_row(monkeypatch):
+    # word index 0 is "12", which has no descent: the second row reuses the
+    # first row's word tuple, and its s = (1,) is wrong
+    rows = [((0,), (1,), (0,), -1), ((0,), (3,), (1,), 0)]
+    monkeypatch.setattr(cstar_fixed.kernels, "enumerate_census", lambda *args: rows)
+    with pytest.raises(ValueError, match="does not match the words"):
+        enumerate_components(P221, ALPHA)
+
+
+def test_enumerate_components_shares_word_tuples():
+    p = ModuliParams(3, 2, 2, 1)
+    comps = enumerate_components(p, sample_generic_weights(p, seed=4, scale=Fraction(1, 8)))
+    by_words = {}
+    for c in comps:
+        by_words.setdefault(c.words, []).append(c.words)
+    assert len(by_words) < len(comps)
+    for shared in by_words.values():
+        assert all(t is shared[0] for t in shared)
+
+
 def test_enumerate_components_rejects_wall_weights():
     p = ModuliParams(2, 2, 2, 0)
     on_wall = WeightSystem.from_rows([[0, Fraction(1, 4)], [0, Fraction(1, 4)]])

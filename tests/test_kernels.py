@@ -2,16 +2,27 @@
 
 The compiled kernel must return bit-identical rows to the pure-Python one on
 every instance where the dispatcher would select it, and the dispatcher must
-fall back to Python when the int64 headroom bound fails.
+fall back to Python when the int64 headroom bound fails. On small instances
+the rows must equal the census built from the Fraction-valued reference
+checks, and, in order, the rows of a search that tests every value of the
+last coordinate at the leaf.
 """
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
-from parmirror import kernels
+from parmirror import _census_py, kernels
 from parmirror.chambers import sample_generic_weights, weight_denominator
+from parmirror.cstar_fixed import (
+    PermTuple,
+    PermWord,
+    component_dn,
+    degree_constraint,
+    descent_stats,
+    stability_check,
+)
 from parmirror.moduli import ModuliParams
 
 INSTANCES = [
@@ -115,3 +126,86 @@ def test_unknown_backend_rejected():
     args = _census_args(p, seed=1)
     with pytest.raises(ValueError):
         kernels.enumerate_census(*args, backend="fortran")
+
+
+ORACLE_GRID = [
+    ModuliParams(n, g, k, d) for n in (2, 3) for g in (2, 3) for k in (1, 2) for d in (0, 1)
+] + [ModuliParams(5, 2, 1, 1)]
+ORACLE_WEIGHTS = [(Fraction(1), 1), (Fraction(1, 8), 2)]
+
+
+def _l2_region(p, w, t):
+    """Every m allowed by the l = 2 stability inequality alone.
+
+    Its coefficients n - 1, n - 2, ..., 1 are all at least 1 and the s side is
+    nonnegative, so sum_j coef_j m_j < rhs - sum_j coef_j s_j bounds a finite
+    region that holds every stable m.
+    """
+    n = p.n
+    coef = [n - 1 if j == 1 else n - j for j in range(1, n)]
+    rhs = Fraction((n - 1) * n * (2 * p.g - 2 + p.k), 2)
+    for row, word in zip(w.alpha, t.words):
+        rhs += (n - 1) * sum(row) - n * sum(row[word.letters[j] - 1] for j in range(1, n))
+    budget = rhs - sum(c * s for c, s in zip(coef, descent_stats(t)))
+
+    def below(j, left):
+        if j == n - 1:
+            yield ()
+            return
+        val = 0
+        while coef[j] * val < left:
+            for rest in below(j + 1, left - coef[j] * val):
+                yield (val,) + rest
+            val += 1
+
+    return below(0, budget)
+
+
+@pytest.mark.parametrize("scale,seed", ORACLE_WEIGHTS, ids=["scale1", "scale1/8"])
+@pytest.mark.parametrize("p", ORACLE_GRID, ids=lambda p: f"{p.n}-{p.g}-{p.k}-{p.d}")
+def test_census_matches_reference_oracle(p, scale, seed):
+    """The census is exactly the (word tuple, m) pairs that pass the
+    Fraction-valued degree_constraint and stability_check."""
+    w = sample_generic_weights(p, seed=seed, scale=scale)
+    den = weight_denominator(w)
+    wnum = tuple(tuple(int(a * den) for a in row) for row in w.alpha)
+    words = [PermWord(letters) for letters in kernels.words_lex(p.n)]
+    expected = set()
+    for t_idx in product(range(len(words)), repeat=p.k):
+        t = PermTuple(tuple(words[i] for i in t_idx))
+        for m in _l2_region(p, w, t):
+            if degree_constraint(p, t, m) and stability_check(p, w, t, m):
+                expected.add((t_idx, m))
+    assert expected
+    for backend in kernels.backends():
+        rows = kernels.enumerate_census(p.n, p.g, p.k, p.d, wnum, den, backend=backend)
+        assert len(rows) == len(expected)
+        assert {(t_idx, m) for t_idx, m, _, _ in rows} == expected
+        for t_idx, m, s, dn in rows:
+            t = PermTuple(tuple(words[i] for i in t_idx))
+            assert s == descent_stats(t)
+            assert dn == component_dn(p, t, m)
+
+
+def _leaf_filter_dfs(n, nm, C, R, num, j, m, t, s, rows):
+    """The census search before its last coordinate was stepped by residue
+    class: every value of every coordinate, with the congruence at the leaf."""
+    if j == nm:
+        if num % n == 0:
+            rows.append((t, tuple(m), s, num // n))
+        return
+    cap = min((R[li] - 1) // C[li][j] for li in range(nm))
+    for val in range(cap + 1):
+        m[j] = val
+        nxt = R if val == 0 else [R[li] - C[li][j] * val for li in range(nm)]
+        _leaf_filter_dfs(n, nm, C, nxt, num + (j + 1) * val, j + 1, m, t, s, rows)
+    m[j] = 0
+
+
+@pytest.mark.parametrize("scale,seed", ORACLE_WEIGHTS, ids=["scale1", "scale1/8"])
+@pytest.mark.parametrize("p", ORACLE_GRID, ids=lambda p: f"{p.n}-{p.g}-{p.k}-{p.d}")
+def test_census_rows_match_leaf_filter_search(monkeypatch, p, scale, seed):
+    args = _census_args(p, seed, scale)
+    rows = kernels.enumerate_census(*args, backend="python")
+    monkeypatch.setattr(_census_py, "_dfs", _leaf_filter_dfs)
+    assert rows == kernels.enumerate_census(*args, backend="python")

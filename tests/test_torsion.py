@@ -10,6 +10,8 @@ from itertools import product
 
 import pytest
 
+from parmirror import cli, torsion
+from parmirror.exactpoly import IdentityCheckError
 from parmirror.torsion import (
     NormFiberModel,
     SymplecticForm,
@@ -118,6 +120,15 @@ def test_complete_basis_l_gamma():
     basis = complete_basis(gamma, form, l_gamma=3)
     assert weil_pairing(basis[1], gamma, form) == 3
     assert is_basis(basis)
+
+
+def test_complete_basis_failure_raises_and_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(torsion, "is_basis", lambda vectors: False)
+    n, g = 3, 2
+    with pytest.raises(IdentityCheckError, match="failed to complete a basis"):
+        complete_basis(standard_basis_vector(n, g, 0), SymplecticForm.standard(n, g))
+    assert cli.main(["orbits", "--n", "3", "--g", "2"]) == 1
+    assert "failed to complete a basis" in capsys.readouterr().err
 
 
 def test_galois_orbit_size():

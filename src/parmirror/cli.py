@@ -118,7 +118,7 @@ def _add_weights_flags(sub):
 def _cmd_tms(args) -> int:
     p = _params(args)
     w = _resolve_weights(args, p)
-    report = verify_identity(p, w, threads=args.threads)
+    report = verify_identity(p, w)
     _emit(args, report_to_jsonable(report, include_timings=args.timings))
     print(f"n={p.n} g={p.g} k={p.k} d={p.d}: "
           f"components={report.component_count} walls={report.wall_count} "
@@ -132,7 +132,7 @@ def _cmd_tms(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = SweepConfig.default() if args.config is None else SweepConfig.from_file(args.config)
-    results = sweep(config, threads=args.threads)
+    results = sweep(config)
     payload = sweep_to_jsonable(results, include_timings=args.timings)
     _emit(args, payload)
     if args.csv:
@@ -149,10 +149,10 @@ def _cmd_sweep(args) -> int:
 def _cmd_variant(args) -> int:
     p = _params(args)
     w = _resolve_weights(args, p)
-    components = enumerate_components(p, w, threads=args.threads)
-    brute = variant_total_bruteforce(p, w, threads=args.threads, components=components)
+    components = enumerate_components(p, w)
+    brute = variant_total_bruteforce(p, w, components=components)
     closed = variant_closed_form(p)
-    cyclotomic = variant_total_cyclotomic(p, threads=args.threads)
+    cyclotomic = variant_total_cyclotomic(p)
     equal = brute == closed == cyclotomic
     _emit(args, {
         "params": params_to_jsonable(p),
@@ -283,8 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="parmirror",
         description="Exact mirror-identity checks for parabolic Higgs moduli.",
     )
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker thread cap for parallel stages")
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
     tms = subs.add_parser("tms", help="verify the four-way identity for one instance")

@@ -14,10 +14,10 @@ from __future__ import annotations
 import csv
 import logging
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from itertools import product
 from math import factorial
 
 from . import kernels
@@ -115,19 +115,19 @@ class PermTuple:
                     s[i] += 1
         return tuple(s)
 
-    def __str__(self) -> str:
+    @cached_property
+    def text(self) -> str:
+        """The words joined by "|", as written in the census CSV."""
         return "|".join(str(w) for w in self.words)
+
+    def __str__(self) -> str:
+        return self.text
 
 
 def sigma(word) -> int:
     """Descent statistic: sum of the positions where the word steps down."""
     letters = word.letters if isinstance(word, PermWord) else word
     return sum(i + 1 for i in range(len(letters) - 1) if letters[i] > letters[i + 1])
-
-
-def descent_stats(t: PermTuple) -> tuple[int, ...]:
-    """s_j: how many of the words step down at position j."""
-    return t.descents
 
 
 @dataclass(frozen=True)
@@ -146,13 +146,13 @@ class ComponentType11:
             raise ValueError("m and s must have length n-1")
         if min(self.m, default=0) < 0:
             raise ValueError(f"negative twist jump in {self.m}")
-        if self.s != descent_stats(self.words):
+        if self.s != self.words.descents:
             raise ValueError(f"s = {self.s} does not match the words {self.words}")
 
 
 def degree_constraint(p: ModuliParams, t: PermTuple, m) -> bool:
     """Degree congruence for a type-(1,...,1) component to exist."""
-    s = descent_stats(t)
+    s = t.descents
     if p.n == 2:
         return (p.d + m[0] + s[0] - p.k) % 2 == 0
     total = sum((j + 1) * (m[j] + s[j]) for j in range(p.n - 1))
@@ -162,7 +162,7 @@ def degree_constraint(p: ModuliParams, t: PermTuple, m) -> bool:
 def component_dn(p: ModuliParams, t: PermTuple, m) -> int:
     """Common factor degree d_n with
     n*d_n = d + sum j(m_j + s_j) - n(n-1)(g - 1 + k/2)."""
-    s = descent_stats(t)
+    s = t.descents
     num = p.d + sum((j + 1) * (m[j] + s[j]) for j in range(p.n - 1))
     num -= p.n * (p.n - 1) * (2 * p.g - 2 + p.k) // 2
     if num % p.n:
@@ -175,7 +175,7 @@ def stability_check(p: ModuliParams, w: WeightSystem, t: PermTuple, m) -> bool:
     index l = 2..n, evaluated in exact rational arithmetic. Reference
     implementation; the kernels must agree with it."""
     n, g, k = p.n, p.g, p.k
-    s = descent_stats(t)
+    s = t.descents
     for l in range(2, n + 1):
         coef = [(n - l + 1) * j if j <= l - 1 else (l - 1) * (n - j) for j in range(1, n)]
         lhs = sum(c * (mj + sj) for c, mj, sj in zip(coef, m, s))
@@ -189,34 +189,7 @@ def stability_check(p: ModuliParams, w: WeightSystem, t: PermTuple, m) -> bool:
     return True
 
 
-def _chunks(total: int, parts: int) -> list[tuple[int, int]]:
-    parts = max(1, min(parts, total))
-    base, extra = divmod(total, parts)
-    spans = []
-    lo = 0
-    for i in range(parts):
-        hi = lo + base + (1 if i < extra else 0)
-        spans.append((lo, hi))
-        lo = hi
-    return spans
-
-
-def _census_rows(p: ModuliParams, wnum, den, threads: int):
-    if threads <= 1:
-        return kernels.enumerate_census(p.n, p.g, p.k, p.d, wnum, den)
-    spans = _chunks(factorial(p.n), threads)
-    with ThreadPoolExecutor(max_workers=len(spans)) as pool:
-        futures = [
-            pool.submit(kernels.enumerate_census, p.n, p.g, p.k, p.d, wnum, den, lo, hi)
-            for lo, hi in spans
-        ]
-        rows = []
-        for f in futures:
-            rows.extend(f.result())
-    return rows
-
-
-def enumerate_components(p: ModuliParams, w: WeightSystem, threads: int = 1):
+def enumerate_components(p: ModuliParams, w: WeightSystem):
     """All type-(1,...,1) fixed components for generic weights, in canonical
     (word tuple, m) order.
 
@@ -229,7 +202,7 @@ def enumerate_components(p: ModuliParams, w: WeightSystem, threads: int = 1):
     words = [PermWord(letters) for letters in kernels.words_lex(p.n)]
     tuples: dict[tuple[int, ...], PermTuple] = {}
     out = []
-    for t_idx, m, s, dn in _census_rows(p, wnum, den, threads):
+    for t_idx, m, s, dn in kernels.enumerate_census(p.n, p.g, p.k, p.d, wnum, den):
         t = tuples.get(t_idx)
         if t is None:
             t = tuples[t_idx] = PermTuple(tuple(words[i] for i in t_idx))
@@ -248,7 +221,7 @@ def component_variant_epoly(p: ModuliParams, c: ComponentType11) -> BivarPoly:
 
 
 def variant_total_bruteforce(
-    p: ModuliParams, w: WeightSystem, threads: int = 1, components=None
+    p: ModuliParams, w: WeightSystem, *, components=None
 ) -> BivarPoly:
     """Sum of the census contributions, shifted by (uv)^(dim/2).
 
@@ -260,7 +233,7 @@ def variant_total_bruteforce(
     fails or the m counts miss census rows.
     """
     if components is None:
-        components = enumerate_components(p, w, threads)
+        components = enumerate_components(p, w)
     counts = Counter(c.m for c in components)
     if sum(counts.values()) != len(components):
         raise IdentityCheckError(
@@ -308,13 +281,10 @@ def _root_shift_product(n: int, g: int, l: int) -> CycBivarPoly:
     return poly
 
 
-def _filter_counts_chunk(n, k, d, sig, lo, hi):
-    from itertools import product
-
-    nw = len(sig)
+def _filter_exponent_counts(n, k, d, sig):
+    """counts[l][e]: word tuples whose filter exponent, times l, is e mod n."""
     counts = [[0] * n for _ in range(n)]
-    ranges = [range(lo, hi)] + [range(nw)] * (k - 1)
-    for t in product(*ranges):
+    for t in product(range(len(sig)), repeat=k):
         st = 0
         for i in t:
             st += sig[i]
@@ -325,22 +295,7 @@ def _filter_counts_chunk(n, k, d, sig, lo, hi):
     return counts
 
 
-def _filter_exponent_counts(n, k, d, sig, threads):
-    if threads <= 1:
-        return _filter_counts_chunk(n, k, d, sig, 0, len(sig))
-    spans = _chunks(len(sig), threads)
-    with ThreadPoolExecutor(max_workers=len(spans)) as pool:
-        futures = [pool.submit(_filter_counts_chunk, n, k, d, sig, lo, hi) for lo, hi in spans]
-        counts = [[0] * n for _ in range(n)]
-        for f in futures:
-            part = f.result()
-            for l in range(n):
-                for e in range(n):
-                    counts[l][e] += part[l][e]
-    return counts
-
-
-def variant_total_cyclotomic(p: ModuliParams, threads: int = 1) -> BivarPoly:
+def variant_total_cyclotomic(p: ModuliParams) -> BivarPoly:
     """Root-of-unity filtered form of the variant total.
 
     Sums xi^(l * congruence exponent) over every word tuple and every
@@ -352,7 +307,7 @@ def variant_total_cyclotomic(p: ModuliParams, threads: int = 1) -> BivarPoly:
     n, g, k, d = p.n, p.g, p.k, p.d
     words = kernels.words_lex(n)
     sig = [sigma(w) for w in words]
-    counts = _filter_exponent_counts(n, k, d, sig, threads)
+    counts = _filter_exponent_counts(n, k, d, sig)
     total = CycBivarPoly.zero(n)
     for l in range(n):
         scal = CycInt.zero(n)
@@ -432,17 +387,17 @@ def components_to_csv(components, dest) -> None:
     """Write the census as CSV: words, m, s, d_n, homogeneous degree.
 
     Rows share few distinct word tuples and m and s vectors, so each one is
-    rendered to text once.
+    rendered to text once: a word tuple keeps its own text, and the m and s
+    texts are cached by value.
     """
     own = isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__")
     fh = open(dest, "w", newline="") if own else dest
     try:
         writer = csv.writer(fh)
         writer.writerow(["words", "m", "s", "d_n", "degree"])
-        words_text = cache(str)
         spaced = cache(lambda values: " ".join(map(str, values)))
         for c in components:
-            writer.writerow([words_text(c.words), spaced(c.m), spaced(c.s), c.d_n, sum(c.m)])
+            writer.writerow([c.words.text, spaced(c.m), spaced(c.s), c.d_n, sum(c.m)])
     finally:
         if own:
             fh.close()

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from configparser import ConfigParser
 from dataclasses import dataclass
 from fractions import Fraction
@@ -65,7 +64,7 @@ class SweepFailure:
     error: str
 
 
-def verify_identity(p: ModuliParams, w: WeightSystem, threads: int = 1) -> TmsReport:
+def verify_identity(p: ModuliParams, w: WeightSystem) -> TmsReport:
     """Run all four totals for one parameter set and weight system."""
     timing: dict[str, float] = {}
 
@@ -76,12 +75,12 @@ def verify_identity(p: ModuliParams, w: WeightSystem, threads: int = 1) -> TmsRe
         return out
 
     walls = clock("walls", enumerate_walls, p)
-    components = clock("census", enumerate_components, p, w, threads)
+    components = clock("census", enumerate_components, p, w)
     lhs_bruteforce = clock(
-        "bruteforce", variant_total_bruteforce, p, w, threads, components
+        "bruteforce", variant_total_bruteforce, p, w, components=components
     )
     lhs_closed = clock("closed", variant_closed_form, p)
-    lhs_cyclotomic = clock("cyclotomic", variant_total_cyclotomic, p, threads)
+    lhs_cyclotomic = clock("cyclotomic", variant_total_cyclotomic, p)
     rhs = clock("stringy", stringy_gamma_sum, p)
     equal = lhs_bruteforce == lhs_closed == lhs_cyclotomic == rhs
     return TmsReport(
@@ -96,11 +95,6 @@ def verify_identity(p: ModuliParams, w: WeightSystem, threads: int = 1) -> TmsRe
         wall_count=len(walls),
         timing_ms=timing,
     )
-
-
-def stringy_offset(p: ModuliParams) -> BivarPoly:
-    """The quotient-side total the variant side must match."""
-    return stringy_gamma_sum(p)
 
 
 @dataclass(frozen=True)
@@ -154,29 +148,23 @@ class SweepConfig:
                                 yield (n, g, k, d, seed, scale)
 
 
-def _run_instance(spec, threads):
+def _run_instance(spec):
     n, g, k, d, seed, scale = spec
     try:
         p = ModuliParams(n=n, g=g, k=k, d=d)
         # large rank only ever runs in the single certified small chamber
         eff_scale = scale if n <= 3 else min(scale, small_weight_margin(p))
         w = sample_generic_weights(p, seed=seed, scale=eff_scale)
-        return verify_identity(p, w, threads=1)
+        return verify_identity(p, w)
     except Exception as exc:
         return SweepFailure(n=n, g=g, k=k, d=d, seed=seed, scale=Fraction(scale),
                            error=f"{type(exc).__name__}: {exc}")
 
 
-def sweep(config: SweepConfig, threads: int = 1):
-    """Run every instance of the grid; failures are recorded, not raised.
-
-    Results come back in grid order regardless of thread count.
-    """
-    specs = list(config.instances())
-    if threads <= 1:
-        return [_run_instance(s, 1) for s in specs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda s: _run_instance(s, 1), specs))
+def sweep(config: SweepConfig):
+    """Run every instance of the grid, in grid order; failures are recorded,
+    not raised."""
+    return [_run_instance(spec) for spec in config.instances()]
 
 
 def sweep_all_equal(results) -> bool:
@@ -269,7 +257,6 @@ __all__ = [
     "SweepFailure",
     "SweepConfig",
     "verify_identity",
-    "stringy_offset",
     "sweep",
     "sweep_all_equal",
     "report_to_jsonable",

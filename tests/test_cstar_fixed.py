@@ -32,7 +32,6 @@ from parmirror.cstar_fixed import (
     cyclotomic_discarded_term,
     degree_constraint,
     descent_character_sum,
-    descent_stats,
     enumerate_components,
     insertion_bijection_check,
     sigma,
@@ -65,9 +64,9 @@ def test_sigma_and_descent_stats():
     assert sigma(PermWord.from_string("21")) == 1
     assert sigma(PermWord.from_string("231")) == 2
     assert sigma(PermWord.from_string("312")) == 1
-    assert descent_stats(PermTuple.from_strings("231", "312")) == (1, 1)
-    assert descent_stats(PermTuple.from_strings("123")) == (0, 0)
-    assert descent_stats(PermTuple.from_strings("321")) == (1, 1)
+    assert PermTuple.from_strings("231", "312").descents == (1, 1)
+    assert PermTuple.from_strings("123").descents == (0, 0)
+    assert PermTuple.from_strings("321").descents == (1, 1)
 
 
 def test_component_type_validation():
@@ -248,14 +247,6 @@ def test_bruteforce_weight_independent():
         w = sample_generic_weights(p, seed=seed)
         values.add(variant_total_bruteforce(p, w))
     assert len(values) == 1
-
-
-def test_bruteforce_thread_counts_agree():
-    p = ModuliParams(3, 2, 2, 1)
-    w = sample_generic_weights(p, seed=5, scale=Fraction(1, 4))
-    assert variant_total_bruteforce(p, w, threads=1) == variant_total_bruteforce(
-        p, w, threads=4
-    )
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])

@@ -20,7 +20,6 @@ from parmirror.cstar_fixed import (
     PermWord,
     component_dn,
     degree_constraint,
-    descent_stats,
     stability_check,
 )
 from parmirror.moduli import ModuliParams
@@ -146,7 +145,7 @@ def _l2_region(p, w, t):
     rhs = Fraction((n - 1) * n * (2 * p.g - 2 + p.k), 2)
     for row, word in zip(w.alpha, t.words):
         rhs += (n - 1) * sum(row) - n * sum(row[word.letters[j] - 1] for j in range(1, n))
-    budget = rhs - sum(c * s for c, s in zip(coef, descent_stats(t)))
+    budget = rhs - sum(c * s for c, s in zip(coef, t.descents))
 
     def below(j, left):
         if j == n - 1:
@@ -183,7 +182,7 @@ def test_census_matches_reference_oracle(p, scale, seed):
         assert {(t_idx, m) for t_idx, m, _, _ in rows} == expected
         for t_idx, m, s, dn in rows:
             t = PermTuple(tuple(words[i] for i in t_idx))
-            assert s == descent_stats(t)
+            assert s == t.descents
             assert dn == component_dn(p, t, m)
 
 

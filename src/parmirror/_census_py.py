@@ -7,9 +7,17 @@ reference implementation and the fallback when the compiled kernel is
 unavailable or the int64 headroom check fails; it runs on unbounded ints.
 
 Row format: (word index tuple, m tuple, s tuple, d_n). Rows come out in
-lexicographic order of (word indices, m), which both kernels share. The
-depth-first search over m steps its last coordinate by the one residue
-class mod n that meets the congruence, so every leaf it reaches is a row.
+lexicographic order of (word indices, m), which both kernels share.
+
+At scale 2*wden the stability inequality for index l reads C[l].m < R[l],
+and every coefficient is C[l][j] = 2*wden*coef[l][j] with a positive
+integer coef. For positive integers b, c, nested floor division gives
+(a - 1 - b*c*x) // (b*c) == ((a - 1) // b - c*x) // c, so C[l].m < R[l]
+holds exactly when coef[l].m <= Q[l] = (R[l] - 1) // (2*wden): the search
+runs on the small integer budgets Q with no loss. A word tuple's stable m
+vectors then depend only on Q and, through the congruence, on its degree
+offset mod n. Each distinct (Q, offset mod n) lattice is searched once and
+its m tuples are shared by every row of every word tuple with that key.
 """
 
 from __future__ import annotations
@@ -26,14 +34,15 @@ def enumerate_census(n, g, k, d, words, wnum, wden, t0_lo=0, t0_hi=None):
 
     words: all of S_n as tuples in lexicographic order. wnum[p][i] is the
     numerator of weight alpha_{i+1} at point p over the common denominator
-    wden. Stability is evaluated at scale 2*wden so everything stays in
-    integer arithmetic.
+    wden. Stability is evaluated at scale 2*wden and reduced to integer
+    budgets Q (see the module docstring).
     """
     nw = len(words)
     if t0_hi is None:
         t0_hi = nw
     nm = n - 1
     chi = 2 * g - 2 + k
+    scale = 2 * wden
     desc = [descent_vector(w) for w in words]
     tot = [sum(pw) for pw in wnum]
     # tails[p][wi][l-2]: weight numerator sum of the letters in slots l..n
@@ -49,14 +58,13 @@ def enumerate_census(n, g, k, d, words, wnum, wden, t0_lo=0, t0_hi=None):
                 col[l - 2] = acc
             row.append(col)
         tails.append(row)
-    # per-l coefficient of (m_j + s_j) in the stability bound, and its copy
-    # at scale 2*wden for the m side
-    sco = [
+    # per-l coefficient of (m_j + s_j) in the stability bound
+    coef = [
         [(n - l + 1) * j if j <= l - 1 else (l - 1) * (n - j) for j in range(1, n)]
         for l in range(2, n + 1)
     ]
-    C = [[2 * wden * c for c in row] for row in sco]
     dn_shift = n * (n - 1) * chi // 2
+    lattices: dict[tuple, list] = {}
     rows: list = []
     index_ranges = [range(t0_lo, t0_hi)] + [range(nw)] * (k - 1)
     for t in product(*index_ranges):
@@ -65,8 +73,7 @@ def enumerate_census(n, g, k, d, words, wnum, wden, t0_lo=0, t0_hi=None):
             dv = desc[t[p]]
             for j in range(nm):
                 s[j] += dv[j]
-        R = []
-        feasible = True
+        Q = []
         for li in range(nm):
             l = li + 2
             w2 = 0
@@ -74,36 +81,50 @@ def enumerate_census(n, g, k, d, words, wnum, wden, t0_lo=0, t0_hi=None):
                 w2 += (n - l + 1) * tot[p] - n * tails[p][t[p]][li]
             r = 2 * w2 + (n - l + 1) * (l - 1) * n * chi * wden
             for j in range(nm):
-                r -= C[li][j] * s[j]
+                r -= scale * coef[li][j] * s[j]
             if r <= 0:
-                feasible = False
                 break
-            R.append(r)
-        if not feasible:
-            continue
-        base = d - dn_shift
-        for j in range(nm):
-            base += (j + 1) * s[j]
-        _dfs(n, nm, C, R, base, 0, [0] * nm, t, tuple(s), rows)
+            Q.append((r - 1) // scale)
+        else:
+            base = d - dn_shift
+            for j in range(nm):
+                base += (j + 1) * s[j]
+            dn_floor, residue = divmod(base, n)
+            key = (tuple(Q), residue)
+            lattice = lattices.get(key)
+            if lattice is None:
+                lattice = lattices[key] = _lattice(n, coef, Q, residue)
+            s = tuple(s)
+            rows += [(t, m, s, dn_floor + q) for m, q in lattice]
     return rows
 
 
-def _dfs(n, nm, C, R, num, j, m, t, s, rows):
-    """Append the rows below the prefix m[:j], in increasing m order.
+def _lattice(n, coef, Q, residue):
+    """Every m >= 0 with coef[l].m <= Q[l] for all l whose degree offset
+    sum_j (j+1) m_j is congruent to -residue mod n, in increasing m order,
+    as pairs (m, (residue + offset) // n)."""
+    out: list = []
+    _dfs(n, n - 1, coef, Q, residue, 0, [0] * (n - 1), out)
+    return out
+
+
+def _dfs(n, nm, coef, Q, num, j, m, out):
+    """Append the lattice points below the prefix m[:j], in increasing m
+    order; num is residue plus the prefix's degree offset.
 
     The last coordinate m_{n-1} enters the congruence with coefficient
     n - 1, a unit mod n, so exactly one residue class of its values passes:
     it is stepped from num mod n in strides of n, with no leaf filter.
     """
-    cap = min((R[li] - 1) // C[li][j] for li in range(nm))
+    cap = min(Q[li] // coef[li][j] for li in range(nm))
     if j == nm - 1:
         for val in range(num % n, cap + 1, n):
             m[j] = val
-            rows.append((t, tuple(m), s, (num + nm * val) // n))
+            out.append((tuple(m), (num + nm * val) // n))
         m[j] = 0
         return
     for val in range(cap + 1):
         m[j] = val
-        nxt = R if val == 0 else [R[li] - C[li][j] * val for li in range(nm)]
-        _dfs(n, nm, C, nxt, num + (j + 1) * val, j + 1, m, t, s, rows)
+        nxt = Q if val == 0 else [Q[li] - coef[li][j] * val for li in range(nm)]
+        _dfs(n, nm, coef, nxt, num + (j + 1) * val, j + 1, m, out)
     m[j] = 0

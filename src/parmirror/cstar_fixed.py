@@ -11,7 +11,6 @@ makes the filtered sum collapse.
 
 from __future__ import annotations
 
-import csv
 import logging
 from collections import Counter
 from dataclasses import dataclass
@@ -19,6 +18,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from itertools import product
 from math import factorial
+from typing import NamedTuple
 
 from . import kernels
 from .chambers import (
@@ -130,24 +130,34 @@ def sigma(word) -> int:
     return sum(i + 1 for i in range(len(letters) - 1) if letters[i] > letters[i + 1])
 
 
-@dataclass(frozen=True)
-class ComponentType11:
-    """A fixed component: words, twist jumps m, descent counts s, and the
-    common degree d_n of its line-bundle factors."""
-
+class _ComponentFields(NamedTuple):
     words: PermTuple
     m: tuple[int, ...]
     s: tuple[int, ...]
     d_n: int
 
-    def __post_init__(self):
-        n = self.words.n
-        if len(self.m) != n - 1 or len(self.s) != n - 1:
+
+class ComponentType11(_ComponentFields):
+    """A fixed component: words, twist jumps m, descent counts s, and the
+    common degree d_n of its line-bundle factors. An immutable tuple of
+    these four fields, checked on construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, words: PermTuple, m, s, d_n: int):
+        desc = words.descents
+        if len(m) != len(desc) or len(s) != len(desc):
             raise ValueError("m and s must have length n-1")
-        if min(self.m, default=0) < 0:
-            raise ValueError(f"negative twist jump in {self.m}")
-        if self.s != self.words.descents:
-            raise ValueError(f"s = {self.s} does not match the words {self.words}")
+        if min(m, default=0) < 0:
+            raise ValueError(f"negative twist jump in {m}")
+        if s != desc:
+            raise ValueError(f"s = {s} does not match the words {words}")
+        return tuple.__new__(cls, (words, m, s, d_n))
+
+    @classmethod
+    def _make(cls, iterable):
+        # the inherited _make (and _replace, which calls it) skips __new__
+        return cls(*iterable)
 
 
 def degree_constraint(p: ModuliParams, t: PermTuple, m) -> bool:
@@ -386,18 +396,21 @@ def insertion_bijection_check(prev: PermWord) -> bool:
 def components_to_csv(components, dest) -> None:
     """Write the census as CSV: words, m, s, d_n, homogeneous degree.
 
-    Rows share few distinct word tuples and m and s vectors, so each one is
-    rendered to text once: a word tuple keeps its own text, and the m and s
-    texts are cached by value.
+    Lines end in CRLF, as the csv module writes them. No field can hold a
+    comma, a quote or a line break, so none is quoted and each line is
+    formatted directly and streamed to the file. Rows share few distinct
+    word tuples and m and s vectors, so each one is rendered to text once: a
+    word tuple keeps its own text, and the m and s texts are cached by value.
     """
     own = isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__")
     fh = open(dest, "w", newline="") if own else dest
     try:
-        writer = csv.writer(fh)
-        writer.writerow(["words", "m", "s", "d_n", "degree"])
+        fh.write("words,m,s,d_n,degree\r\n")
         spaced = cache(lambda values: " ".join(map(str, values)))
-        for c in components:
-            writer.writerow([c.words.text, spaced(c.m), spaced(c.s), c.d_n, sum(c.m)])
+        fh.writelines(
+            f"{words.text},{spaced(m)},{spaced(s)},{d_n},{sum(m)}\r\n"
+            for words, m, s, d_n in components
+        )
     finally:
         if own:
             fh.close()

@@ -49,7 +49,10 @@ def enumerate_census(n, g, k, d, wnum, wden, t0_lo=0, t0_hi=None, backend=None):
     """Dispatch to the requested or best available kernel.
 
     backend: None for automatic choice, or "python"/"compiled" to force one
-    (forcing "compiled" raises if the extension is missing).
+    (forcing "compiled" raises if the extension is missing). t0_lo/t0_hi
+    restrict the first word index to [t0_lo, t0_hi); no program path splits
+    a census, but they stay because perfbench's traced parity check replays
+    recorded census calls with all eight positional arguments.
     """
     words = words_lex(n)
     if backend is None:

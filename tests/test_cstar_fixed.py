@@ -5,6 +5,7 @@ inequality at rank two, the three-row census at the smallest parameter set,
 and the closed-form totals for three small parameter sets.
 """
 
+import csv
 import io
 from fractions import Fraction
 from itertools import permutations
@@ -78,6 +79,19 @@ def test_component_type_validation():
         ComponentType11(t, (-1,), (1,), -1)
     with pytest.raises(ValueError):
         ComponentType11(t, (0, 0), (1,), -1)
+
+
+def test_component_fields_are_read_only():
+    c = ComponentType11(PermTuple.from_strings("21"), (0,), (1,), -1)
+    assert (c.words, c.m, c.s, c.d_n) == (W21, (0,), (1,), -1)
+    for field, value in (("words", W12), ("m", (2,)), ("s", (0,)), ("d_n", 0)):
+        with pytest.raises(AttributeError):
+            setattr(c, field, value)
+    with pytest.raises(AttributeError):
+        c.extra = 1
+    with pytest.raises(ValueError):
+        c._replace(s=(0,))
+    assert (c.words, c.m, c.s, c.d_n) == (W21, (0,), (1,), -1)
 
 
 def test_degree_constraint_hand_cases():
@@ -323,3 +337,24 @@ def test_components_csv_golden_multiword():
         "21|21,0,2,-1,0",
         "21|21,2,2,0,2",
     ]
+
+
+def _csv_module_text(components) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["words", "m", "s", "d_n", "degree"])
+    for c in components:
+        writer.writerow(
+            [str(c.words), " ".join(map(str, c.m)), " ".join(map(str, c.s)), c.d_n, sum(c.m)]
+        )
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("n,g,k,d", [(3, 2, 2, 1), (5, 2, 1, 0)])
+def test_components_csv_matches_csv_module(n, g, k, d):
+    p = ModuliParams(n, g, k, d)
+    comps = enumerate_components(p, sample_generic_weights(p, seed=1, scale=Fraction(1, 8)))
+    assert any(c.d_n < 0 for c in comps)
+    buf = io.StringIO()
+    components_to_csv(comps, buf)
+    assert buf.getvalue() == _csv_module_text(comps)

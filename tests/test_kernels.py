@@ -8,10 +8,13 @@ checks, and, in order, the rows of a search that tests every value of the
 last coordinate at the leaf.
 """
 
+import math
 from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from parmirror import _census_py, kernels
 from parmirror.chambers import sample_generic_weights, weight_denominator
@@ -186,9 +189,36 @@ def test_census_matches_reference_oracle(p, scale, seed):
             assert dn == component_dn(p, t, m)
 
 
+def _leaf_filter_census(n, g, k, d, words, wnum, wden):
+    """The whole census as the kernel searched it before budgets were reduced
+    and lattices shared: every word tuple on its own, stability at scale
+    2*wden, every value of every coordinate, the congruence at the leaf."""
+    nm = n - 1
+    chi = 2 * g - 2 + k
+    desc = [_census_py.descent_vector(w) for w in words]
+    C = [
+        [2 * wden * ((n - l + 1) * j if j <= l - 1 else (l - 1) * (n - j)) for j in range(1, n)]
+        for l in range(2, n + 1)
+    ]
+    rows = []
+    for t in product(range(len(words)), repeat=k):
+        s = tuple(sum(desc[i][j] for i in t) for j in range(nm))
+        R = []
+        for li in range(nm):
+            l = li + 2
+            r = (n - l + 1) * (l - 1) * n * chi * wden
+            for p in range(k):
+                tail = sum(wnum[p][a - 1] for a in words[t[p]][l - 1:])
+                r += 2 * ((n - l + 1) * sum(wnum[p]) - n * tail)
+            R.append(r - sum(C[li][j] * s[j] for j in range(nm)))
+        if min(R) <= 0:
+            continue
+        base = d - n * (n - 1) * chi // 2 + sum((j + 1) * s[j] for j in range(nm))
+        _leaf_filter_dfs(n, nm, C, R, base, 0, [0] * nm, t, s, rows)
+    return rows
+
+
 def _leaf_filter_dfs(n, nm, C, R, num, j, m, t, s, rows):
-    """The census search before its last coordinate was stepped by residue
-    class: every value of every coordinate, with the congruence at the leaf."""
     if j == nm:
         if num % n == 0:
             rows.append((t, tuple(m), s, num // n))
@@ -203,8 +233,87 @@ def _leaf_filter_dfs(n, nm, C, R, num, j, m, t, s, rows):
 
 @pytest.mark.parametrize("scale,seed", ORACLE_WEIGHTS, ids=["scale1", "scale1/8"])
 @pytest.mark.parametrize("p", ORACLE_GRID, ids=lambda p: f"{p.n}-{p.g}-{p.k}-{p.d}")
-def test_census_rows_match_leaf_filter_search(monkeypatch, p, scale, seed):
-    args = _census_args(p, seed, scale)
-    rows = kernels.enumerate_census(*args, backend="python")
-    monkeypatch.setattr(_census_py, "_dfs", _leaf_filter_dfs)
-    assert rows == kernels.enumerate_census(*args, backend="python")
+def test_census_rows_match_leaf_filter_search(p, scale, seed):
+    n, g, k, d, wnum, den = _census_args(p, seed, scale)
+    rows = kernels.enumerate_census(n, g, k, d, wnum, den, backend="python")
+    assert rows == _leaf_filter_census(n, g, k, d, kernels.words_lex(n), wnum, den)
+
+
+@given(
+    a=st.integers(-50, 400),
+    b=st.integers(1, 12),
+    c=st.integers(1, 12),
+    x=st.integers(0, 30),
+)
+def test_scaled_floor_identity(a, b, c, x):
+    """(a - 1 - b*c*x) // (b*c) == ((a - 1) // b - c*x) // c for b, c >= 1:
+    the cap of one coordinate at scale b equals its cap on the budget
+    (a - 1) // b, so the budgets Q lose nothing."""
+    assert (a - 1 - b * c * x) // (b * c) == ((a - 1) // b - c * x) // c
+
+
+@given(
+    n=st.sampled_from([2, 3, 5]),
+    scale=st.integers(1, 12),
+    num=st.integers(-40, 40),
+    data=st.data(),
+)
+def test_reduced_lattice_matches_scaled_search(n, scale, num, data):
+    """The lattice searched on the budgets Q = (R - 1) // scale holds the
+    same m vectors, in the same order, as the leaf-filter search on the
+    scaled coefficients scale * coef and bounds R."""
+    nm = n - 1
+    coef = [data.draw(st.lists(st.integers(1, 4), min_size=nm, max_size=nm)) for _ in range(nm)]
+    R = data.draw(st.lists(st.integers(1, 12 * scale), min_size=nm, max_size=nm))
+    C = [[scale * c for c in row] for row in coef]
+    expected = []
+    _leaf_filter_dfs(n, nm, C, R, num, 0, [0] * nm, (), (), expected)
+    lattice = _census_py._lattice(n, coef, [(r - 1) // scale for r in R], num % n)
+    assert [(m, num // n + q) for m, q in lattice] == [(m, dn) for _, m, _, dn in expected]
+
+
+def test_census_searches_each_lattice_once(monkeypatch):
+    """Word tuples with equal budgets Q and equal degree offset mod n share
+    one lattice search, and their rows share its m tuples. The key is
+    recomputed here from the Fraction form of the stability bound."""
+    p = ModuliParams(5, 2, 1, 1)
+    w = sample_generic_weights(p, seed=1, scale=Fraction(1, 8))
+    n, g, k, d, wnum, den = _census_args(p, 1)
+    searched = []
+    real = _census_py._lattice
+
+    def spy(*args):
+        searched.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(_census_py, "_lattice", spy)
+    rows = kernels.enumerate_census(n, g, k, d, wnum, den, backend="python")
+    words = [PermWord(letters) for letters in kernels.words_lex(n)]
+    ms = {}
+    for t_idx, m, _, _ in rows:
+        ms.setdefault(t_idx, []).append(m)
+    keys = {t_idx: _lattice_key(p, w, PermTuple(tuple(words[i] for i in t_idx))) for t_idx in ms}
+    searched_keys = {(tuple(Q), residue) for _, _, Q, residue in searched}
+    assert len(searched_keys) == len(searched)
+    assert set(keys.values()) <= searched_keys
+    assert len(searched) == len(set(keys.values())) < len(keys)
+    first = {}
+    for t_idx, key in keys.items():
+        shared = first.setdefault(key, ms[t_idx])
+        assert len(ms[t_idx]) == len(shared)
+        assert all(a is b for a, b in zip(ms[t_idx], shared))
+
+
+def _lattice_key(p, w, t):
+    """(Q, offset mod n) with Q[l] the largest integer below the l-th
+    stability bound minus its s side: coef.m < bound iff coef.m <= Q[l]."""
+    n, s = p.n, t.descents
+    budgets = []
+    for l in range(2, n + 1):
+        coef = [(n - l + 1) * j if j <= l - 1 else (l - 1) * (n - j) for j in range(1, n)]
+        rhs = Fraction((n - l + 1) * (l - 1) * n * (2 * p.g - 2 + p.k), 2)
+        for row, word in zip(w.alpha, t.words):
+            rhs += (n - l + 1) * sum(row) - n * sum(row[a - 1] for a in word.letters[l - 1:])
+        budgets.append(math.ceil(rhs - sum(c * sj for c, sj in zip(coef, s))) - 1)
+    offset = p.d - n * (n - 1) * (2 * p.g - 2 + p.k) // 2 + sum((j + 1) * sj for j, sj in enumerate(s))
+    return tuple(budgets), offset % n

@@ -16,7 +16,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import product
 from math import factorial
 from typing import NamedTuple
 
@@ -292,16 +291,23 @@ def _root_shift_product(n: int, g: int, l: int) -> CycBivarPoly:
 
 
 def _filter_exponent_counts(n, k, d, sig):
-    """counts[l][e]: word tuples whose filter exponent, times l, is e mod n."""
+    """counts[l][e]: word tuples whose filter exponent, times l, is e mod n.
+
+    The exponent depends on a word tuple only through its sigma sum mod n,
+    so the sigma mod n histogram over S_n is convolved k times over Z/n:
+    O(n! + k n^2) work instead of a scan of all (n!)^k tuples.
+    """
+    single = [0] * n
+    for s in sig:
+        single[s % n] += 1
+    sums = [1] + [0] * (n - 1)
+    for _ in range(k):
+        sums = [sum(sums[a] * single[(r - a) % n] for a in range(n)) for r in range(n)]
+    offset = d - k if n == 2 else d
     counts = [[0] * n for _ in range(n)]
-    for t in product(range(len(sig)), repeat=k):
-        st = 0
-        for i in t:
-            st += sig[i]
-        base = (d + st - k) if n == 2 else (d + st)
-        counts[0][0] += 1
-        for l in range(1, n):
-            counts[l][(l * base) % n] += 1
+    for r, cnt in enumerate(sums):
+        for l in range(n):
+            counts[l][(l * (offset + r)) % n] += cnt
     return counts
 
 

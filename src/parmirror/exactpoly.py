@@ -34,7 +34,10 @@ def is_prime(n: int) -> bool:
 
 def parse_rat(text: str) -> Fraction:
     """Parse a "num/den" string (or bare integer string) into a Fraction."""
-    return Fraction(str(text).strip())
+    try:
+        return Fraction(str(text).strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def format_rat(q: Fraction | int) -> str:

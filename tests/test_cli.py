@@ -212,3 +212,20 @@ def test_sweep_csv(tmp_path):
 
 def test_sweep_missing_config_is_usage_error(tmp_path):
     assert main(["sweep", "--config", str(tmp_path / "nope.ini")]) == 2
+
+
+@pytest.mark.parametrize("text,named", [
+    ("[grid]\nn = 2\ng = 2\nk = 1\nd = 0\n", "[sampling]"),
+    ("[grid]\nn = 2\ng = 2\nk = 1\n[sampling]\nseeds = 1\nscales = 1\n", "'d'"),
+    ("[grid]\nn = 2\ng = 2\nk = 1\nd =\n[sampling]\nseeds = 1\nscales = 1\n", "d is empty"),
+    ("n = 2\n", "cannot parse"),
+    ("[grid]\nn = 2\ng = 2\nk = 1\nd = 0\n[sampling]\nseeds = 1\nscales = 1/0\n",
+     "zero denominator"),
+], ids=["no-section", "no-key", "empty-axis", "no-header", "zero-denominator"])
+def test_sweep_bad_config_is_usage_error(tmp_path, capsys, text, named):
+    config = tmp_path / "grid.ini"
+    config.write_text(text, encoding="utf-8")
+    assert main(["sweep", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert "Traceback" not in err

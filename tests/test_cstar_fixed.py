@@ -8,11 +8,11 @@ and the closed-form totals for three small parameter sets.
 import csv
 import io
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
-from parmirror import cli, cstar_fixed
+from parmirror import cli, cstar_fixed, kernels
 from parmirror.chambers import (
     NonGenericWeightsError,
     WeightSystem,
@@ -269,6 +269,26 @@ def test_cyclotomic_equals_closed_form(n, k):
     for d in range(n):
         p = ModuliParams(n, 2, k, d)
         assert variant_total_cyclotomic(p) == variant_closed_form(p)
+
+
+def _scan_filter_exponent_counts(n, k, d, sig):
+    """The direct form: visit every word tuple and bin its filter exponent."""
+    counts = [[0] * n for _ in range(n)]
+    for t in product(sig, repeat=k):
+        base = (d + sum(t) - k) if n == 2 else (d + sum(t))
+        for l in range(n):
+            counts[l][(l * base) % n] += 1
+    return counts
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_filter_counts_match_tuple_scan(n, k):
+    sig = [sigma(w) for w in kernels.words_lex(n)]
+    for d in (0, 1, 2):
+        assert cstar_fixed._filter_exponent_counts(n, k, d, sig) == (
+            _scan_filter_exponent_counts(n, k, d, sig)
+        ), (n, k, d)
 
 
 def test_cyclotomic_discarded_term_vanishes():

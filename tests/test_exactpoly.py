@@ -43,6 +43,8 @@ def test_is_prime_small():
 def test_rat_round_trip():
     assert parse_rat("3/10") == Fraction(3, 10)
     assert parse_rat("7") == Fraction(7)
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_rat("1/0")
     assert format_rat(Fraction(3, 10)) == "3/10"
     assert format_rat(2) == "2/1"
     assert parse_rat(format_rat(Fraction(-BIG, 7))) == Fraction(-BIG, 7)

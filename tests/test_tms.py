@@ -6,9 +6,9 @@ from fractions import Fraction
 import jsonschema
 import pytest
 
-from parmirror import schemas
+from parmirror import schemas, tms
 from parmirror.chambers import NonGenericWeightsError, WeightSystem, sample_generic_weights
-from parmirror.exactpoly import BivarPoly
+from parmirror.exactpoly import BivarPoly, IdentityCheckError
 from parmirror.moduli import ModuliParams
 from parmirror.tms import (
     SweepConfig,
@@ -144,3 +144,57 @@ def test_load_weights_json(tmp_path):
     path = tmp_path / "w.json"
     path.write_text(json.dumps(w.to_jsonable()), encoding="utf-8")
     assert load_weights_json(path) == w
+
+
+WEIGHT_FREE = ("variant_closed_form", "variant_total_cyclotomic", "stringy_gamma_sum")
+
+
+def test_sweep_computes_weight_free_totals_once_per_params(monkeypatch):
+    calls = {name: 0 for name in WEIGHT_FREE}
+    for name in WEIGHT_FREE:
+        real = getattr(tms, name)
+
+        def spy(p, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(p)
+
+        monkeypatch.setattr(tms, name, spy)
+    config = SweepConfig.default()
+    assert sweep_all_equal(sweep(config))
+    assert calls == {name: 16 for name in WEIGHT_FREE}
+    sweep(config)
+    assert calls == {name: 32 for name in WEIGHT_FREE}
+
+
+def test_sweep_json_equals_per_instance_reports():
+    config = SweepConfig.default()
+    # without a totals dict, each instance computes every total itself
+    direct = [tms._run_instance(spec) for spec in config.instances()]
+    assert dumps_canonical(sweep_to_jsonable(sweep(config))) == (
+        dumps_canonical(sweep_to_jsonable(direct))
+    )
+
+
+def test_failing_weight_free_total_fails_each_instance(monkeypatch):
+    config = SweepConfig.default()
+    before = sweep_to_jsonable(sweep(config))["results"]
+    broken = ModuliParams(3, 2, 2, 1)
+    real = tms.variant_closed_form
+    calls = []
+
+    def closed(p):
+        if p == broken:
+            calls.append(p)
+            raise IdentityCheckError(f"injected failure for {p}")
+        return real(p)
+
+    monkeypatch.setattr(tms, "variant_closed_form", closed)
+    results = sweep(config)
+    after = sweep_to_jsonable(results)["results"]
+    failed = [r for r in results if isinstance(r, SweepFailure)]
+    assert len(failed) == len(calls) == 10
+    assert {r.error for r in failed} == {f"IdentityCheckError: injected failure for {broken}"}
+    assert all((r.n, r.g, r.k, r.d) == (3, 2, 2, 1) for r in failed)
+    for old, new, r in zip(before, after, results):
+        if isinstance(r, TmsReport):
+            assert r.equal and new == old

@@ -12,7 +12,7 @@ pairing.
 
 from .chambers import WeightSystem, enumerate_walls, is_generic, sample_generic_weights
 from .exactpoly import BivarPoly, CycInt
-from .kernels import HAVE_COMPILED, active_backend
+from .kernels import active_backend
 from .moduli import ModuliParams, dim_hitchin_base, dim_moduli
 from .tms import SweepConfig, TmsReport, sweep, verify_identity
 
@@ -34,5 +34,4 @@ __all__ = [
     "dim_moduli",
     "dim_hitchin_base",
     "active_backend",
-    "HAVE_COMPILED",
 ]

@@ -1,13 +1,12 @@
-"""Pure-Python census kernel.
+"""Census kernel.
 
 Enumerates, for fixed (n, g, k, d) and integer weight numerators over a
 common denominator, all pairs (word tuple, m vector) that satisfy the
-degree congruence and every strict stability inequality. This is the
-reference implementation and the fallback when the compiled kernel is
-unavailable or the int64 headroom check fails; it runs on unbounded ints.
+degree congruence and every strict stability inequality. It runs on
+unbounded ints.
 
 Row format: (word index tuple, m tuple, s tuple, d_n). Rows come out in
-lexicographic order of (word indices, m), which both kernels share.
+lexicographic order of (word indices, m).
 
 At scale 2*wden the stability inequality for index l reads C[l].m < R[l],
 and every coefficient is C[l][j] = 2*wden*coef[l][j] with a positive
@@ -17,19 +16,113 @@ holds exactly when coef[l].m <= Q[l] = (R[l] - 1) // (2*wden): the search
 runs on the small integer budgets Q with no loss. A word tuple's stable m
 vectors then depend only on Q and, through the congruence, on its degree
 offset mod n. Each distinct (Q, offset mod n) lattice is searched once and
-its m tuples are shared by every row of every word tuple with that key.
+shared by every word tuple with that key; lattices of different keys with
+the same points share one tuple, and equal points one (m, q) pair.
+
+The rows are never listed. A `Census` holds one `CensusGroup` per word
+tuple with rows, and each group points at its shared lattice, so memory
+grows with the number of word tuples and distinct lattice points, not with
+the number of rows.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import product
+from typing import NamedTuple
 
 
 def descent_vector(word) -> tuple[int, ...]:
     return tuple(1 if word[i] > word[i + 1] else 0 for i in range(len(word) - 1))
 
 
-def enumerate_census(n, g, k, d, words, wnum, wden, t0_lo=0, t0_hi=None):
+class CensusGroup(NamedTuple):
+    """The rows of one word tuple: (t_idx, m, s, dn_floor + q) for each pair
+    (m, q) of lattice, in increasing m order. The lattice tuple is shared by
+    every word tuple with the same budgets and degree offset mod n."""
+
+    t_idx: tuple[int, ...]
+    s: tuple[int, ...]
+    dn_floor: int
+    lattice: tuple
+
+
+class Census:
+    """Census rows grouped by word tuple.
+
+    A sized, re-iterable sequence of the rows in canonical order that
+    compares equal to a list of them; the rows themselves are built only
+    while iterating. Nothing mutates the groups after the kernel returns.
+    """
+
+    __slots__ = ("groups", "_rows")
+
+    def __init__(self, groups: list[CensusGroup]):
+        self.groups = groups
+        self._rows = sum(len(group.lattice) for group in groups)
+
+    def __len__(self) -> int:
+        return self._rows
+
+    def __iter__(self):
+        return self.rows()
+
+    def __eq__(self, other):
+        try:
+            size = len(other)
+        except TypeError:
+            return NotImplemented
+        return size == self._rows and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+    def rows(self, labels=None, point=None):
+        """The rows in canonical order, as (label, m, s, d_n).
+
+        labels[i] stands in place of the word indices of the i-th group
+        (default: the word indices). point, when given, is applied once to
+        the m of each distinct lattice point, and its value stands in place
+        of m.
+        """
+        if labels is None:
+            labels = [group.t_idx for group in self.groups]
+        mapped: dict[int, list] = {}
+        for label, (_, s, dn_floor, lattice) in zip(labels, self.groups):
+            if point is not None:
+                found = mapped.get(id(lattice))
+                if found is None:
+                    found = mapped[id(lattice)] = [(point(m), q) for m, q in lattice]
+                lattice = found
+            for m, q in lattice:
+                yield label, m, s, dn_floor + q
+
+    def lattice_uses(self) -> list[tuple[tuple, int]]:
+        """Each distinct lattice with the number of word tuples sharing it."""
+        uses: dict[int, list] = {}
+        for group in self.groups:
+            entry = uses.get(id(group.lattice))
+            if entry is None:
+                uses[id(group.lattice)] = [group.lattice, 1]
+            else:
+                entry[1] += 1
+        return [(lattice, count) for lattice, count in uses.values()]
+
+    def points(self):
+        """Each lattice point (m, q), once per distinct lattice."""
+        for lattice, _ in self.lattice_uses():
+            yield from lattice
+
+    def m_counts(self) -> Counter:
+        """Row count per twist vector m: each lattice point counted once per
+        word tuple that shares its lattice."""
+        counts: Counter = Counter()
+        for lattice, uses in self.lattice_uses():
+            for m, _ in lattice:
+                counts[m] += uses
+        return counts
+
+
+def enumerate_census(n, g, k, d, words, wnum, wden, t0_lo=0, t0_hi=None) -> Census:
     """Census rows whose first word index lies in [t0_lo, t0_hi).
 
     words: all of S_n as tuples in lexicographic order. wnum[p][i] is the
@@ -64,8 +157,11 @@ def enumerate_census(n, g, k, d, words, wnum, wden, t0_lo=0, t0_hi=None):
         for l in range(2, n + 1)
     ]
     dn_shift = n * (n - 1) * chi // 2
-    lattices: dict[tuple, list] = {}
-    rows: list = []
+    lattices: dict[tuple, tuple] = {}
+    # lattices with equal points share one tuple, and equal points one pair
+    distinct: dict[tuple, tuple] = {}
+    points: dict[tuple, tuple] = {}
+    groups: list[CensusGroup] = []
     index_ranges = [range(t0_lo, t0_hi)] + [range(nw)] * (k - 1)
     for t in product(*index_ranges):
         s = [0] * nm
@@ -93,10 +189,11 @@ def enumerate_census(n, g, k, d, words, wnum, wden, t0_lo=0, t0_hi=None):
             key = (tuple(Q), residue)
             lattice = lattices.get(key)
             if lattice is None:
-                lattice = lattices[key] = _lattice(n, coef, Q, residue)
-            s = tuple(s)
-            rows += [(t, m, s, dn_floor + q) for m, q in lattice]
-    return rows
+                found = tuple(points.setdefault(pt, pt) for pt in _lattice(n, coef, Q, residue))
+                lattice = lattices[key] = distinct.setdefault(found, found)
+            if lattice:
+                groups.append(CensusGroup(t, tuple(s), dn_floor, lattice))
+    return Census(groups)
 
 
 def _lattice(n, coef, Q, residue):

@@ -12,10 +12,9 @@ makes the filtered sum collapse.
 from __future__ import annotations
 
 import logging
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from math import factorial
 from typing import NamedTuple
 
@@ -145,13 +144,23 @@ class ComponentType11(_ComponentFields):
 
     def __new__(cls, words: PermTuple, m, s, d_n: int):
         desc = words.descents
-        if len(m) != len(desc) or len(s) != len(desc):
+        if len(s) != len(desc):
+            raise ValueError("m and s must have length n-1")
+        cls.check_twists(m, len(desc))
+        cls.check_descents(words, s)
+        return tuple.__new__(cls, (words, m, s, d_n))
+
+    @staticmethod
+    def check_twists(m, length: int) -> None:
+        if len(m) != length:
             raise ValueError("m and s must have length n-1")
         if min(m, default=0) < 0:
             raise ValueError(f"negative twist jump in {m}")
-        if s != desc:
+
+    @staticmethod
+    def check_descents(words: PermTuple, s) -> None:
+        if s != words.descents:
             raise ValueError(f"s = {s} does not match the words {words}")
-        return tuple.__new__(cls, (words, m, s, d_n))
 
     @classmethod
     def _make(cls, iterable):
@@ -198,25 +207,52 @@ def stability_check(p: ModuliParams, w: WeightSystem, t: PermTuple, m) -> bool:
     return True
 
 
-def enumerate_components(p: ModuliParams, w: WeightSystem):
+class Components:
+    """The census as a sized, re-iterable sequence of ComponentType11, in
+    canonical (word tuple, m) order.
+
+    Holds the kernel's Census, grouped by word tuple, and one PermTuple per
+    group; each component is built only while iterating, so memory does not
+    grow with the number of components. enumerate_components has already
+    run every ComponentType11 check on the groups and lattice points the
+    rows are made of.
+    """
+
+    __slots__ = ("census", "tuples")
+
+    def __init__(self, census: kernels.Census, tuples: list[PermTuple]):
+        self.census = census
+        self.tuples = tuples
+
+    def __len__(self) -> int:
+        return len(self.census)
+
+    def __iter__(self):
+        return map(partial(tuple.__new__, ComponentType11), self.census.rows(self.tuples))
+
+
+def enumerate_components(p: ModuliParams, w: WeightSystem) -> Components:
     """All type-(1,...,1) fixed components for generic weights, in canonical
     (word tuple, m) order.
 
-    Rows with the same word indices share one PermTuple, so its descent
-    vector is computed once; every ComponentType11 check still runs per row.
+    Every row is checked as ComponentType11 checks it, at the level where
+    its fields live: s against the descents of its group's PermTuple once
+    per word tuple, and the length and signs of m once per shared lattice
+    point.
     """
     if not is_generic(w, p):
         raise NonGenericWeightsError(f"weights sit on a wall for {p}")
     den, wnum = integer_weights(w)
+    census = kernels.enumerate_census(p.n, p.g, p.k, p.d, wnum, den)
     words = [PermWord(letters) for letters in kernels.words_lex(p.n)]
-    tuples: dict[tuple[int, ...], PermTuple] = {}
-    out = []
-    for t_idx, m, s, dn in kernels.enumerate_census(p.n, p.g, p.k, p.d, wnum, den):
-        t = tuples.get(t_idx)
-        if t is None:
-            t = tuples[t_idx] = PermTuple(tuple(words[i] for i in t_idx))
-        out.append(ComponentType11(t, m, s, dn))
-    return tuple(out)
+    tuples = []
+    for group in census.groups:
+        t = PermTuple(tuple(words[i] for i in group.t_idx))
+        ComponentType11.check_descents(t, group.s)
+        tuples.append(t)
+    for m, _ in census.points():
+        ComponentType11.check_twists(m, p.n - 1)
+    return Components(census, tuples)
 
 
 def component_variant_epoly(p: ModuliParams, c: ComponentType11) -> BivarPoly:
@@ -235,15 +271,16 @@ def variant_total_bruteforce(
     """Sum of the census contributions, shifted by (uv)^(dim/2).
 
     A contribution depends only on the twist vector m, so each distinct m
-    gets one product: its row count times (n^2g - 1) times the slices of its
-    m_j, summed in sorted-m order. The slices vanish beyond 2g - 2, so the
+    gets one product: its row count, taken from the census groups without
+    listing the rows, times (n^2g - 1) times the slices of its m_j, summed
+    in sorted-m order. The slices vanish beyond 2g - 2, so the
     terms with some m_j > 2g - 2 are summed apart and must add to zero; the
     full sum adds both parts. Raises IdentityCheckError when that check
     fails or the m counts miss census rows.
     """
     if components is None:
         components = enumerate_components(p, w)
-    counts = Counter(c.m for c in components)
+    counts = components.census.m_counts()
     if sum(counts.values()) != len(components):
         raise IdentityCheckError(
             f"m-histogram holds {sum(counts.values())} rows, census has {len(components)}"
@@ -399,23 +436,27 @@ def insertion_bijection_check(prev: PermWord) -> bool:
     return sorted(residues) == list(range(n))
 
 
-def components_to_csv(components, dest) -> None:
+def components_to_csv(components: Components, dest) -> None:
     """Write the census as CSV: words, m, s, d_n, homogeneous degree.
 
     Lines end in CRLF, as the csv module writes them. No field can hold a
     comma, a quote or a line break, so none is quoted and each line is
-    formatted directly and streamed to the file. Rows share few distinct
-    word tuples and m and s vectors, so each one is rendered to text once: a
-    word tuple keeps its own text, and the m and s texts are cached by value.
+    formatted directly and streamed to the file. Each text is rendered once:
+    a word tuple keeps its own text, s texts are cached by value, and each
+    distinct lattice point's m text and degree are formed once.
     """
     own = isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__")
     fh = open(dest, "w", newline="") if own else dest
     try:
         fh.write("words,m,s,d_n,degree\r\n")
         spaced = cache(lambda values: " ".join(map(str, values)))
+        labels = [(t.text, spaced(group.s))
+                  for t, group in zip(components.tuples, components.census.groups)]
         fh.writelines(
-            f"{words.text},{spaced(m)},{spaced(s)},{d_n},{sum(m)}\r\n"
-            for words, m, s, d_n in components
+            f"{words},{m_text},{s_text},{d_n},{degree}\r\n"
+            for (words, s_text), (m_text, degree), _, d_n in components.census.rows(
+                labels, point=lambda m: (spaced(m), sum(m))
+            )
         )
     finally:
         if own:

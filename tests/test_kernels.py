@@ -1,11 +1,9 @@
-"""Census kernel dispatch and backend equivalence.
+"""Census kernel: grouped rows and their oracles.
 
-The compiled kernel must return bit-identical rows to the pure-Python one on
-every instance where the dispatcher would select it, and the dispatcher must
-fall back to Python when the int64 headroom bound fails. On small instances
-the rows must equal the census built from the Fraction-valued reference
-checks, and, in order, the rows of a search that tests every value of the
-last coordinate at the leaf.
+On small instances the rows must equal the census built from the
+Fraction-valued reference checks, and, in order, the rows of a search that
+tests every value of the last coordinate at the leaf. The grouped Census
+must behave as the row list it stands for.
 """
 
 import math
@@ -69,24 +67,6 @@ def test_python_backend_rows_are_canonical(p, seed):
         assert isinstance(dn, int)
 
 
-@pytest.mark.skipif(not kernels.HAVE_COMPILED, reason="compiled kernel unavailable")
-@pytest.mark.parametrize("p,seed", INSTANCES)
-def test_compiled_backend_matches_python(p, seed):
-    args = _census_args(p, seed)
-    py = kernels.enumerate_census(*args, backend="python")
-    cy = kernels.enumerate_census(*args, backend="compiled")
-    assert py == cy
-
-
-@pytest.mark.skipif(not kernels.HAVE_COMPILED, reason="compiled kernel unavailable")
-def test_compiled_backend_matches_python_nonsmall_weights():
-    p = ModuliParams(2, 3, 2, 1)
-    args = _census_args(p, seed=11, scale=Fraction(1))
-    assert kernels.enumerate_census(*args, backend="python") == kernels.enumerate_census(
-        *args, backend="compiled"
-    )
-
-
 def test_span_partition_matches_full_run():
     p = ModuliParams(3, 2, 2, 1)
     args = _census_args(p, seed=4)
@@ -97,30 +77,21 @@ def test_span_partition_matches_full_run():
     assert pieces == full
 
 
-def test_int64_headroom_bound():
-    assert kernels.int64_safe(2, 2, 1, 0, 10**6)
-    assert kernels.int64_safe(7, 5, 4, 6, 10**6)
-    assert not kernels.int64_safe(2, 2, 1, 0, 10**18)
-
-
-def test_dispatch_falls_back_when_unsafe(monkeypatch):
-    p = ModuliParams(2, 2, 1, 0)
-    n, g, k, d, wnum, den = _census_args(p, seed=1)
-    big = 10**18 // den
-    wnum_big = tuple(tuple(a * big for a in row) for row in wnum)
-    den_big = den * big
-    called = {}
-
-    real = kernels._census_py.enumerate_census
-
-    def spy(*args, **kwargs):
-        called["python"] = True
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(kernels._census_py, "enumerate_census", spy)
-    rows = kernels.enumerate_census(n, g, k, d, wnum_big, den_big)
-    assert called.get("python")
-    assert rows == kernels.enumerate_census(n, g, k, d, wnum, den, backend="python")
+def test_census_behaves_as_its_row_list():
+    census = kernels.enumerate_census(*_census_args(ModuliParams(3, 2, 2, 1), seed=4))
+    rows = list(census)
+    assert len(census) == len(rows) > 0
+    assert list(census) == rows
+    assert census == rows and rows == census and census == tuple(rows)
+    assert census != rows[:-1]
+    assert census != rows[:-1] + rows[:1]
+    assert census != 5
+    with pytest.raises(TypeError):
+        hash(census)
+    uses = census.lattice_uses()
+    assert sum(count for _, count in uses) == len(census.groups)
+    # lattices of different keys with the same points are one object
+    assert len({lattice for lattice, _ in uses}) == len(uses)
 
 
 def test_unknown_backend_rejected():

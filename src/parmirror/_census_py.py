@@ -15,9 +15,19 @@ integer coef. For positive integers b, c, nested floor division gives
 holds exactly when coef[l].m <= Q[l] = (R[l] - 1) // (2*wden): the search
 runs on the small integer budgets Q with no loss. A word tuple's stable m
 vectors then depend only on Q and, through the congruence, on its degree
-offset mod n. Each distinct (Q, offset mod n) lattice is searched once and
-shared by every word tuple with that key; lattices of different keys with
-the same points share one tuple, and equal points one (m, q) pair.
+offset mod n. Every word tuple with the same (Q, offset mod n) key shares
+one lattice; lattices of different keys with the same points share one
+tuple, and equal points one (m, q) pair.
+
+A key is searched only when no searched lattice already holds its points.
+For the lattice L(Q) of budgets Q, let reach[l] be the largest coef[l].m
+over its points (0 when it is empty). If a key (Q', r) has the residue r of
+a searched (Q, r) and reach <= Q' <= Q componentwise, then L(Q') = L(Q):
+Q' <= Q gives L(Q') within L(Q), and every point of L(Q) has
+coef.m <= reach <= Q', so it lies in L(Q'). Keys are visited in decreasing
+order of sum(Q), so a key meets the wider budgets before its own. The
+search returns reach with the points: coef is positive, so within one call
+on the last coordinate its largest value leaves the least slack for every l.
 
 The rows are never listed. A `Census` holds one `CensusGroup` per word
 tuple with rows, and each group points at its shared lattice, so memory
@@ -76,23 +86,15 @@ class Census:
 
     __hash__ = None
 
-    def rows(self, labels=None, point=None):
+    def rows(self, labels=None):
         """The rows in canonical order, as (label, m, s, d_n).
 
         labels[i] stands in place of the word indices of the i-th group
-        (default: the word indices). point, when given, is applied once to
-        the m of each distinct lattice point, and its value stands in place
-        of m.
+        (default: the word indices).
         """
         if labels is None:
             labels = [group.t_idx for group in self.groups]
-        mapped: dict[int, list] = {}
         for label, (_, s, dn_floor, lattice) in zip(labels, self.groups):
-            if point is not None:
-                found = mapped.get(id(lattice))
-                if found is None:
-                    found = mapped[id(lattice)] = [(point(m), q) for m, q in lattice]
-                lattice = found
             for m, q in lattice:
                 yield label, m, s, dn_floor + q
 
@@ -157,10 +159,10 @@ def enumerate_census(n, g, k, d, words, wnum, wden, t0_lo=0, t0_hi=None) -> Cens
         for l in range(2, n + 1)
     ]
     dn_shift = n * (n - 1) * chi // 2
-    lattices: dict[tuple, tuple] = {}
-    # lattices with equal points share one tuple, and equal points one pair
-    distinct: dict[tuple, tuple] = {}
-    points: dict[tuple, tuple] = {}
+    # phase one: each word tuple's group, with its interned key standing in
+    # the lattice slot until phase two has its lattice
+    keys: dict[tuple, tuple] = {}
+    descents: dict[tuple, tuple] = {}
     groups: list[CensusGroup] = []
     index_ranges = [range(t0_lo, t0_hi)] + [range(nw)] * (k - 1)
     for t in product(*index_ranges):
@@ -187,27 +189,54 @@ def enumerate_census(n, g, k, d, words, wnum, wden, t0_lo=0, t0_hi=None) -> Cens
                 base += (j + 1) * s[j]
             dn_floor, residue = divmod(base, n)
             key = (tuple(Q), residue)
-            lattice = lattices.get(key)
-            if lattice is None:
-                found = tuple(points.setdefault(pt, pt) for pt in _lattice(n, coef, Q, residue))
-                lattice = lattices[key] = distinct.setdefault(found, found)
-            if lattice:
-                groups.append(CensusGroup(t, tuple(s), dn_floor, lattice))
+            s = tuple(s)
+            groups.append(
+                CensusGroup(t, descents.setdefault(s, s), dn_floor, keys.setdefault(key, key))
+            )
+    # phase two: one lattice per key, searched only when no searched
+    # lattice with wider budgets holds its points (see the module docstring)
+    lattices: dict[tuple, tuple] = {}
+    searched: dict[int, list] = {}  # residue -> [(Q, reach, lattice)]
+    distinct: dict[tuple, tuple] = {}
+    points: dict[tuple, tuple] = {}
+    for key in sorted(keys, key=lambda item: -sum(item[0])):
+        Q, residue = key
+        candidates = searched.setdefault(residue, [])
+        for wide, reach, lattice in candidates:
+            if all(a <= b <= c for a, b, c in zip(reach, Q, wide)):
+                break
+        else:
+            found, reach = _lattice(n, coef, Q, residue)
+            found = tuple(points.setdefault(pt, pt) for pt in found)
+            lattice = distinct.setdefault(found, found)
+            candidates.append((Q, reach, lattice))
+        lattices[key] = lattice
+    # swap each key for its lattice in place, dropping empty lattices
+    kept = 0
+    for t, s, dn_floor, key in groups:
+        lattice = lattices[key]
+        if lattice:
+            groups[kept] = CensusGroup(t, s, dn_floor, lattice)
+            kept += 1
+    del groups[kept:]
     return Census(groups)
 
 
 def _lattice(n, coef, Q, residue):
     """Every m >= 0 with coef[l].m <= Q[l] for all l whose degree offset
     sum_j (j+1) m_j is congruent to -residue mod n, in increasing m order,
-    as pairs (m, (residue + offset) // n)."""
+    as pairs (m, (residue + offset) // n); and reach, the largest coef[l].m
+    over those points for each l (0 when there are none)."""
     out: list = []
-    _dfs(n, n - 1, coef, Q, residue, 0, [0] * (n - 1), out)
-    return out
+    slack = list(Q)
+    _dfs(n, n - 1, coef, Q, residue, 0, [0] * (n - 1), out, slack)
+    return out, tuple(q - left for q, left in zip(Q, slack))
 
 
-def _dfs(n, nm, coef, Q, num, j, m, out):
+def _dfs(n, nm, coef, Q, num, j, m, out, slack):
     """Append the lattice points below the prefix m[:j], in increasing m
-    order; num is residue plus the prefix's degree offset.
+    order; num is residue plus the prefix's degree offset, and slack[l]
+    falls to the least Q[l] - coef[l].m any appended point leaves.
 
     The last coordinate m_{n-1} enters the congruence with coefficient
     n - 1, a unit mod n, so exactly one residue class of its values passes:
@@ -215,13 +244,20 @@ def _dfs(n, nm, coef, Q, num, j, m, out):
     """
     cap = min(Q[li] // coef[li][j] for li in range(nm))
     if j == nm - 1:
+        last = None
         for val in range(num % n, cap + 1, n):
             m[j] = val
             out.append((tuple(m), (num + nm * val) // n))
+            last = val
         m[j] = 0
+        if last is not None:
+            for li in range(nm):
+                left = Q[li] - coef[li][j] * last
+                if left < slack[li]:
+                    slack[li] = left
         return
     for val in range(cap + 1):
         m[j] = val
         nxt = Q if val == 0 else [Q[li] - coef[li][j] * val for li in range(nm)]
-        _dfs(n, nm, coef, nxt, num + (j + 1) * val, j + 1, m, out)
+        _dfs(n, nm, coef, nxt, num + (j + 1) * val, j + 1, m, out, slack)
     m[j] = 0

@@ -12,9 +12,11 @@ makes the filtered sum collapse.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, partial
+from itertools import product
 from math import factorial
 from typing import NamedTuple
 
@@ -270,13 +272,17 @@ def variant_total_bruteforce(
 ) -> BivarPoly:
     """Sum of the census contributions, shifted by (uv)^(dim/2).
 
-    A contribution depends only on the twist vector m, so each distinct m
-    gets one product: its row count, taken from the census groups without
-    listing the rows, times (n^2g - 1) times the slices of its m_j, summed
-    in sorted-m order. The slices vanish beyond 2g - 2, so the
-    terms with some m_j > 2g - 2 are summed apart and must add to zero; the
-    full sum adds both parts. Raises IdentityCheckError when that check
-    fails or the m counts miss census rows.
+    A contribution depends only on the twist vector m, through the product
+    of the slices of its entries, and the slices vanish beyond 2g - 2. So
+    the row counts per m, taken from the census groups without listing the
+    rows, are summed over the box [0, 2g - 2]^(n-1) only, and each multiset
+    of entries gets one product: its row count times (n^2g - 1) times its
+    slices, summed in sorted order.
+
+    Raises IdentityCheckError when the m counts miss census rows, or when
+    some box point is not the twist vector of exactly (n!)^k / n rows: the
+    whole box is stable for every word tuple, and each degree residue mod n
+    holds (n!)^k / n word tuples.
     """
     if components is None:
         components = enumerate_components(p, w)
@@ -285,25 +291,24 @@ def variant_total_bruteforce(
         raise IdentityCheckError(
             f"m-histogram holds {sum(counts.values())} rows, census has {len(components)}"
         )
-    top = max((mj for m in counts for mj in m), default=0)
-    slices = [binom_deg_slice(p.g - 1, mj) for mj in range(top + 1)]
+    flat = factorial(p.n) ** p.k // p.n
+    multisets: Counter = Counter()
+    for m in product(range(2 * p.g - 1), repeat=p.n - 1):
+        if counts[m] != flat:
+            raise IdentityCheckError(
+                f"twist vector {m} has {counts[m]} census rows, not {flat}, for {p}"
+            )
+        multisets[tuple(sorted(m))] += counts[m]
+    slices = [binom_deg_slice(p.g - 1, mj) for mj in range(2 * p.g - 1)]
     scalar = p.n ** (2 * p.g) - 1
-    grouped = outside = ZERO
-    for m, cnt in sorted(counts.items()):
+    total = ZERO
+    for entries, cnt in sorted(multisets.items()):
         term = BivarPoly.constant(cnt * scalar)
-        for mj in m:
+        for mj in entries:
             term = term * slices[mj]
-        if max(m, default=0) <= 2 * p.g - 2:
-            grouped = grouped + term
-        else:
-            outside = outside + term
-    full = grouped + outside
-    if full != grouped:
-        raise IdentityCheckError(
-            f"census terms with some m_j > {2 * p.g - 2} do not sum to zero for {p}"
-        )
+        total = total + term
     h = dim_hitchin_base(p)
-    return full.shift(h, h)
+    return total.shift(h, h)
 
 
 def variant_closed_form(p: ModuliParams) -> BivarPoly:
@@ -327,16 +332,23 @@ def _root_shift_product(n: int, g: int, l: int) -> CycBivarPoly:
     return poly
 
 
-def _filter_exponent_counts(n, k, d, sig):
+@cache
+def _sigma_residue_counts(n: int) -> tuple[int, ...]:
+    """How many words of S_n have each value of sigma mod n; computed once
+    per n."""
+    single = [0] * n
+    for w in kernels.words_lex(n):
+        single[sigma(w) % n] += 1
+    return tuple(single)
+
+
+def _filter_exponent_counts(n, k, d, single):
     """counts[l][e]: word tuples whose filter exponent, times l, is e mod n.
 
     The exponent depends on a word tuple only through its sigma sum mod n,
-    so the sigma mod n histogram over S_n is convolved k times over Z/n:
-    O(n! + k n^2) work instead of a scan of all (n!)^k tuples.
+    so single, the sigma mod n histogram over S_n, is convolved k times
+    over Z/n: O(n! + k n^2) work instead of a scan of all (n!)^k tuples.
     """
-    single = [0] * n
-    for s in sig:
-        single[s % n] += 1
     sums = [1] + [0] * (n - 1)
     for _ in range(k):
         sums = [sum(sums[a] * single[(r - a) % n] for a in range(n)) for r in range(n)]
@@ -358,9 +370,7 @@ def variant_total_cyclotomic(p: ModuliParams) -> BivarPoly:
     (n^2g - 1)(uv)^(dim/2) prefactor. Exact at every step.
     """
     n, g, k, d = p.n, p.g, p.k, p.d
-    words = kernels.words_lex(n)
-    sig = [sigma(w) for w in words]
-    counts = _filter_exponent_counts(n, k, d, sig)
+    counts = _filter_exponent_counts(n, k, d, _sigma_residue_counts(n))
     total = CycBivarPoly.zero(n)
     for l in range(n):
         scal = CycInt.zero(n)
@@ -441,23 +451,27 @@ def components_to_csv(components: Components, dest) -> None:
 
     Lines end in CRLF, as the csv module writes them. No field can hold a
     comma, a quote or a line break, so none is quoted and each line is
-    formatted directly and streamed to the file. Each text is rendered once:
-    a word tuple keeps its own text, s texts are cached by value, and each
-    distinct lattice point's m text and degree are formed once.
+    formatted directly and streamed to the file. A word tuple's lines differ
+    only in the text after its words field, and that text depends only on
+    its (lattice, s, floor of d_n) block: each block's lines are rendered
+    once, and each word tuple writes them behind its own words field.
     """
     own = isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__")
     fh = open(dest, "w", newline="") if own else dest
     try:
         fh.write("words,m,s,d_n,degree\r\n")
-        spaced = cache(lambda values: " ".join(map(str, values)))
-        labels = [(t.text, spaced(group.s))
-                  for t, group in zip(components.tuples, components.census.groups)]
-        fh.writelines(
-            f"{words},{m_text},{s_text},{d_n},{degree}\r\n"
-            for (words, s_text), (m_text, degree), _, d_n in components.census.rows(
-                labels, point=lambda m: (spaced(m), sum(m))
-            )
-        )
+        blocks: dict[tuple, list[str]] = {}
+        for t, (_, s, dn_floor, lattice) in zip(components.tuples, components.census.groups):
+            key = (id(lattice), s, dn_floor)
+            block = blocks.get(key)
+            if block is None:
+                s_text = " ".join(map(str, s))
+                block = blocks[key] = [
+                    f"{' '.join(map(str, m))},{s_text},{dn_floor + q},{sum(m)}\r\n"
+                    for m, q in lattice
+                ]
+            prefix = t.text + ","
+            fh.write(prefix + prefix.join(block))
     finally:
         if own:
             fh.close()

@@ -8,6 +8,7 @@ or re-run a backend by name keep one interface.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import permutations
 
 from . import _census_py
@@ -23,8 +24,10 @@ def backends() -> dict:
     return {"python": _census_py}
 
 
+@cache
 def words_lex(n: int) -> tuple[tuple[int, ...], ...]:
-    """All of S_n as letter tuples, lexicographically ordered."""
+    """All of S_n as letter tuples, lexicographically ordered; built once
+    per n."""
     return tuple(permutations(range(1, n + 1)))
 
 

@@ -12,6 +12,7 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
+from math import factorial
 
 import pytest
 
@@ -45,7 +46,7 @@ from parmirror.cstar_fixed import (
     variant_total_bruteforce,
     variant_total_cyclotomic,
 )
-from parmirror.exactpoly import ONE, U, V, ZERO, BivarPoly, CycInt, poly_pow, uv_power
+from parmirror.exactpoly import ONE, U, V, ZERO, CycInt, poly_pow, uv_power
 from parmirror.moduli import ModuliParams, dim_hitchin_base
 
 W21 = PermTuple.from_strings("21")
@@ -272,20 +273,58 @@ def test_grouped_census_matches_its_rows(p, w):
     assert [ComponentType11(*c) for c in rows] == rows
 
 
-def test_census_check_failure_raises_and_exits_1(monkeypatch, capsys):
-    real = cstar_fixed.binom_deg_slice
+@pytest.mark.parametrize("p,w", _census_instances())
+def test_box_is_flat_by_corner_stability(p, w):
+    """The flat histogram, shown without the census: every word tuple is
+    stable at the corner m = (2g - 2, ..., 2g - 2), hence on the whole box,
+    as the stability coefficients are positive; and at each box point the
+    degree congruence holds for (n!)^k / n word tuples. The census m counts
+    on the box agree."""
+    words = [PermWord(letters) for letters in kernels.words_lex(p.n)]
+    tuples = [PermTuple(t) for t in product(words, repeat=p.k)]
+    corner = (2 * p.g - 2,) * (p.n - 1)
+    assert all(stability_check(p, w, t, corner) for t in tuples)
+    counts = enumerate_components(p, w).census.m_counts()
+    flat = factorial(p.n) ** p.k // p.n
+    for m in product(range(2 * p.g - 1), repeat=p.n - 1):
+        assert sum(1 for t in tuples if degree_constraint(p, t, m)) == flat == counts[m]
 
-    def leaky(G, m):
-        return real(G, m) if m <= 2 * G else BivarPoly.monomial(m, 0)
 
-    monkeypatch.setattr(cstar_fixed, "binom_deg_slice", leaky)
+def _move_one_row(census, old, new):
+    """The census with one row's twist vector old replaced by new: the first
+    word tuple whose lattice holds old gets its own changed copy of it."""
+    groups = list(census.groups)
+    for i, group in enumerate(groups):
+        points = list(group.lattice)
+        for j, (m, q) in enumerate(points):
+            if m == old:
+                points[j] = (new, q)
+                groups[i] = group._replace(lattice=tuple(points))
+                return Census(groups)
+    raise LookupError(f"no row has m = {old}")
+
+
+def test_flat_histogram_check_catches_a_moved_row(monkeypatch, capsys):
+    """A kernel that moves one row from m = (0, 1) to (1, 0) keeps the
+    component count and, since the product of slices is symmetric in the
+    entries of m, every total. Only the flat-histogram check sees it, and
+    tms exits 1."""
+    real = kernels.enumerate_census
+    monkeypatch.setattr(
+        cstar_fixed.kernels,
+        "enumerate_census",
+        lambda *args: _move_one_row(real(*args), (0, 1), (1, 0)),
+    )
     p = ModuliParams(3, 2, 1, 0)
-    w = sample_generic_weights(p, seed=2, scale=Fraction(1, 2))
-    assert any(max(c.m) > 2 * p.g - 2 for c in enumerate_components(p, w))
-    with pytest.raises(IdentityCheckError):
-        variant_total_bruteforce(p, w)
-    argv = ["variant", "--n", "3", "--g", "2", "--marked", "1", "--seed", "2", "--scale", "1/2"]
-    assert cli.main(argv) == 1
+    w = sample_generic_weights(p, seed=1, scale=Fraction(1))
+    comps = enumerate_components(p, w)
+    assert Counter(c.m for c in comps)[(1, 0)] == factorial(3) // 3 + 1
+    h = dim_hitchin_base(p)
+    moved = sum((component_variant_epoly(p, c) for c in comps), ZERO).shift(h, h)
+    assert moved == variant_closed_form(p)
+    with pytest.raises(IdentityCheckError, match=r"twist vector \(0, 1\) has 1 census rows"):
+        variant_total_bruteforce(p, w, components=comps)
+    assert cli.main(["tms", "--n", "3", "--g", "2", "--marked", "1", "--deg", "0"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
 
 
@@ -326,8 +365,10 @@ def _scan_filter_exponent_counts(n, k, d, sig):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_filter_counts_match_tuple_scan(n, k):
     sig = [sigma(w) for w in kernels.words_lex(n)]
+    single = cstar_fixed._sigma_residue_counts(n)
+    assert single == tuple(sum(1 for s in sig if s % n == r) for r in range(n))
     for d in (0, 1, 2):
-        assert cstar_fixed._filter_exponent_counts(n, k, d, sig) == (
+        assert cstar_fixed._filter_exponent_counts(n, k, d, single) == (
             _scan_filter_exponent_counts(n, k, d, sig)
         ), (n, k, d)
 
@@ -338,8 +379,6 @@ def test_cyclotomic_discarded_term_vanishes():
 
 
 def test_descent_character_sum():
-    from math import factorial
-
     for n in (2, 3, 5):
         assert descent_character_sum(n, 0) == CycInt.from_int(n, factorial(n))
         for l in range(1, n):
@@ -347,8 +386,6 @@ def test_descent_character_sum():
 
 
 def test_count_S_values_and_uniformity():
-    from math import factorial
-
     assert count_S(2) == 1
     assert count_S(3) == 2
     assert count_S(5) == 24
@@ -411,11 +448,15 @@ def _csv_module_text(components) -> str:
     return buf.getvalue()
 
 
-@pytest.mark.parametrize("n,g,k,d", [(3, 2, 2, 1), (5, 2, 1, 0)])
+@pytest.mark.parametrize("n,g,k,d", [(3, 2, 2, 1), (3, 3, 2, 1), (5, 2, 1, 0)])
 def test_components_csv_matches_csv_module(n, g, k, d):
+    """Byte-equal to the csv module's text, on censuses where several word
+    tuples share one (lattice, s, floor of d_n) block of lines."""
     p = ModuliParams(n, g, k, d)
     comps = enumerate_components(p, sample_generic_weights(p, seed=1, scale=Fraction(1, 8)))
     assert any(c.d_n < 0 for c in comps)
+    groups = comps.census.groups
+    assert len({(id(g.lattice), g.s, g.dn_floor) for g in groups}) < len(groups)
     buf = io.StringIO()
     components_to_csv(comps, buf)
     assert buf.getvalue() == _csv_module_text(comps)

@@ -6,7 +6,9 @@ tests every value of the last coordinate at the leaf. The grouped Census
 must behave as the row list it stands for.
 """
 
+import gc
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -15,7 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from parmirror import _census_py, kernels
-from parmirror.chambers import sample_generic_weights, weight_denominator
+from parmirror.chambers import sample_generic_weights, small_weight_margin, weight_denominator
 from parmirror.cstar_fixed import (
     PermTuple,
     PermWord,
@@ -232,47 +234,56 @@ def test_scaled_floor_identity(a, b, c, x):
 def test_reduced_lattice_matches_scaled_search(n, scale, num, data):
     """The lattice searched on the budgets Q = (R - 1) // scale holds the
     same m vectors, in the same order, as the leaf-filter search on the
-    scaled coefficients scale * coef and bounds R."""
+    scaled coefficients scale * coef and bounds R; its reach is the largest
+    coef[l].m over its points."""
     nm = n - 1
     coef = [data.draw(st.lists(st.integers(1, 4), min_size=nm, max_size=nm)) for _ in range(nm)]
     R = data.draw(st.lists(st.integers(1, 12 * scale), min_size=nm, max_size=nm))
     C = [[scale * c for c in row] for row in coef]
     expected = []
     _leaf_filter_dfs(n, nm, C, R, num, 0, [0] * nm, (), (), expected)
-    lattice = _census_py._lattice(n, coef, [(r - 1) // scale for r in R], num % n)
+    lattice, reach = _census_py._lattice(n, coef, [(r - 1) // scale for r in R], num % n)
     assert [(m, num // n + q) for m, q in lattice] == [(m, dn) for _, m, _, dn in expected]
+    assert reach == tuple(
+        max((sum(c * x for c, x in zip(row, m)) for m, _ in lattice), default=0) for row in coef
+    )
 
 
-def test_census_searches_each_lattice_once(monkeypatch):
-    """Word tuples with equal budgets Q and equal degree offset mod n share
-    one lattice search, and their rows share its m tuples. The key is
-    recomputed here from the Fraction form of the stability bound."""
-    p = ModuliParams(5, 2, 1, 1)
-    w = sample_generic_weights(p, seed=1, scale=Fraction(1, 8))
-    n, g, k, d, wnum, den = _census_args(p, 1)
-    searched = []
+def test_census_searches_each_distinct_lattice_once(monkeypatch):
+    """At (5, 3, 1, 2) the 120 word tuples have 47 distinct (Q, offset mod n)
+    keys but 16 distinct lattices. Each lattice is searched once; every other
+    key reuses a searched lattice whose budgets dominate its own. Word tuples
+    with equal keys, recomputed here from the Fraction form of the stability
+    bound, share one lattice tuple."""
+    p = ModuliParams(5, 3, 1, 2)
+    w = sample_generic_weights(p, seed=1, scale=small_weight_margin(p))
+    n, g, k, d, wnum, den = _census_args(p, 1, small_weight_margin(p))
+    found = []
     real = _census_py._lattice
 
     def spy(*args):
-        searched.append(args)
-        return real(*args)
+        out = real(*args)
+        found.append(tuple(out[0]))
+        return out
 
     monkeypatch.setattr(_census_py, "_lattice", spy)
-    rows = kernels.enumerate_census(n, g, k, d, wnum, den, backend="python")
+    census = kernels.enumerate_census(n, g, k, d, wnum, den)
+    assert len(found) == len(set(found)) == len(census.lattice_uses()) == 16
     words = [PermWord(letters) for letters in kernels.words_lex(n)]
-    ms = {}
-    for t_idx, m, _, _ in rows:
-        ms.setdefault(t_idx, []).append(m)
-    keys = {t_idx: _lattice_key(p, w, PermTuple(tuple(words[i] for i in t_idx))) for t_idx in ms}
-    searched_keys = {(tuple(Q), residue) for _, _, Q, residue in searched}
-    assert len(searched_keys) == len(searched)
-    assert set(keys.values()) <= searched_keys
-    assert len(searched) == len(set(keys.values())) < len(keys)
-    first = {}
-    for t_idx, key in keys.items():
-        shared = first.setdefault(key, ms[t_idx])
-        assert len(ms[t_idx]) == len(shared)
-        assert all(a is b for a, b in zip(ms[t_idx], shared))
+    shared = {}
+    for group in census.groups:
+        key = _lattice_key(p, w, PermTuple(tuple(words[i] for i in group.t_idx)))
+        assert shared.setdefault(key, group.lattice) is group.lattice
+    assert len(shared) == 47
+
+
+def _coefficients(n):
+    """coef[l-2][j-1]: the coefficient of m_j + s_j in the l-th stability
+    inequality."""
+    return [
+        [(n - l + 1) * j if j <= l - 1 else (l - 1) * (n - j) for j in range(1, n)]
+        for l in range(2, n + 1)
+    ]
 
 
 def _lattice_key(p, w, t):
@@ -280,11 +291,62 @@ def _lattice_key(p, w, t):
     stability bound minus its s side: coef.m < bound iff coef.m <= Q[l]."""
     n, s = p.n, t.descents
     budgets = []
-    for l in range(2, n + 1):
-        coef = [(n - l + 1) * j if j <= l - 1 else (l - 1) * (n - j) for j in range(1, n)]
+    for l, coef in enumerate(_coefficients(n), start=2):
         rhs = Fraction((n - l + 1) * (l - 1) * n * (2 * p.g - 2 + p.k), 2)
         for row, word in zip(w.alpha, t.words):
             rhs += (n - l + 1) * sum(row) - n * sum(row[a - 1] for a in word.letters[l - 1:])
         budgets.append(math.ceil(rhs - sum(c * sj for c, sj in zip(coef, s))) - 1)
     offset = p.d - n * (n - 1) * (2 * p.g - 2 + p.k) // 2 + sum((j + 1) * sj for j, sj in enumerate(s))
     return tuple(budgets), offset % n
+
+
+def _census_searching_every_key(p, w):
+    """The census rows with no lattice reused: every word tuple's key,
+    recomputed from the Fraction form of the stability bound, is searched on
+    its own, and d_n comes from component_dn."""
+    words = [PermWord(letters) for letters in kernels.words_lex(p.n)]
+    coef = _coefficients(p.n)
+    rows = []
+    for t_idx in product(range(len(words)), repeat=p.k):
+        t = PermTuple(tuple(words[i] for i in t_idx))
+        Q, residue = _lattice_key(p, w, t)
+        if min(Q) < 0:
+            continue
+        lattice, _ = _census_py._lattice(p.n, coef, Q, residue)
+        rows.extend((t_idx, m, t.descents, component_dn(p, t, m)) for m, _ in lattice)
+    return rows
+
+
+# seed 1 at scale 1/8 gives (3, 2, 2, 0) a key whose budgets cover a searched
+# lattice's reach but exceed its budgets on one index: reusing that lattice
+# would lose points
+@pytest.mark.parametrize(
+    "scale,seed",
+    ORACLE_WEIGHTS + [(Fraction(1, 8), 1)],
+    ids=["scale1", "scale1/8", "scale1/8-seed1"],
+)
+@pytest.mark.parametrize("p", ORACLE_GRID, ids=lambda p: f"{p.n}-{p.g}-{p.k}-{p.d}")
+def test_lattice_reuse_matches_searching_every_key(p, scale, seed):
+    w = sample_generic_weights(p, seed=seed, scale=scale)
+    census = kernels.enumerate_census(*_census_args(p, seed, scale))
+    assert census == _census_searching_every_key(p, w)
+
+
+def test_census_memory_stays_one_record_per_word_tuple():
+    """The kernel keeps one record per word tuple, with its key in the
+    lattice slot until phase two swaps in its lattice. At (2, 2, 11, 1),
+    2,048 word tuples and 8,192 rows, its tracemalloc peak is 460,456 bytes;
+    the kernel that searched each key as the scan met it peaked at 555,184
+    (Python 3.11, free lists cleared first so every tuple is traced)."""
+    p = ModuliParams(2, 2, 11, 1)
+    args = _census_args(p, 1, Fraction(1))
+    kernels.words_lex(p.n)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        census = kernels.enumerate_census(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(census.groups) == 2048 and len(census) == 8192
+    assert peak <= 555_184, peak

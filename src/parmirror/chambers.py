@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from math import lcm
 
 from .exactpoly import IdentityCheckError, format_rat, parse_rat
@@ -111,71 +111,113 @@ def wall_value(w: WeightSystem, p: ModuliParams, wall: Wall) -> Fraction:
     return val
 
 
+class Walls:
+    """The walls of one parameter set, stored as runs.
+
+    A sized, re-iterable sequence of Wall records in (nprime, subsets,
+    dprime) order that compares equal to any sized iterable of them. Each
+    run (nprime, subsets, d_lo, d_hi) stands for the walls with dprime in
+    d_lo..d_hi; the records are built only while iterating.
+    """
+
+    __slots__ = ("runs", "_count")
+
+    def __init__(self, runs: tuple):
+        self.runs = runs
+        self._count = sum(d_hi - d_lo + 1 for _, _, d_lo, d_hi in runs)
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self):
+        for nprime, subsets, d_lo, d_hi in self.runs:
+            for dprime in range(d_lo, d_hi + 1):
+                yield Wall(nprime, subsets, dprime)
+
+    def __eq__(self, other):
+        try:
+            size = len(other)
+        except TypeError:
+            return NotImplemented
+        return size == self._count and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+
 @lru_cache(maxsize=None)
-def enumerate_walls(p: ModuliParams) -> tuple[Wall, ...]:
-    """All walls meeting the open weight simplex.
+def enumerate_walls(p: ModuliParams) -> Walls:
+    """All walls meeting the open weight simplex, as runs.
 
     For fixed (nprime, subsets), the wall equation is linear in the weights
     with per-point coefficients n*[i in J_p] - nprime. Its extreme values
     over the closed simplex occur at the threshold vertices (0,..,0,1,..,1),
     i.e. at suffix sums of the coefficient vector, so a candidate dprime is
     kept iff it makes the equation change sign strictly inside the simplex.
-    Complementary data (n-n', complements, d-d') describe the same
-    hyperplane and are listed as distinct records.
+    The kept dprime form one interval, stored as one run; the suffix min
+    and max are computed once per subset and summed over the k points.
+    Runs come out sorted because combinations, product and the interval
+    are each in ascending order. Complementary data (n-n', complements,
+    d-d') describe the same hyperplane and are listed as distinct records.
     """
     n, k, d = p.n, p.k, p.d
-    walls = []
+    runs = []
     for nprime in range(1, n):
-        choices = list(combinations(range(1, n + 1), nprime))
-        for subsets in product(choices, repeat=k):
-            lo = hi = 0
-            for subset in subsets:
-                coeffs = [n * (i in subset) - nprime for i in range(1, n + 1)]
-                suffix = [0]
-                acc = 0
-                for c in reversed(coeffs):
-                    acc += c
-                    suffix.append(acc)
-                lo += min(suffix)
-                hi += max(suffix)
+        choices, lows, highs = [], [], []
+        for subset in combinations(range(1, n + 1), nprime):
+            coeffs = (n * (i in subset) - nprime for i in range(n, 0, -1))
+            suffix = list(accumulate(coeffs, initial=0))
+            choices.append(subset)
+            lows.append(min(suffix))
+            highs.append(max(suffix))
+        for subsets, lo, hi in zip(
+            product(choices, repeat=k),
+            map(sum, product(lows, repeat=k)),
+            map(sum, product(highs, repeat=k)),
+        ):
             # need nprime*d - n*dprime strictly inside (lo, hi)
             d_lo = (nprime * d - hi) // n + 1
             d_hi = (nprime * d - lo - 1) // n
-            for dprime in range(d_lo, d_hi + 1):
-                walls.append(Wall(nprime, subsets, dprime))
-    walls.sort(key=lambda w: (w.nprime, w.subsets, w.dprime))
-    return tuple(walls)
+            if d_lo <= d_hi:
+                runs.append((nprime, subsets, d_lo, d_hi))
+    return Walls(tuple(runs))
 
 
 def is_generic(w: WeightSystem, p: ModuliParams) -> bool:
     """True iff the weight system lies on no wall.
 
     The check is wall_value scaled by the common weight denominator den > 0,
-    which keeps every zero a zero, so it runs in exact integers. Each
-    per-point part n * sum_J wnum - n' * sum wnum is computed once, the
-    first time a wall needs it, and each run of walls sharing (n', subsets)
-    in the sorted wall list adds its k parts once. wall_value is the
-    Fraction reference for the same test.
+    which keeps every zero a zero, so it runs in exact integers. The run
+    (n', J, d_lo..d_hi) and its complement (n - n', complements,
+    d - d_hi..d - d_lo) negate each other's wall values, so only the runs
+    with 2n' < n, or 2n' = n and 1 in J_1, are tested. For a run with
+    S = sum over points of n * sum_J wnum - n' * sum wnum, the weights lie
+    on one of its walls iff (n*d' - n'*d)*den + S = 0 for some d' in
+    d_lo..d_hi, i.e. iff n*den divides n'*d*den - S with the quotient in
+    that range. wall_value is the Fraction reference for the same test.
     """
     if w.n != p.n or w.k != p.k:
         raise ValueError(f"weight system shape ({w.n}, {w.k}) does not match ({p.n}, {p.k})")
     den, wnum = integer_weights(w)
     n, d = p.n, p.d
-    parts = {}
-    group = None
-    for wall in enumerate_walls(p):
-        nprime = wall.nprime
-        if (nprime, wall.subsets) != group:
-            group = (nprime, wall.subsets)
-            scaled = 0
-            for point, subset in enumerate(wall.subsets):
-                key = (point, nprime, subset)
-                part = parts.get(key)
-                if part is None:
-                    row = wnum[point]
-                    part = parts[key] = n * sum(row[i - 1] for i in subset) - nprime * sum(row)
-                scaled += part
-        if (n * wall.dprime - nprime * d) * den + scaled == 0:
+    step = n * den
+    parts = {
+        nprime: [
+            {
+                subset: n * sum(row[i - 1] for i in subset) - nprime * sum(row)
+                for subset in combinations(range(1, n + 1), nprime)
+            }
+            for row in wnum
+        ]
+        for nprime in range(1, n // 2 + 1)
+    }
+    for nprime, subsets, d_lo, d_hi in enumerate_walls(p).runs:
+        if 2 * nprime > n:
+            break  # runs ascend in nprime, so every later run is a complement
+        if 2 * nprime == n and 1 not in subsets[0]:
+            continue
+        scaled = sum(part[subset] for part, subset in zip(parts[nprime], subsets))
+        quot, rem = divmod(nprime * d * den - scaled, step)
+        if not rem and d_lo <= quot <= d_hi:
             return False
     return True
 

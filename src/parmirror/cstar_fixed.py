@@ -11,7 +11,6 @@ makes the filtered sum collapse.
 
 from __future__ import annotations
 
-import logging
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,8 +39,6 @@ from .exactpoly import (
     cyc_project,
 )
 from .moduli import ModuliParams, dim_hitchin_base
-
-log = logging.getLogger(__name__)
 
 
 class LimitError(ValueError):
@@ -418,8 +415,8 @@ def insertion_bijection_check(prev: PermWord) -> bool:
     check that the descent statistic shifts hit every residue mod n once.
 
     Each insertion is classified (end, front, interior at an ascent,
-    interior at a descent), its predicted shift is checked against direct
-    recomputation, and the branch is logged.
+    interior at a descent), and its predicted shift is checked against
+    direct recomputation.
     """
     w = prev.letters
     n = len(w) + 1
@@ -431,15 +428,14 @@ def insertion_bijection_check(prev: PermWord) -> bool:
     for j in range(n):
         inserted = w[:j] + (n,) + w[j:]
         shift = (sigma(inserted) - sig_prev) % n
-        if j == n - 1:
-            branch, pred = "end", 0
-        elif j == 0:
-            branch, pred = "front", 1 + sum(dsc)
-        elif dsc[j - 1]:
-            branch, pred = "interior-descent", 1 + sum(dsc[j:])
-        else:
-            branch, pred = "interior-ascent", j + 1 + sum(dsc[j:])
-        log.debug("insert n=%d at slot %d: %s, residue %d", n, j, branch, shift)
+        if j == n - 1:  # end
+            pred = 0
+        elif j == 0:  # front
+            pred = 1 + sum(dsc)
+        elif dsc[j - 1]:  # interior, at a descent
+            pred = 1 + sum(dsc[j:])
+        else:  # interior, at an ascent
+            pred = j + 1 + sum(dsc[j:])
         if shift != pred % n:
             return False
         residues.append(shift)

@@ -74,6 +74,38 @@ def test_walls_two_points_rank_two():
     assert walls == tuple(sorted(walls, key=lambda w: (w.nprime, w.subsets, w.dprime)))
 
 
+@pytest.mark.parametrize(
+    "n,k,d", [(2, 1, 0), (2, 2, 0), (2, 4, 1), (3, 2, 1), (3, 3, -2), (5, 2, 3)]
+)
+def test_wall_runs_come_in_complementary_pairs(n, k, d):
+    walls = enumerate_walls(ModuliParams(n, 2, k, d))
+    runs = set(walls.runs)
+    assert len(runs) == len(walls.runs)
+    for nprime, subsets, d_lo, d_hi in walls.runs:
+        assert d_lo <= d_hi
+        comp = tuple(tuple(i for i in range(1, n + 1) if i not in s) for s in subsets)
+        assert (n - nprime, comp, d - d_hi, d - d_lo) in runs
+
+
+def test_walls_sequence_protocol():
+    walls = enumerate_walls(ModuliParams(3, 2, 3, 1))
+    records = list(walls)
+    assert len(walls) == len(records) == len(list(walls)) > len(walls.runs)
+    assert walls == tuple(walls) and tuple(walls) == walls and walls == records
+    assert walls != records[:-1] and walls != records[::-1]
+    assert Wall(nprime=1, subsets=((1,), (1,), (1,)), dprime=2) in walls
+    assert Wall(nprime=1, subsets=((1,), (1,), (1,)), dprime=3) not in walls
+    assert walls != 3
+    with pytest.raises(TypeError):
+        hash(walls)
+
+
+def test_wall_count_at_rank_seven():
+    # uncached, so the session does not keep its 104,958 runs
+    walls = enumerate_walls.__wrapped__(ModuliParams(7, 2, 3, 0))
+    assert len(walls) == 373_674
+
+
 def test_walls_ignore_genus():
     assert enumerate_walls(ModuliParams(3, 2, 2, 1)) == enumerate_walls(
         ModuliParams(3, 5, 2, 1)

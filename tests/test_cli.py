@@ -2,10 +2,15 @@
 reruns, and the weights-source exclusivity rule."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import parmirror
 from parmirror import schemas
 from parmirror.chambers import sample_generic_weights
 from parmirror.cli import main
@@ -229,3 +234,20 @@ def test_sweep_bad_config_is_usage_error(tmp_path, capsys, text, named):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
     assert "Traceback" not in err
+
+
+def test_cli_import_does_not_load_logging():
+    """No code path logs, so importing the CLI must not pay for the logging
+    package (about 5 ms per process) beyond what a bare interpreter loads."""
+    src = str(Path(parmirror.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    probe = "import sys; {}; print('logging' in sys.modules)"
+    loaded = [
+        subprocess.run(
+            [sys.executable, "-c", probe.format(stmt)],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        for stmt in ("pass", "import parmirror.cli")
+    ]
+    assert loaded[1] == loaded[0], loaded

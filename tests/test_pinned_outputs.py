@@ -1,9 +1,11 @@
-"""Byte pins: three CLI invocations must write exactly the pinned bytes.
+"""Byte pins: five CLI invocations must write exactly the pinned bytes.
 
-The invocations and sha256 values are those of the benchmark's three
-workloads at seed 1 (``perfbench/workloads.py``, ``WORKLOADS`` and
+Three invocations and their sha256 values are those of the benchmark's
+three workloads at seed 1 (``perfbench/workloads.py``, ``WORKLOADS`` and
 ``sweep_config_text(1)``). Copy them from there when a change to the output
-is intended; any other change to a report byte fails here.
+is intended; any other change to a report byte fails here. The two
+``walls`` reports, one with sampled weights so that it carries the
+``generic`` field, pin every wall record in enumeration order.
 """
 
 import hashlib
@@ -32,6 +34,14 @@ PINNED = {
         ["variant", "--n", "5", "--g", "3", "--marked", "1", "--deg", "2", "--seed=1"],
         {"json": "1c052df7d2490663c4774c96f13375e99d18387e843bde2d4c508475a771bee6",
          "csv": "60527fd3510b420e26b0c0e88a11ec4d3ebda3458eb35d044b85eefc2fc95fa9"},
+    ),
+    "walls_weights": (
+        ["walls", "--n", "3", "--g", "2", "--marked", "2", "--deg", "1", "--seed", "2"],
+        {"json": "f41827287a344da9272f074a55ac28a2352b4f09219dd7602c191d7d0f4bc10f"},
+    ),
+    "walls_bare": (
+        ["walls", "--n", "2", "--g", "2", "--marked", "4", "--deg", "1"],
+        {"json": "3d248f29722455730e6dc9e2072e6f506b0fc810370cf527346c25dc54914886"},
     ),
 }
 

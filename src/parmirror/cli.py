@@ -16,6 +16,7 @@ import csv
 import sys
 from fractions import Fraction
 from itertools import permutations
+from math import factorial
 
 from .chambers import (
     SamplingExhaustedError,
@@ -211,10 +212,10 @@ def _cmd_walls(args) -> int:
 
 def _cmd_lemma(args) -> int:
     n = args.n
+    if not 1 <= n <= 10:
+        raise ValueError(f"lemma supports 1 <= n <= 10, got {n}")
     counts = [count_S(n, residue) for residue in range(n)]
-    expected = 1
-    for i in range(2, n):
-        expected *= i
+    expected = factorial(n - 1)
     uniform = all(c == expected for c in counts)
     if n <= 1:
         prevs = []

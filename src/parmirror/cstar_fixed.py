@@ -276,18 +276,13 @@ def variant_total_bruteforce(
     of entries gets one product: its row count times (n^2g - 1) times its
     slices, summed in sorted order.
 
-    Raises IdentityCheckError when the m counts miss census rows, or when
-    some box point is not the twist vector of exactly (n!)^k / n rows: the
-    whole box is stable for every word tuple, and each degree residue mod n
-    holds (n!)^k / n word tuples.
+    Raises IdentityCheckError when some box point is not the twist vector
+    of exactly (n!)^k / n rows: the whole box is stable for every word
+    tuple, and each degree residue mod n holds (n!)^k / n word tuples.
     """
     if components is None:
         components = enumerate_components(p, w)
-    counts = components.census.m_counts()
-    if sum(counts.values()) != len(components):
-        raise IdentityCheckError(
-            f"m-histogram holds {sum(counts.values())} rows, census has {len(components)}"
-        )
+    counts = components.census.box_counts(2 * p.g - 2)
     flat = factorial(p.n) ** p.k // p.n
     multisets: Counter = Counter()
     for m in product(range(2 * p.g - 1), repeat=p.n - 1):
@@ -406,8 +401,7 @@ def count_S(n: int, residue: int = 0) -> int:
     given residue mod n; equals (n-1)! for every residue."""
     if not 1 <= n <= 10:
         raise LimitError(f"count_S supports 1 <= n <= 10, got {n}")
-    residue %= n
-    return sum(1 for w in kernels.words_lex(n) if sigma(w) % n == residue)
+    return _sigma_residue_counts(n)[residue % n]
 
 
 def insertion_bijection_check(prev: PermWord) -> bool:

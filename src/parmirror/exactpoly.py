@@ -46,6 +46,19 @@ def format_rat(q: Fraction | int) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def _power(base, e: int, one):
+    """base ** e by square-and-multiply, starting from the ring's one."""
+    if not isinstance(e, int) or e < 0:
+        raise ValueError(f"exponent {e!r} must be a nonnegative int")
+    out = one
+    while e:
+        if e & 1:
+            out = out * base
+        base = base * base
+        e >>= 1
+    return out
+
+
 class BivarPoly:
     """Sparse polynomial in u, v with integer coefficients.
 
@@ -167,16 +180,7 @@ class BivarPoly:
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> BivarPoly:
-        if not isinstance(e, int) or e < 0:
-            raise ValueError(f"exponent {e!r} must be a nonnegative int")
-        out = BivarPoly.constant(1)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return _power(self, e, BivarPoly.constant(1))
 
     def to_triples(self) -> list[list]:
         """Canonical form [i, j, "coeff"] sorted by exponent pair.
@@ -218,10 +222,6 @@ ZERO = BivarPoly()
 ONE = BivarPoly.constant(1)
 U = BivarPoly.monomial(1, 0)
 V = BivarPoly.monomial(0, 1)
-
-
-def poly_pow(p: BivarPoly, e: int) -> BivarPoly:
-    return p**e
 
 
 def uv_power(e: int) -> BivarPoly:
@@ -460,16 +460,7 @@ class CycBivarPoly:
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> CycBivarPoly:
-        if not isinstance(e, int) or e < 0:
-            raise ValueError(f"exponent {e!r} must be a nonnegative int")
-        out = CycBivarPoly.one(self.n)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return _power(self, e, CycBivarPoly.one(self.n))
 
     def __repr__(self) -> str:
         return f"CycBivarPoly(n={self.n}, {dict(self.terms())})"

@@ -83,7 +83,7 @@ class SymplecticForm:
             for j in range(size):
                 if (m[i][j] + m[j][i]) % self.n != 0:
                     raise ValueError("form is not antisymmetric")
-        if _det_mod([list(row) for row in m], self.n) == 0:
+        if _rref(m, self.n)[0] < size:
             raise ValueError("form is degenerate")
 
     @classmethod
@@ -112,24 +112,25 @@ def weil_pairing(a: TorsionVector, b: TorsionVector, form: SymplecticForm) -> in
     return total % form.n
 
 
-def _det_mod(rows: list[list[int]], n: int) -> int:
-    size = len(rows)
+def _rref(rows, n: int) -> tuple[int, list[list[int]]]:
+    """Row reduction mod the prime n: the rank and the reduced row echelon
+    form, whose first rank rows each lead with a 1 in a column every other
+    row holds 0 in. The input rows are left as they are."""
     rows = [[c % n for c in row] for row in rows]
-    det = 1
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if rows[r][col] % n), None)
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot is None:
-            return 0
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        inv = pow(rows[col][col], -1, n)
-        det = det * rows[col][col] % n
-        for r in range(col + 1, size):
-            factor = rows[r][col] * inv % n
-            if factor:
-                rows[r] = [(a - factor * b) % n for a, b in zip(rows[r], rows[col])]
-    return det % n
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, n)
+        rows[rank] = [a * inv % n for a in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [(a - factor * b) % n for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank, rows
 
 
 def is_basis(vectors) -> bool:
@@ -138,32 +139,25 @@ def is_basis(vectors) -> bool:
     n = vectors[0].n
     if len(vectors) != 2 * vectors[0].g:
         return False
-    return _det_mod([list(v.coords) for v in vectors], n) != 0
+    return _rref([v.coords for v in vectors], n)[0] == len(vectors)
 
 
-def _invert_mod(rows: list[list[int]], n: int) -> list[list[int]]:
+def _invert_mod(rows, n: int) -> list[list[int]]:
+    """The inverse mod n of a square matrix: [M | I] reduces to [I | M^-1].
+    ValueError when M is singular mod n."""
     size = len(rows)
-    aug = [[c % n for c in row] + [1 if i == j else 0 for j in range(size)]
-           for i, row in enumerate(rows)]
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if aug[r][col] % n), None)
-        if pivot is None:
-            raise ValueError("matrix is singular mod n")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = pow(aug[col][col], -1, n)
-        aug[col] = [a * inv % n for a in aug[col]]
-        for r in range(size):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [(a - factor * b) % n for a, b in zip(aug[r], aug[col])]
-    return [row[size:] for row in aug]
+    identity = [[int(i == j) for j in range(size)] for i in range(size)]
+    _, reduced = _rref([list(row) + unit for row, unit in zip(rows, identity)], n)
+    if [row[:size] for row in reduced] != identity:
+        raise ValueError("matrix is singular mod n")
+    return [row[size:] for row in reduced]
 
 
 def coordinates_in_basis(v: TorsionVector, basis) -> tuple[int, ...]:
     """Coefficients c with v = sum c_i basis_i, mod n."""
     basis = tuple(basis)
     n = v.n
-    binv = _invert_mod([list(b.coords) for b in basis], n)
+    binv = _invert_mod([b.coords for b in basis], n)
     # v = c . B (vectors as rows), so c = v . B^(-1)
     size = len(basis)
     return tuple(
@@ -197,7 +191,7 @@ def complete_basis(gamma: TorsionVector, form: SymplecticForm, l_gamma: int = 1)
         cand = standard_basis_vector(n, g, i) - (pairings[i] * pinv) % n * standard_basis_vector(
             n, g, pivot
         )
-        if _rank(chosen + [cand], n) == len(chosen) + 1:
+        if _rref([v.coords for v in chosen + [cand]], n)[0] == len(chosen) + 1:
             chosen.append(cand)
     basis = (gamma, delta0, *chosen[1:])
     if len(basis) != 2 * g or not is_basis(basis):
@@ -205,28 +199,6 @@ def complete_basis(gamma: TorsionVector, form: SymplecticForm, l_gamma: int = 1)
     if weil_pairing(delta0, gamma, form) != l_gamma % n:
         raise IdentityCheckError(f"delta_0 does not pair to l_gamma = {l_gamma} with gamma")
     return basis
-
-
-def _rank(vectors, n: int) -> int:
-    rows = [list(v.coords) for v in vectors]
-    size = len(rows[0])
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < size:
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] % n), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], -1, n)
-        rows[rank] = [a * inv % n for a in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [(a - factor * b) % n for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
 
 
 def galois_orbit_size(n: int, d: int) -> int:
@@ -295,7 +267,7 @@ def check_component_action(model: NormFiberModel, form: SymplecticForm) -> bool:
             seen.append(label)
         if len(set(seen)) != n or seen[-1] != start:
             return False
-    binv = _invert_mod([list(b.coords) for b in basis], n)
+    binv = _invert_mod([b.coords for b in basis], n)
 
     def coords_of(vec: TorsionVector) -> tuple[int, ...]:
         return tuple(

@@ -39,6 +39,14 @@ def test_lemma_json(tmp_path):
     assert data["insertions_checked"] == 24
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_lemma_rank_out_of_range_is_usage_error(tmp_path, capsys, n):
+    out = tmp_path / "lemma.json"
+    assert main(["lemma", "--n", str(n), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "1 <= n <= 10" in capsys.readouterr().err
+
+
 def test_nonprime_rank_is_usage_error(capsys):
     assert main(["tms", "--n", "4", "--g", "2", "--marked", "1"]) == 2
     assert "not prime" in capsys.readouterr().err

@@ -18,7 +18,6 @@ from math import factorial
 import pytest
 
 from parmirror import cli, cstar_fixed, kernels
-from parmirror._census_py import Census, CensusGroup
 from parmirror.chambers import (
     NonGenericWeightsError,
     WeightSystem,
@@ -47,7 +46,8 @@ from parmirror.cstar_fixed import (
     variant_total_bruteforce,
     variant_total_cyclotomic,
 )
-from parmirror.exactpoly import ONE, U, V, ZERO, CycInt, poly_pow, uv_power
+from parmirror.exactpoly import ONE, U, V, ZERO, CycInt, uv_power
+from parmirror.kernels import Census, CensusGroup
 from parmirror.moduli import ModuliParams, dim_hitchin_base
 
 W21 = PermTuple.from_strings("21")
@@ -209,7 +209,7 @@ def test_component_variant_epoly_hand_cases():
 def _closed_oracle(n, g, k, scalar):
     prym = (n - 1) * (g - 1)
     h = (n * n - 1) * (g - 1) + k * n * (n - 1) // 2
-    return scalar * uv_power(h) * poly_pow((ONE - U) * (ONE - V), prym)
+    return scalar * uv_power(h) * ((ONE - U) * (ONE - V)) ** prym
 
 
 def test_variant_totals_hand_values():
@@ -263,13 +263,15 @@ def test_bruteforce_matches_row_by_row_oracle(p, w):
 
 @pytest.mark.parametrize("p,w", _census_instances())
 def test_grouped_census_matches_its_rows(p, w):
-    """The m histogram taken from the groups is the Counter over the listed
-    rows, len() is the row count, and every iteration lists the same rows,
+    """The m counts taken from the groups, on the box and with a bound that
+    takes in every row, are the Counter over the listed rows within that
+    bound, len() is the row count, and every iteration lists the same rows,
     each of which passes the full ComponentType11 check."""
     comps = enumerate_components(p, w)
     rows = list(comps)
     assert len(comps) == len(rows)
-    assert comps.census.m_counts() == Counter(c.m for c in rows)
+    for top in (2 * p.g - 2, max(max(c.m) for c in rows)):
+        assert comps.census.box_counts(top) == Counter(c.m for c in rows if max(c.m) <= top)
     assert list(comps) == rows
     assert [ComponentType11(*c) for c in rows] == rows
 
@@ -279,13 +281,13 @@ def test_box_is_flat_by_corner_stability(p, w):
     """The flat histogram, shown without the census: every word tuple is
     stable at the corner m = (2g - 2, ..., 2g - 2), hence on the whole box,
     as the stability coefficients are positive; and at each box point the
-    degree congruence holds for (n!)^k / n word tuples. The census m counts
-    on the box agree."""
+    degree congruence holds for (n!)^k / n word tuples. The census box
+    counts agree."""
     words = [PermWord(letters) for letters in kernels.words_lex(p.n)]
     tuples = [PermTuple(t) for t in product(words, repeat=p.k)]
     corner = (2 * p.g - 2,) * (p.n - 1)
     assert all(stability_check(p, w, t, corner) for t in tuples)
-    counts = enumerate_components(p, w).census.m_counts()
+    counts = enumerate_components(p, w).census.box_counts(2 * p.g - 2)
     flat = factorial(p.n) ** p.k // p.n
     for m in product(range(2 * p.g - 1), repeat=p.n - 1):
         assert sum(1 for t in tuples if degree_constraint(p, t, m)) == flat == counts[m]

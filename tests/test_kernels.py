@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from parmirror import _census_py, kernels
+from parmirror import kernels
 from parmirror.chambers import sample_generic_weights, small_weight_margin, weight_denominator
 from parmirror.cstar_fixed import (
     PermTuple,
@@ -168,7 +168,7 @@ def _leaf_filter_census(n, g, k, d, words, wnum, wden):
     2*wden, every value of every coordinate, the congruence at the leaf."""
     nm = n - 1
     chi = 2 * g - 2 + k
-    desc = [_census_py.descent_vector(w) for w in words]
+    desc = [kernels.descent_vector(w) for w in words]
     C = [
         [2 * wden * ((n - l + 1) * j if j <= l - 1 else (l - 1) * (n - j)) for j in range(1, n)]
         for l in range(2, n + 1)
@@ -242,7 +242,7 @@ def test_reduced_lattice_matches_scaled_search(n, scale, num, data):
     C = [[scale * c for c in row] for row in coef]
     expected = []
     _leaf_filter_dfs(n, nm, C, R, num, 0, [0] * nm, (), (), expected)
-    lattice, reach = _census_py._lattice(n, coef, [(r - 1) // scale for r in R], num % n)
+    lattice, reach = kernels._lattice(n, coef, [(r - 1) // scale for r in R], num % n)
     assert [(m, num // n + q) for m, q in lattice] == [(m, dn) for _, m, _, dn in expected]
     assert reach == tuple(
         max((sum(c * x for c, x in zip(row, m)) for m, _ in lattice), default=0) for row in coef
@@ -259,14 +259,14 @@ def test_census_searches_each_distinct_lattice_once(monkeypatch):
     w = sample_generic_weights(p, seed=1, scale=small_weight_margin(p))
     n, g, k, d, wnum, den = _census_args(p, 1, small_weight_margin(p))
     found = []
-    real = _census_py._lattice
+    real = kernels._lattice
 
     def spy(*args):
         out = real(*args)
         found.append(tuple(out[0]))
         return out
 
-    monkeypatch.setattr(_census_py, "_lattice", spy)
+    monkeypatch.setattr(kernels, "_lattice", spy)
     census = kernels.enumerate_census(n, g, k, d, wnum, den)
     assert len(found) == len(set(found)) == len(census.lattice_uses()) == 16
     words = [PermWord(letters) for letters in kernels.words_lex(n)]
@@ -312,7 +312,7 @@ def _census_searching_every_key(p, w):
         Q, residue = _lattice_key(p, w, t)
         if min(Q) < 0:
             continue
-        lattice, _ = _census_py._lattice(p.n, coef, Q, residue)
+        lattice, _ = kernels._lattice(p.n, coef, Q, residue)
         rows.extend((t_idx, m, t.descents, component_dn(p, t, m)) for m, _ in lattice)
     return rows
 

@@ -1,11 +1,14 @@
-"""Byte pins: five CLI invocations must write exactly the pinned bytes.
+"""Byte pins: eleven CLI invocations must write exactly the pinned bytes.
 
 Three invocations and their sha256 values are those of the benchmark's
 three workloads at seed 1 (``perfbench/workloads.py``, ``WORKLOADS`` and
 ``sweep_config_text(1)``). Copy them from there when a change to the output
 is intended; any other change to a report byte fails here. The two
 ``walls`` reports, one with sampled weights so that it carries the
-``generic`` field, pin every wall record in enumeration order.
+``generic`` field, pin every wall record in enumeration order. The other
+six pin one report of each remaining subcommand; the three ``orbits``
+reports cover an explicit gamma, the exhaustive pool of all 5^4 vectors,
+and the basis-plus-pairwise-sums pool taken when 11^6 > 10^6.
 """
 
 import hashlib
@@ -42,6 +45,30 @@ PINNED = {
     "walls_bare": (
         ["walls", "--n", "2", "--g", "2", "--marked", "4", "--deg", "1"],
         {"json": "3d248f29722455730e6dc9e2072e6f506b0fc810370cf527346c25dc54914886"},
+    ),
+    "lemma": (
+        ["lemma", "--n", "7"],
+        {"json": "8d5795c139ef201de567e4a9e4da3e41ef2408ec6505e77ff768a14f6a453fea"},
+    ),
+    "orbits_gamma": (
+        ["orbits", "--n", "3", "--g", "2", "--deg", "1", "--gamma", "1,2,0,1"],
+        {"json": "f8b18368ecfcba575f4b81107c6d2741236f76e571f4e0b0f5c5966f7f49ff27"},
+    ),
+    "orbits_exhaustive": (
+        ["orbits", "--n", "5", "--g", "2", "--deg", "2"],
+        {"json": "ca989787493902e092bb072432003d57d8e465eb0717c4799b61b80a24ad2e20"},
+    ),
+    "orbits_pairwise": (
+        ["orbits", "--n", "11", "--g", "3", "--deg", "1", "--l-gamma", "3"],
+        {"json": "84db920040e31668ed49fdb15def613a39627da09d2cba11fee397f1424b118f"},
+    ),
+    "stringy": (
+        ["stringy", "--n", "5", "--g", "2", "--marked", "2"],
+        {"json": "3eacc623e6ea550395ab661bc0903f634c96c1fb273d35cdc39fb9716ea7839a"},
+    ),
+    "section": (
+        ["section", "--n", "5", "--g", "2", "--marked", "2"],
+        {"json": "f41a2a5c451f73cdbff2c8373dfa97858d9c6bd375d5ce4f1e58c08935b085f9"},
     ),
 }
 

@@ -2,10 +2,12 @@
 component action of torsion points on norm-map fibres.
 
 Oracles: literal pairing table of the standard basis, exhaustive
-nondegeneracy, orbit sizes from gcd arithmetic, and the fibre-count
-formulas evaluated by hand.
+nondegeneracy, row spans listed in full for the mod-n row reduction, the
+Pfaffian of a 4 x 4 alternating form, orbit sizes from gcd arithmetic, and
+the fibre-count formulas evaluated by hand.
 """
 
+import random
 from itertools import product
 
 import pytest
@@ -73,6 +75,92 @@ def test_form_validation():
     degenerate = ((0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 0), (0, -1, 0, 0))
     with pytest.raises(ValueError, match="degenerate"):
         SymplecticForm(n=3, g=2, matrix=degenerate)
+
+
+def _span(rows, n):
+    """Every vector of the row span mod n, by listing all combinations."""
+    width = len(rows[0])
+    return {
+        tuple(sum(c * row[j] for c, row in zip(coeffs, rows)) % n for j in range(width))
+        for coeffs in product(range(n), repeat=len(rows))
+    }
+
+
+def _random_matrix(rng, n, nrows, ncols):
+    """A product of random nrows x r and r x ncols matrices mod n, so the
+    rank is at most a random r and low ranks turn up often."""
+    r = rng.randint(0, min(nrows, ncols))
+    a = [[rng.randrange(n) for _ in range(r)] for _ in range(nrows)]
+    b = [[rng.randrange(n) for _ in range(ncols)] for _ in range(r)]
+    return [[sum(row[i] * b[i][j] for i in range(r)) % n for j in range(ncols)] for row in a]
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 7])
+def test_rref_rank_and_form(n):
+    """The rank is log_n of the size of the row span, counted by listing
+    it; the reduced rows span the same space and are in reduced row echelon
+    form."""
+    rng = random.Random(n)
+    for _ in range(30):
+        rows = _random_matrix(rng, n, rng.randint(1, 4), rng.randint(1, 4))
+        before = [list(row) for row in rows]
+        rank, reduced = torsion._rref(rows, n)
+        assert rows == before
+        span = _span(rows, n)
+        assert n**rank == len(span)
+        assert _span(reduced, n) == span
+        assert all(not any(row) for row in reduced[rank:])
+        leads = [next(j for j, c in enumerate(row) if c) for row in reduced[:rank]]
+        assert leads == sorted(set(leads))
+        for i, lead in enumerate(leads):
+            assert [row[lead] for row in reduced] == [int(r == i) for r in range(len(reduced))]
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 7])
+def test_invert_mod_inverts_exactly_the_full_rank_matrices(n):
+    rng = random.Random(100 + n)
+    inverted = singular = 0
+    for _ in range(40):
+        size = rng.randint(1, 4)
+        m = _random_matrix(rng, n, size, size)
+        if torsion._rref(m, n)[0] < size:
+            with pytest.raises(ValueError, match="singular"):
+                torsion._invert_mod(m, n)
+            singular += 1
+            continue
+        inv = torsion._invert_mod(m, n)
+        prod = [[sum(a * b for a, b in zip(row, col)) % n for col in zip(*m)] for row in inv]
+        assert prod == [[int(i == j) for j in range(size)] for i in range(size)]
+        inverted += 1
+    assert inverted and singular
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 7])
+def test_random_alternating_form_is_degenerate_iff_pfaffian_vanishes(n):
+    """A 4 x 4 alternating matrix has det = Pf^2 with
+    Pf = a01 a23 - a02 a13 + a03 a12, so it is degenerate mod n exactly
+    when its Pfaffian is 0 mod n."""
+    rng = random.Random(200 + n)
+    seen = set()
+    for _ in range(30):
+        upper = {(i, j): rng.randrange(n) for i in range(4) for j in range(i + 1, 4)}
+        if rng.random() < 0.5:
+            upper[0, 1], upper[0, 2], upper[0, 3] = 0, 0, 0
+        matrix = tuple(
+            tuple(upper[i, j] if i < j else -upper[j, i] if j < i else 0 for j in range(4))
+            for i in range(4)
+        )
+        pf = upper[0, 1] * upper[2, 3] - upper[0, 2] * upper[1, 3] + upper[0, 3] * upper[1, 2]
+        pf %= n
+        seen.add(pf == 0)
+        if pf == 0:
+            with pytest.raises(ValueError, match="degenerate"):
+                SymplecticForm(n=n, g=2, matrix=matrix)
+        else:
+            assert SymplecticForm(n=n, g=2, matrix=matrix).matrix == tuple(
+                tuple(c % n for c in row) for row in matrix
+            )
+    assert seen == {True, False}
 
 
 @pytest.mark.parametrize("n,g", [(2, 2), (3, 2)])

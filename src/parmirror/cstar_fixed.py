@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, partial
-from itertools import product
+from itertools import permutations, product
 from math import factorial
 from typing import NamedTuple
 
@@ -70,6 +70,12 @@ class PermWord:
     def n(self) -> int:
         return len(self.letters)
 
+    @property
+    def descents(self) -> tuple[int, ...]:
+        """1 at each position j where the word steps down, else 0."""
+        w = self.letters
+        return tuple(1 if w[i] > w[i + 1] else 0 for i in range(len(w) - 1))
+
     def __str__(self) -> str:
         if self.n <= 9:
             return "".join(str(a) for a in self.letters)
@@ -104,13 +110,7 @@ class PermTuple:
     @cached_property
     def descents(self) -> tuple[int, ...]:
         """s_j: how many of the words step down at position j."""
-        n = self.n
-        s = [0] * (n - 1)
-        for w in self.words:
-            for i in range(n - 1):
-                if w.letters[i] > w.letters[i + 1]:
-                    s[i] += 1
-        return tuple(s)
+        return tuple(map(sum, zip(*(w.descents for w in self.words))))
 
     @cached_property
     def text(self) -> str:
@@ -210,24 +210,29 @@ class Components:
     """The census as a sized, re-iterable sequence of ComponentType11, in
     canonical (word tuple, m) order.
 
-    Holds the kernel's Census, grouped by word tuple, and one PermTuple per
-    group; each component is built only while iterating, so memory does not
-    grow with the number of components. enumerate_components has already
-    run every ComponentType11 check on the groups and lattice points the
-    rows are made of.
+    Holds the kernel's Census, grouped by word tuple, and the words of S_n
+    in lexicographic order. Each group's PermTuple, shared by its
+    components, and each component are built only while iterating, so
+    memory does not grow with the number of components or word tuples.
+    enumerate_components has already run every ComponentType11 check on the
+    groups and lattice points the rows are made of.
     """
 
-    __slots__ = ("census", "tuples")
+    __slots__ = ("census", "words")
 
-    def __init__(self, census: kernels.Census, tuples: list[PermTuple]):
+    def __init__(self, census: kernels.Census, words: list[PermWord]):
         self.census = census
-        self.tuples = tuples
+        self.words = words
 
     def __len__(self) -> int:
         return len(self.census)
 
     def __iter__(self):
-        return map(partial(tuple.__new__, ComponentType11), self.census.rows(self.tuples))
+        words = self.words
+        labels = (
+            PermTuple(tuple(words[i] for i in group.t_idx)) for group in self.census.groups
+        )
+        return map(partial(tuple.__new__, ComponentType11), self.census.rows(labels))
 
 
 def enumerate_components(p: ModuliParams, w: WeightSystem) -> Components:
@@ -235,23 +240,31 @@ def enumerate_components(p: ModuliParams, w: WeightSystem) -> Components:
     (word tuple, m) order.
 
     Every row is checked as ComponentType11 checks it, at the level where
-    its fields live: s against the descents of its group's PermTuple once
-    per word tuple, and the length and signs of m once per shared lattice
-    point.
+    its fields live: s once per word tuple, against the sum of its words'
+    PermWord descents, and the length and signs of m once per shared
+    lattice point.
     """
     if not is_generic(w, p):
         raise NonGenericWeightsError(f"weights sit on a wall for {p}")
     den, wnum = integer_weights(w)
     census = kernels.enumerate_census(p.n, p.g, p.k, p.d, wnum, den)
     words = [PermWord(letters) for letters in kernels.words_lex(p.n)]
-    tuples = []
+    # each word's descents as the digits of one integer in base k + 1: a word
+    # tuple's descent sum is one integer sum, and no digit can carry
+    base = p.k + 1
+    packed = [sum(x * base**j for j, x in enumerate(w.descents)) for w in words]
+    unpacked: dict[int, tuple] = {}
     for group in census.groups:
-        t = PermTuple(tuple(words[i] for i in group.t_idx))
-        ComponentType11.check_descents(t, group.s)
-        tuples.append(t)
+        total = sum(map(packed.__getitem__, group.t_idx))
+        s = unpacked.get(total)
+        if s is None:
+            s = unpacked[total] = tuple(total // base**j % base for j in range(p.n - 1))
+        if s != group.s:
+            t = PermTuple(tuple(words[i] for i in group.t_idx))
+            ComponentType11.check_descents(t, group.s)
     for m, _ in census.points():
         ComponentType11.check_twists(m, p.n - 1)
-    return Components(census, tuples)
+    return Components(census, words)
 
 
 def component_variant_epoly(p: ModuliParams, c: ComponentType11) -> BivarPoly:
@@ -327,9 +340,9 @@ def _root_shift_product(n: int, g: int, l: int) -> CycBivarPoly:
 @cache
 def _sigma_residue_counts(n: int) -> tuple[int, ...]:
     """How many words of S_n have each value of sigma mod n; computed once
-    per n."""
+    per n, streaming the words rather than holding S_n."""
     single = [0] * n
-    for w in kernels.words_lex(n):
+    for w in permutations(range(1, n + 1)):
         single[sigma(w) % n] += 1
     return tuple(single)
 
@@ -451,7 +464,8 @@ def components_to_csv(components: Components, dest) -> None:
     try:
         fh.write("words,m,s,d_n,degree\r\n")
         blocks: dict[tuple, list[str]] = {}
-        for t, (_, s, dn_floor, lattice) in zip(components.tuples, components.census.groups):
+        texts = [str(w) for w in components.words]
+        for t_idx, s, dn_floor, lattice in components.census.groups:
             key = (id(lattice), s, dn_floor)
             block = blocks.get(key)
             if block is None:
@@ -460,7 +474,7 @@ def components_to_csv(components: Components, dest) -> None:
                     f"{' '.join(map(str, m))},{s_text},{dn_floor + q},{sum(m)}\r\n"
                     for m, q in lattice
                 ]
-            prefix = t.text + ","
+            prefix = "|".join(map(texts.__getitem__, t_idx)) + ","
             fh.write(prefix + prefix.join(block))
     finally:
         if own:

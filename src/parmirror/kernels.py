@@ -19,6 +19,19 @@ offset mod n. Every word tuple with the same (Q, offset mod n) key shares
 one lattice; lattices of different keys with the same points share one
 tuple, and equal points one (m, q) pair.
 
+The bound is separable over the marked points: each point adds its own
+weight term and its word's descents, so R[l](t) = C_l + sum_p a_p(t_p)[l]
+with C_l = (n-l+1)(l-1) n chi wden and
+a_p(w)[l] = 2((n-l+1) tot_p - n tail_p(w)[l]) - 2*wden*coef[l].desc(w),
+where tail_p(w)[l] is the weight numerator sum of the letters of w in
+slots l..n. The kernel builds each a_p(w) vector once per word and walks
+the word tuples depth first, in lexicographic order, carrying the prefix
+sums of R, of s and of sigma(w) = sum_j j desc(w)_j (whose total fixes
+the degree offset), so the last point costs one vector add per tuple. The
+weight-free tables (descent vectors, sigma, coef and each word's
+coef.desc products) are built once per n; the per-call a_p tables are
+freed before the lattice search.
+
 A key is searched only when no searched lattice already holds its points.
 For the lattice L(Q) of budgets Q, let reach[l] be the largest coef[l].m
 over its points (0 when it is empty). If a key (Q', r) has the residue r of
@@ -45,7 +58,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cache
-from itertools import permutations, product
+from itertools import permutations
 from typing import NamedTuple
 
 
@@ -67,6 +80,21 @@ def words_lex(n: int) -> tuple[tuple[int, ...], ...]:
 
 def descent_vector(word) -> tuple[int, ...]:
     return tuple(1 if word[i] > word[i + 1] else 0 for i in range(len(word) - 1))
+
+
+@cache
+def _word_tables(n: int):
+    """The weight-free tables of S_n, words in lexicographic order: each
+    word's descent vector and sigma, the stability coefficient rows coef,
+    and each word's descent share coef[l].desc(w); built once per n."""
+    desc = tuple(descent_vector(w) for w in words_lex(n))
+    sigma = tuple(sum(j * x for j, x in enumerate(dv, 1)) for dv in desc)
+    coef = tuple(
+        tuple((n - l + 1) * j if j <= l - 1 else (l - 1) * (n - j) for j in range(1, n))
+        for l in range(2, n + 1)
+    )
+    share = tuple(tuple(sum(c * x for c, x in zip(row, dv)) for row in coef) for dv in desc)
+    return desc, sigma, coef, share
 
 
 class CensusGroup(NamedTuple):
@@ -112,8 +140,8 @@ class Census:
     def rows(self, labels=None):
         """The rows in canonical order, as (label, m, s, d_n).
 
-        labels[i] stands in place of the word indices of the i-th group
-        (default: the word indices).
+        labels yields, group by group, the label that stands in place of
+        the group's word indices (default: the word indices).
         """
         if labels is None:
             labels = [group.t_idx for group in self.groups]
@@ -155,72 +183,82 @@ def enumerate_census(n, g, k, d, wnum, wden, t0_lo=0, t0_hi=None, backend=None) 
     wnum[p][i] is the numerator of weight alpha_{i+1} at point p over the
     common denominator wden. Stability is evaluated at scale 2*wden and
     reduced to integer budgets Q (see the module docstring). backend: None
-    or "python"; any other name raises ValueError.
+    or "python"; any other name raises ValueError, as does a first-word
+    range outside 0 <= t0_lo <= t0_hi <= n!.
     """
     if backend not in (None, "python"):
         raise ValueError(f"unknown backend {backend!r}; have {sorted(backends())}")
-    words = words_lex(n)
-    nw = len(words)
+    desc, sigma, coef, share = _word_tables(n)
+    nw = len(desc)
     if t0_hi is None:
         t0_hi = nw
+    if not 0 <= t0_lo <= t0_hi <= nw:
+        raise ValueError(f"first word range [{t0_lo}, {t0_hi}) is not within [0, {nw}]")
     nm = n - 1
     chi = 2 * g - 2 + k
     scale = 2 * wden
-    desc = [descent_vector(w) for w in words]
-    tot = [sum(pw) for pw in wnum]
-    # tails[p][wi][l-2]: weight numerator sum of the letters in slots l..n
-    tails = []
+    # vecs[p][wi][l-2]: a_p(w), point p's term in the bound of index l for
+    # word w (see the module docstring). Lists and tuple([...]), never
+    # tuple(map(...)): a tuple built from an iterator of unknown length is
+    # shrunk after the fact, and the shrunk tuples pile up on the
+    # interpreter's free lists.
+    vecs = []
     for p in range(k):
         pw = wnum[p]
-        row = []
-        for w in words:
-            col = [0] * nm
-            acc = 0
+        tot = sum(pw)
+        rows = []
+        for w, sh in zip(words_lex(n), share):
+            a = [0] * nm
+            tail = 0
             for l in range(n, 1, -1):
-                acc += pw[w[l - 1] - 1]
-                col[l - 2] = acc
-            row.append(col)
-        tails.append(row)
-    # per-l coefficient of (m_j + s_j) in the stability bound
-    coef = [
-        [(n - l + 1) * j if j <= l - 1 else (l - 1) * (n - j) for j in range(1, n)]
-        for l in range(2, n + 1)
-    ]
-    dn_shift = n * (n - 1) * chi // 2
+                tail += pw[w[l - 1] - 1]
+                a[l - 2] = 2 * ((n - l + 1) * tot - n * tail) - scale * sh[l - 2]
+            rows.append(a)
+        vecs.append(rows)
+    # C_l - 1: r carries R - 1, so Q = r // scale, and Q < 0 exactly when
+    # R <= 0, an unstable word tuple
+    root = [(n - l + 1) * (l - 1) * n * chi * wden - 1 for l in range(2, n + 1)]
+    dn_base = d - n * (n - 1) * chi // 2
     # phase one: each word tuple's group, with its interned key standing in
     # the lattice slot until phase two has its lattice
     keys: dict[tuple, tuple] = {}
     descents: dict[tuple, tuple] = {}
+    s_rows: dict[tuple, list] = {}  # prefix s -> the interned s after each last word
     groups: list[CensusGroup] = []
-    index_ranges = [range(t0_lo, t0_hi)] + [range(nw)] * (k - 1)
-    for t in product(*index_ranges):
-        s = [0] * nm
-        for p in range(k):
-            dv = desc[t[p]]
-            for j in range(nm):
-                s[j] += dv[j]
-        Q = []
-        for li in range(nm):
-            l = li + 2
-            w2 = 0
-            for p in range(k):
-                w2 += (n - l + 1) * tot[p] - n * tails[p][t[p]][li]
-            r = 2 * w2 + (n - l + 1) * (l - 1) * n * chi * wden
-            for j in range(nm):
-                r -= scale * coef[li][j] * s[j]
-            if r <= 0:
-                break
-            Q.append((r - 1) // scale)
-        else:
-            base = d - dn_shift
-            for j in range(nm):
-                base += (j + 1) * s[j]
-            dn_floor, residue = divmod(base, n)
-            key = (tuple(Q), residue)
-            s = tuple(s)
-            groups.append(
-                CensusGroup(t, descents.setdefault(s, s), dn_floor, keys.setdefault(key, key))
-            )
+    last = k - 1
+
+    def walk(p, t, r, s, base):
+        """Append the groups of the word tuples extending the prefix t of
+        p words, whose sums of R - 1, s and the degree offset are r, s and
+        base."""
+        lo, hi = (t0_lo, t0_hi) if p == 0 else (0, nw)
+        if p < last:
+            vec = vecs[p]
+            for wi in range(lo, hi):
+                walk(
+                    p + 1,
+                    t + (wi,),
+                    [x + y for x, y in zip(r, vec[wi])],
+                    tuple([x + y for x, y in zip(s, desc[wi])]),
+                    base + sigma[wi],
+                )
+            return
+        srow = s_rows.get(s)
+        if srow is None:
+            srow = s_rows[s] = [
+                descents.setdefault(x, x)
+                for x in (tuple([a + b for a, b in zip(s, dv)]) for dv in desc)
+            ]
+        vec = vecs[p]
+        for wi in range(lo, hi):
+            Q = tuple([(x + y) // scale for x, y in zip(r, vec[wi])])
+            if min(Q) >= 0:
+                dn_floor, residue = divmod(base + sigma[wi], n)
+                key = (Q, residue)
+                groups.append(CensusGroup(t + (wi,), srow[wi], dn_floor, keys.setdefault(key, key)))
+
+    walk(0, (), root, (0,) * nm, dn_base)
+    del vecs, s_rows, descents
     # phase two: one lattice per key, searched only when no searched
     # lattice with wider budgets holds its points (see the module docstring)
     lattices: dict[tuple, tuple] = {}

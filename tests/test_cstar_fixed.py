@@ -162,6 +162,16 @@ def test_enumerate_components_checks_every_row(monkeypatch):
         enumerate_components(P221, ALPHA)
 
 
+def test_enumerate_components_checks_the_last_word(monkeypatch):
+    # k = 2: the tuple (0, 1) is "12|21", which descends once, in its last
+    # word; its s = (0,) leaves that word's share out
+    p = ModuliParams(2, 2, 2, 0)
+    lattice = (((1,), 0),)
+    _patch_census(monkeypatch, ((0, 0), (0,), -1, lattice), ((0, 1), (0,), -1, lattice))
+    with pytest.raises(ValueError, match=r"s = \(0,\) does not match the words 12\|21"):
+        enumerate_components(p, sample_generic_weights(p, seed=1))
+
+
 def test_enumerate_components_rejects_negative_twist(monkeypatch):
     # the bad point is the last one of a lattice that a good word tuple shares
     _patch_census(

@@ -2,12 +2,12 @@
 write the medians to a BENCH JSON file.
 
     python3 scripts/bench_ladder.py --tree parent=../parent --tree change=. \\
-        --runs 3 --out BENCH_13.json
+        --out BENCH_13.json
 
-Each rung is one CLI invocation (see RUNGS). Every run starts a fresh
-interpreter that runs ``parmirror.cli`` from ``<tree>/src`` as
-``python -m parmirror.cli`` does, under a 2 GiB address-space cap, with its
-outputs written to a temporary directory. The runs go one child at a time,
+Each rung is one CLI invocation (see RUNGS), run RUNS times per tree.
+Every run starts a fresh interpreter that runs ``parmirror.cli`` from
+``<tree>/src`` as ``python -m parmirror.cli`` does, under a 2 GiB
+address-space cap, with its outputs written to a temporary directory. The runs go one child at a time,
 and the trees alternate within each round, so drift in machine speed falls
 on every tree alike. Each child is reaped with ``os.wait4``: its wall time
 runs from spawn to reap, and its peak RSS is its own ``ru_maxrss``. On
@@ -50,6 +50,7 @@ RUNGS = {
                               "--out", "{tmp}/report.json", "--csv", "{tmp}/census.csv"],
 }
 
+RUNS = 3
 AS_LIMIT = 2 << 30
 TIMEOUT_S = 600.0
 
@@ -110,13 +111,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--tree", action="append", required=True, metavar="LABEL=PATH",
                         help="a source tree to time (repeat for each tree)")
-    parser.add_argument("--runs", type=int, default=3, help="runs per tree and rung (default 3)")
-    parser.add_argument("--rung", action="append", choices=sorted(RUNGS),
-                        help="time only these rungs (default: all)")
     parser.add_argument("--out", required=True, help="write the JSON results here")
     args = parser.parse_args(argv)
-    if args.runs < 1:
-        parser.error("--runs must be at least 1")
     trees = {}
     for spec in args.tree:
         label, sep, path = spec.partition("=")
@@ -125,21 +121,20 @@ def main(argv=None) -> int:
         if not (Path(path) / "src" / "parmirror" / "cli.py").is_file():
             parser.error(f"{path} has no src/parmirror/cli.py")
         trees[label] = Path(path).resolve()
-    rungs = args.rung or list(RUNGS)
 
     results = {}
     failed = 0
-    for rung in rungs:
+    for rung, rung_argv in RUNGS.items():
         runs = {label: [] for label in trees}
-        for i in range(args.runs):
+        for i in range(RUNS):
             order = list(trees) if i % 2 == 0 else list(reversed(trees))
             for label in order:
-                run = run_once(trees[label], RUNGS[rung])
+                run = run_once(trees[label], rung_argv)
                 runs[label].append(run)
                 print(f"{rung} [{label}] run {i + 1}: {run['wall_s']:.3f} s "
                       f"{run['peak_rss_mb']:.1f} MB exit {run['exit']}", file=sys.stderr)
         digests = {json.dumps(r["sha256"], sort_keys=True) for rs in runs.values() for r in rs}
-        entry = {"argv": RUNGS[rung], "outputs_equal": len(digests) == 1, "trees": {}}
+        entry = {"argv": rung_argv, "outputs_equal": len(digests) == 1, "trees": {}}
         for label, rs in runs.items():
             ok = [r for r in rs if r["exit"] == 0]
             failed += len(rs) - len(ok)
@@ -156,7 +151,7 @@ def main(argv=None) -> int:
         "python": sys.version.split()[0],
         "machine": platform.machine(),
         "nproc": os.cpu_count(),
-        "runs_per_rung": args.runs,
+        "runs_per_rung": RUNS,
         "as_limit_bytes": AS_LIMIT,
         "trees": {label: describe(path) for label, path in trees.items()},
         "rungs": results,

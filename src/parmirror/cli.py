@@ -278,71 +278,100 @@ def _cmd_section(args) -> int:
     return 0 if check and not reversed_control else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _tms_flags(sub):
+    _add_params_flags(sub)
+    _add_weights_flags(sub)
+    sub.add_argument("--out", default=None, help="write canonical JSON report here")
+    sub.add_argument("--timings", action="store_true", help="include timings in the report")
+    sub.set_defaults(func=_cmd_tms)
+
+
+def _sweep_flags(sub):
+    sub.add_argument("--config", default=None, help="INI grid file (default: built-in grid)")
+    sub.add_argument("--out", default=None, help="write canonical JSON report here")
+    sub.add_argument("--csv", default=None, help="write summary CSV here")
+    sub.add_argument("--timings", action="store_true", help="include timings in outputs")
+    sub.set_defaults(func=_cmd_sweep)
+
+
+def _variant_flags(sub):
+    _add_params_flags(sub)
+    _add_weights_flags(sub)
+    sub.add_argument("--out", default=None, help="write canonical JSON report here")
+    sub.add_argument("--csv", default=None, help="write the component census CSV here")
+    sub.set_defaults(func=_cmd_variant)
+
+
+def _stringy_flags(sub):
+    _add_params_flags(sub)
+    sub.add_argument("--out", default=None, help="write canonical JSON report here")
+    sub.set_defaults(func=_cmd_stringy)
+
+
+def _walls_flags(sub):
+    _add_params_flags(sub)
+    _add_weights_flags(sub)
+    sub.add_argument("--out", default=None, help="write canonical JSON report here")
+    sub.set_defaults(func=_cmd_walls)
+
+
+def _lemma_flags(sub):
+    sub.add_argument("--n", type=int, required=True, help="word length (1..10)")
+    sub.add_argument("--out", default=None, help="write canonical JSON report here")
+    sub.set_defaults(func=_cmd_lemma)
+
+
+def _orbits_flags(sub):
+    sub.add_argument("--n", type=int, required=True, help="rank (prime)")
+    sub.add_argument("--g", type=int, required=True, help="genus (>= 2)")
+    sub.add_argument("--deg", type=int, default=0, help="degree driving the Galois shift")
+    sub.add_argument("--gamma", type=_coords, default=None,
+                     help="comma-separated 2g coordinates (default: first basis vector)")
+    sub.add_argument("--l-gamma", dest="l_gamma", type=int, default=1,
+                     help="pairing value against the distinguished partner")
+    sub.add_argument("--out", default=None, help="write canonical JSON report here")
+    sub.set_defaults(func=_cmd_orbits)
+
+
+def _section_flags(sub):
+    _add_params_flags(sub, with_deg=False)
+    sub.add_argument("--out", default=None, help="write canonical JSON report here")
+    sub.set_defaults(func=_cmd_section)
+
+
+# name -> (help line, function that adds the subcommand's flags and handler)
+SUBCOMMANDS = {
+    "tms": ("verify the four-way identity for one instance", _tms_flags),
+    "sweep": ("run the identity over a parameter grid", _sweep_flags),
+    "variant": ("variant totals only (census, closed, filtered)", _variant_flags),
+    "stringy": ("quotient-side invariants and total", _stringy_flags),
+    "walls": ("enumerate walls; optionally test weight genericity", _walls_flags),
+    "lemma": ("shift-residue census and insertion check", _lemma_flags),
+    "orbits": ("torsion-point action on norm-fibre components", _orbits_flags),
+    "section": ("degree bookkeeping for the distinguished section", _section_flags),
+}
+
+
+def build_parser(subcommand: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser. Given a subcommand name, the parser holds
+    that subcommand alone: it parses that subcommand's arguments as the full
+    parser does, and building the seven others would cost more than the
+    parse itself. Help, and a missing or unknown subcommand, need the full
+    parser."""
     parser = argparse.ArgumentParser(
         prog="parmirror",
         description="Exact mirror-identity checks for parabolic Higgs moduli.",
     )
     subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    tms = subs.add_parser("tms", help="verify the four-way identity for one instance")
-    _add_params_flags(tms)
-    _add_weights_flags(tms)
-    tms.add_argument("--out", default=None, help="write canonical JSON report here")
-    tms.add_argument("--timings", action="store_true", help="include timings in the report")
-    tms.set_defaults(func=_cmd_tms)
-
-    sw = subs.add_parser("sweep", help="run the identity over a parameter grid")
-    sw.add_argument("--config", default=None, help="INI grid file (default: built-in grid)")
-    sw.add_argument("--out", default=None, help="write canonical JSON report here")
-    sw.add_argument("--csv", default=None, help="write summary CSV here")
-    sw.add_argument("--timings", action="store_true", help="include timings in outputs")
-    sw.set_defaults(func=_cmd_sweep)
-
-    var = subs.add_parser("variant", help="variant totals only (census, closed, filtered)")
-    _add_params_flags(var)
-    _add_weights_flags(var)
-    var.add_argument("--out", default=None, help="write canonical JSON report here")
-    var.add_argument("--csv", default=None, help="write the component census CSV here")
-    var.set_defaults(func=_cmd_variant)
-
-    st = subs.add_parser("stringy", help="quotient-side invariants and total")
-    _add_params_flags(st)
-    st.add_argument("--out", default=None, help="write canonical JSON report here")
-    st.set_defaults(func=_cmd_stringy)
-
-    wa = subs.add_parser("walls", help="enumerate walls; optionally test weight genericity")
-    _add_params_flags(wa)
-    _add_weights_flags(wa)
-    wa.add_argument("--out", default=None, help="write canonical JSON report here")
-    wa.set_defaults(func=_cmd_walls)
-
-    le = subs.add_parser("lemma", help="shift-residue census and insertion check")
-    le.add_argument("--n", type=int, required=True, help="word length (1..10)")
-    le.add_argument("--out", default=None, help="write canonical JSON report here")
-    le.set_defaults(func=_cmd_lemma)
-
-    orb = subs.add_parser("orbits", help="torsion-point action on norm-fibre components")
-    orb.add_argument("--n", type=int, required=True, help="rank (prime)")
-    orb.add_argument("--g", type=int, required=True, help="genus (>= 2)")
-    orb.add_argument("--deg", type=int, default=0, help="degree driving the Galois shift")
-    orb.add_argument("--gamma", type=_coords, default=None,
-                     help="comma-separated 2g coordinates (default: first basis vector)")
-    orb.add_argument("--l-gamma", dest="l_gamma", type=int, default=1,
-                     help="pairing value against the distinguished partner")
-    orb.add_argument("--out", default=None, help="write canonical JSON report here")
-    orb.set_defaults(func=_cmd_orbits)
-
-    se = subs.add_parser("section", help="degree bookkeeping for the distinguished section")
-    _add_params_flags(se, with_deg=False)
-    se.add_argument("--out", default=None, help="write canonical JSON report here")
-    se.set_defaults(func=_cmd_section)
-
+    for name, (help_line, add_flags) in SUBCOMMANDS.items():
+        if subcommand in (None, name):
+            add_flags(subs.add_parser(name, help=help_line))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

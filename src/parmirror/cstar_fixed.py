@@ -82,6 +82,12 @@ class PermWord:
         return ".".join(str(a) for a in self.letters)
 
 
+def _words_field(texts) -> str:
+    """A word tuple's words field in the census CSV: its words' strings
+    joined by "|"."""
+    return "|".join(texts)
+
+
 @dataclass(frozen=True)
 class PermTuple:
     """One permutation word per marked point."""
@@ -114,8 +120,8 @@ class PermTuple:
 
     @cached_property
     def text(self) -> str:
-        """The words joined by "|", as written in the census CSV."""
-        return "|".join(str(w) for w in self.words)
+        """The words field of the census CSV."""
+        return _words_field(map(str, self.words))
 
     def __str__(self) -> str:
         return self.text
@@ -249,16 +255,17 @@ def enumerate_components(p: ModuliParams, w: WeightSystem) -> Components:
     den, wnum = integer_weights(w)
     census = kernels.enumerate_census(p.n, p.g, p.k, p.d, wnum, den)
     words = [PermWord(letters) for letters in kernels.words_lex(p.n)]
-    # each word's descents as the digits of one integer in base k + 1: a word
-    # tuple's descent sum is one integer sum, and no digit can carry
+    # a word's descents as the base-(k + 1) digits of one integer: k words
+    # put at most k in a digit, so a word tuple's s is the digits of the sum
+    # of its words' integers; each distinct sum is decoded once
     base = p.k + 1
-    packed = [sum(x * base**j for j, x in enumerate(w.descents)) for w in words]
-    unpacked: dict[int, tuple] = {}
+    packed = [sum(x * base**j for j, x in enumerate(word.descents)) for word in words]
+    decoded: dict[int, tuple[int, ...]] = {}
     for group in census.groups:
         total = sum(map(packed.__getitem__, group.t_idx))
-        s = unpacked.get(total)
+        s = decoded.get(total)
         if s is None:
-            s = unpacked[total] = tuple(total // base**j % base for j in range(p.n - 1))
+            s = decoded[total] = tuple(total // base**j % base for j in range(p.n - 1))
         if s != group.s:
             t = PermTuple(tuple(words[i] for i in group.t_idx))
             ComponentType11.check_descents(t, group.s)
@@ -474,7 +481,7 @@ def components_to_csv(components: Components, dest) -> None:
                     f"{' '.join(map(str, m))},{s_text},{dn_floor + q},{sum(m)}\r\n"
                     for m, q in lattice
                 ]
-            prefix = "|".join(map(texts.__getitem__, t_idx)) + ","
+            prefix = _words_field(map(texts.__getitem__, t_idx)) + ","
             fh.write(prefix + prefix.join(block))
     finally:
         if own:

@@ -13,7 +13,7 @@ import pytest
 import parmirror
 from parmirror import schemas
 from parmirror.chambers import sample_generic_weights
-from parmirror.cli import main
+from parmirror.cli import SUBCOMMANDS, build_parser, main
 from parmirror.exactpoly import CycBivarPoly, NonIntegralCoefficientError
 from parmirror.moduli import ModuliParams
 
@@ -72,6 +72,36 @@ def test_threads_flag_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["--threads", "2", "sweep"])
     assert exc.value.code == 2
+
+
+# one argument list per subcommand, every flag set
+PARSER_ARGV = {
+    "tms": ["tms", "--n", "3", "--g", "2", "--marked", "2", "--deg", "1", "--seed", "4",
+            "--scale", "1/8", "--out", "r.json", "--timings"],
+    "sweep": ["sweep", "--config", "g.ini", "--out", "r.json", "--csv", "r.csv", "--timings"],
+    "variant": ["variant", "--n", "5", "--g", "3", "--marked", "1", "--deg", "2",
+                "--weights", "w.json", "--out", "r.json", "--csv", "c.csv"],
+    "stringy": ["stringy", "--n", "3", "--g", "2", "--marked", "1", "--deg", "1", "--out", "r.json"],
+    "walls": ["walls", "--n", "2", "--g", "2", "--marked", "2", "--seed", "3", "--out", "r.json"],
+    "lemma": ["lemma", "--n", "6", "--out", "r.json"],
+    "orbits": ["orbits", "--n", "3", "--g", "2", "--deg", "1", "--gamma", "0,1,0,0",
+               "--l-gamma", "2", "--out", "r.json"],
+    "section": ["section", "--n", "3", "--g", "2", "--marked", "1", "--out", "r.json"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
+def test_one_subcommand_parser_parses_as_the_full_one(name):
+    argv = PARSER_ARGV[name]
+    assert vars(build_parser(name).parse_args(argv)) == vars(build_parser().parse_args(argv))
+
+
+def test_help_lists_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert all(name in out for name in SUBCOMMANDS)
 
 
 def test_tms_report(tmp_path, capsys):

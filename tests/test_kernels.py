@@ -174,10 +174,14 @@ def test_census_matches_reference_oracle(p, scale, seed):
             assert dn == component_dn(p, t, m)
 
 
-def _leaf_filter_census(n, g, k, d, words, wnum, wden):
-    """The whole census as the kernel searched it before budgets were reduced
-    and lattices shared: every word tuple on its own, stability at scale
-    2*wden, every value of every coordinate, the congruence at the leaf."""
+def _leaf_filter_census(n, g, k, d, words, wnum, wden, t0_lo=0, t0_hi=None):
+    """The census as the kernel searched it before budgets were reduced,
+    lattices shared and the bound split over the points: every word tuple
+    whose first word index is in [t0_lo, t0_hi) on its own, its bound
+    recomputed from all k points, stability at scale 2*wden, every value of
+    every coordinate, the congruence at the leaf."""
+    if t0_hi is None:
+        t0_hi = len(words)
     nm = n - 1
     chi = 2 * g - 2 + k
     desc = [kernels.descent_vector(w) for w in words]
@@ -186,7 +190,7 @@ def _leaf_filter_census(n, g, k, d, words, wnum, wden):
         for l in range(2, n + 1)
     ]
     rows = []
-    for t in product(range(len(words)), repeat=k):
+    for t in product(range(t0_lo, t0_hi), *[range(len(words))] * (k - 1)):
         s = tuple(sum(desc[i][j] for i in t) for j in range(nm))
         R = []
         for li in range(nm):
@@ -216,103 +220,35 @@ def _leaf_filter_dfs(n, nm, C, R, num, j, m, t, s, rows):
     m[j] = 0
 
 
-@pytest.mark.parametrize("scale,seed", ORACLE_WEIGHTS, ids=["scale1", "scale1/8"])
-@pytest.mark.parametrize("p", ORACLE_GRID, ids=lambda p: f"{p.n}-{p.g}-{p.k}-{p.d}")
-def test_census_rows_match_leaf_filter_search(p, scale, seed):
+P5220 = ModuliParams(5, 2, 2, 0)
+LEAF_FILTER_CASES = [
+    pytest.param(p, scale, seed, None, id=f"{p.n}-{p.g}-{p.k}-{p.d}-{name}")
+    for p in ORACLE_GRID
+    for name, (scale, seed) in zip(("scale1", "scale1/8"), ORACLE_WEIGHTS)
+] + [
+    # many points (k = 11), and n = 5 with two points, where each first word
+    # is a prefix of the depth-first walk shared by 120 word tuples; the
+    # whole (5, 2, 2, 0) census is 2,269,324 rows, 14.7 M leaf-filter nodes,
+    # so it is checked on three pieces of its first-word range
+    pytest.param(ModuliParams(2, 2, 11, 1), Fraction(1), 1, None, id="2-2-11-1-scale1"),
+    pytest.param(P5220, small_weight_margin(P5220), 1, [(0, 1), (1, 3), (119, 120)],
+                 id="5-2-2-0-margin"),
+]
+
+
+@pytest.mark.parametrize("p,scale,seed,ranges", LEAF_FILTER_CASES)
+def test_census_rows_match_leaf_filter_search(p, scale, seed, ranges):
+    """The rows of the depth-first walk over per-point vectors equal the
+    per-tuple search, by default on the whole first-word range and on three
+    pieces of it."""
     n, g, k, d, wnum, den = _census_args(p, seed, scale)
-    rows = kernels.enumerate_census(n, g, k, d, wnum, den, backend="python")
-    assert rows == _leaf_filter_census(n, g, k, d, kernels.words_lex(n), wnum, den)
-
-
-def _per_tuple_census_groups(n, g, k, d, wnum, wden, t0_lo=0, t0_hi=None):
-    """The census groups with every word tuple's bound recomputed from all k
-    points, as the kernel's first phase did before the bound was split over
-    the points; each distinct key's lattice is then searched on its own.
-    Returns (t_idx, s, dn_floor, lattice points) for each word tuple whose
-    lattice is not empty, in lexicographic order."""
     words = kernels.words_lex(n)
     nw = len(words)
-    if t0_hi is None:
-        t0_hi = nw
-    nm = n - 1
-    chi = 2 * g - 2 + k
-    scale = 2 * wden
-    desc = [kernels.descent_vector(w) for w in words]
-    tot = [sum(pw) for pw in wnum]
-    # tails[p][wi][l-2]: weight numerator sum of the letters in slots l..n
-    tails = []
-    for p in range(k):
-        row = []
-        for w in words:
-            col = [0] * nm
-            acc = 0
-            for l in range(n, 1, -1):
-                acc += wnum[p][w[l - 1] - 1]
-                col[l - 2] = acc
-            row.append(col)
-        tails.append(row)
-    coef = _coefficients(n)
-    dn_shift = n * (n - 1) * chi // 2
-    lattices = {}
-    groups = []
-    for t in product(range(t0_lo, t0_hi), *[range(nw)] * (k - 1)):
-        s = [0] * nm
-        for p in range(k):
-            for j in range(nm):
-                s[j] += desc[t[p]][j]
-        Q = []
-        for li in range(nm):
-            l = li + 2
-            w2 = 0
-            for p in range(k):
-                w2 += (n - l + 1) * tot[p] - n * tails[p][t[p]][li]
-            r = 2 * w2 + (n - l + 1) * (l - 1) * n * chi * wden
-            for j in range(nm):
-                r -= scale * coef[li][j] * s[j]
-            if r <= 0:
-                break
-            Q.append((r - 1) // scale)
-        else:
-            base = d - dn_shift + sum((j + 1) * s[j] for j in range(nm))
-            dn_floor, residue = divmod(base, n)
-            key = (tuple(Q), residue)
-            if key not in lattices:
-                lattices[key] = tuple(kernels._lattice(n, coef, *key)[0])
-            if lattices[key]:
-                groups.append((t, tuple(s), dn_floor, lattices[key]))
-    return groups
-
-
-def _census_groups(census):
-    return [(g.t_idx, g.s, g.dn_floor, tuple(g.lattice)) for g in census.groups]
-
-
-@pytest.mark.parametrize("scale,seed", ORACLE_WEIGHTS, ids=["scale1", "scale1/8"])
-@pytest.mark.parametrize("p", ORACLE_GRID, ids=lambda p: f"{p.n}-{p.g}-{p.k}-{p.d}")
-def test_census_groups_match_per_tuple_bounds(p, scale, seed):
-    """Summing each point's a_p(w) vector along a depth-first walk gives the
-    groups of the per-tuple bound, field by field, on the whole first-word
-    range and on pieces of it."""
-    args = _census_args(p, seed, scale)
-    nw = math.factorial(p.n)
-    for lo, hi in [(0, nw), (0, 1), (1, nw // 2 + 1), (nw // 2 + 1, nw)]:
-        census = kernels.enumerate_census(*args, lo, hi)
-        assert _census_groups(census) == _per_tuple_census_groups(*args, lo, hi)
-
-
-@pytest.mark.parametrize(
-    "p",
-    [ModuliParams(2, 2, 11, 1), ModuliParams(5, 2, 2, 0)],
-    ids=lambda p: f"{p.n}-{p.g}-{p.k}-{p.d}",
-)
-def test_census_groups_match_per_tuple_bounds_at_scale(p):
-    """The same at many points (k = 11) and at n = 5 with two points, where
-    most word tuples share a prefix sum with others."""
-    scale = Fraction(1) if p.n <= 3 else small_weight_margin(p)
-    args = _census_args(p, 1, scale)
-    expected = _per_tuple_census_groups(*args)
-    assert len(expected) > 1000
-    assert _census_groups(kernels.enumerate_census(*args)) == expected
+    if ranges is None:
+        ranges = [(0, nw), (0, 1), (1, nw // 2 + 1), (nw // 2 + 1, nw)]
+    for lo, hi in ranges:
+        rows = kernels.enumerate_census(n, g, k, d, wnum, den, lo, hi, backend="python")
+        assert rows == _leaf_filter_census(n, g, k, d, words, wnum, den, lo, hi)
 
 
 @given(

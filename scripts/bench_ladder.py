@@ -2,7 +2,7 @@
 write the medians to a BENCH JSON file.
 
     python3 scripts/bench_ladder.py --tree parent=../parent --tree change=. \\
-        --out BENCH_13.json
+        --out BENCH_14.json
 
 Each rung is one CLI invocation (see RUNGS), run RUNS times per tree.
 Every run starts a fresh interpreter that runs ``parmirror.cli`` from
@@ -15,10 +15,22 @@ Linux that value also counts the image the child had before ``exec``, so
 this script imports nothing beyond the standard library and keeps its own
 RSS small.
 
+Before every run, and once after the last, a fresh interpreter runs
+perfbench's calibration load (``harness.CALIBRATION_CODE``, a fixed
+pure-Python load that shares no code with parmirror). A run's speed scale
+is perfbench's: ``CALIBRATION_REF_S`` over the mean of the calibrations on
+either side of it, so a run made while the machine was slow is scaled down
+to the reference speed, and absolute times of two BENCH files, or a goal
+such as "< 10 s", can be compared on the scaled medians. The two constants
+are read from perfbench/harness.py by a child that imports it, because
+importing it here would add about 1 MB to this process and so to the peak
+RSS floor of every child.
+
 A run fails on a non-zero exit, a timeout or a memory-cap kill. The sha256
 of each rung's output files must be the same on every run of every tree;
 the file records whether it was. Per tree and rung it holds the median wall
-time and peak RSS of the runs, and every run's numbers.
+time, raw and speed-scaled, the median peak RSS of the runs, and every
+run's numbers; the calibration times are recorded as well.
 """
 
 from __future__ import annotations
@@ -35,6 +47,8 @@ import tempfile
 import threading
 import time
 from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # name -> CLI arguments; "{tmp}" is the run's own output directory
 RUNGS = {
@@ -90,6 +104,25 @@ def run_once(tree: Path, args: list[str]) -> dict:
             "exit": proc.returncode, "sha256": digests}
 
 
+def calibration_load() -> tuple[str, float]:
+    """perfbench's calibration code and its reference time, from harness.py."""
+    code = ("import harness, json; "
+            "print(json.dumps([harness.CALIBRATION_CODE, harness.CALIBRATION_REF_S]))")
+    done = subprocess.run([sys.executable, "-c", code], cwd=PERFBENCH, check=True,
+                          capture_output=True, text=True)
+    load, ref_s = json.loads(done.stdout)
+    return load, ref_s
+
+
+def calibrate(load: str) -> float:
+    """Wall time of a fresh interpreter running the calibration load, which
+    must succeed."""
+    start = time.perf_counter()
+    subprocess.run([sys.executable, "-c", load], check=True, stdin=subprocess.DEVNULL,
+                   stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=TIMEOUT_S)
+    return round(time.perf_counter() - start, 4)
+
+
 def median(runs: list[dict], field: str, digits: int):
     """The median of one field over the runs, or None when there are none."""
     return round(statistics.median(r[field] for r in runs), digits) if runs else None
@@ -124,14 +157,23 @@ def main(argv=None) -> int:
 
     results = {}
     failed = 0
+    load, ref_s = calibration_load()
+    calibrations = [calibrate(load)]
     for rung, rung_argv in RUNGS.items():
         runs = {label: [] for label in trees}
         for i in range(RUNS):
             order = list(trees) if i % 2 == 0 else list(reversed(trees))
             for label in order:
                 run = run_once(trees[label], rung_argv)
+                calibrations.append(calibrate(load))
+                run["calibration_s"] = calibrations[-2:]
+                # harness.speed_scales: the reference time over the mean of
+                # the calibrations on either side of the run
+                run["scale"] = round(2 * ref_s / sum(calibrations[-2:]), 4)
+                run["scaled_wall_s"] = round(run["wall_s"] * run["scale"], 4)
                 runs[label].append(run)
                 print(f"{rung} [{label}] run {i + 1}: {run['wall_s']:.3f} s "
+                      f"(scaled {run['scaled_wall_s']:.3f} s) "
                       f"{run['peak_rss_mb']:.1f} MB exit {run['exit']}", file=sys.stderr)
         digests = {json.dumps(r["sha256"], sort_keys=True) for rs in runs.values() for r in rs}
         entry = {"argv": rung_argv, "outputs_equal": len(digests) == 1, "trees": {}}
@@ -140,6 +182,7 @@ def main(argv=None) -> int:
             failed += len(rs) - len(ok)
             entry["trees"][label] = {
                 "median_wall_s": median(ok, "wall_s", 4),
+                "median_scaled_wall_s": median(ok, "scaled_wall_s", 4),
                 "median_peak_rss_mb": median(ok, "peak_rss_mb", 1),
                 "failed": len(rs) - len(ok),
                 "runs": rs,
@@ -153,6 +196,9 @@ def main(argv=None) -> int:
         "nproc": os.cpu_count(),
         "runs_per_rung": RUNS,
         "as_limit_bytes": AS_LIMIT,
+        "calibration": {"ref_s": ref_s,
+                        "median_s": statistics.median(calibrations),
+                        "runs_s": calibrations},
         "trees": {label: describe(path) for label, path in trees.items()},
         "rungs": results,
     }

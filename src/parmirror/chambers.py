@@ -11,11 +11,11 @@ stronger sense. All arithmetic is exact.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations, product
 from math import lcm
+from typing import NamedTuple
 
 from .exactpoly import IdentityCheckError, format_rat, parse_rat
 from .moduli import ModuliParams
@@ -36,17 +36,21 @@ class CollisionError(ValueError):
     """A tensor shift produced two equal weights at one point."""
 
 
-@dataclass(frozen=True)
-class WeightSystem:
-    """Per-point full-flag weights: alpha[p] strictly increasing in [0, 1)."""
-
+class _WeightFields(NamedTuple):
     alpha: tuple[tuple[Fraction, ...], ...]
 
-    def __post_init__(self):
-        if not self.alpha:
+
+class WeightSystem(_WeightFields):
+    """Per-point full-flag weights: alpha[p] strictly increasing in [0, 1).
+    An immutable one-field tuple, checked on construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, alpha: tuple[tuple[Fraction, ...], ...]):
+        if not alpha:
             raise ValueError("need at least one marked point")
-        n = len(self.alpha[0])
-        for p, row in enumerate(self.alpha):
+        n = len(alpha[0])
+        for p, row in enumerate(alpha):
             if len(row) != n:
                 raise ValueError(f"point {p} has {len(row)} weights, expected {n}")
             for a in row:
@@ -56,6 +60,12 @@ class WeightSystem:
                     raise ValueError(f"weight {a} outside [0, 1)")
             if any(row[i] >= row[i + 1] for i in range(n - 1)):
                 raise ValueError(f"weights at point {p} are not strictly increasing: {row}")
+        return tuple.__new__(cls, (alpha,))
+
+    @classmethod
+    def _make(cls, iterable):
+        # the inherited _make (and _replace, which calls it) skips __new__
+        return cls(*iterable)
 
     @classmethod
     def from_rows(cls, rows) -> WeightSystem:
@@ -77,8 +87,7 @@ class WeightSystem:
         return cls.from_rows([[parse_rat(a) for a in row] for row in data["points"]])
 
 
-@dataclass(frozen=True)
-class Wall:
+class Wall(NamedTuple):
     """Numerical destabilizing datum: subbundle rank nprime, one weight
     index subset (1-based, size nprime) per point, subbundle degree dprime."""
 

@@ -12,7 +12,6 @@ strings; nothing in the input path goes through floating point.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from fractions import Fraction
 from itertools import permutations
@@ -137,6 +136,9 @@ def _cmd_sweep(args) -> int:
     payload = sweep_to_jsonable(results, include_timings=args.timings)
     _emit(args, payload)
     if args.csv:
+        # imported here, as only sweep writes through the csv module
+        import csv
+
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             for row in sweep_to_csv_rows(results, include_timings=args.timings):

@@ -12,7 +12,6 @@ makes the filtered sum collapse.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, partial
 from itertools import permutations, product
@@ -49,16 +48,26 @@ class NonIntegralDegreeError(ValueError):
     """The degree congruence fails, so the component degree is not an integer."""
 
 
-@dataclass(frozen=True)
-class PermWord:
-    """A permutation of 1..n as a letter tuple."""
-
+class _WordFields(NamedTuple):
     letters: tuple[int, ...]
 
-    def __post_init__(self):
-        n = len(self.letters)
-        if sorted(self.letters) != list(range(1, n + 1)):
-            raise ValueError(f"{self.letters} is not a permutation word of 1..{n}")
+
+class PermWord(_WordFields):
+    """A permutation of 1..n as a letter tuple. An immutable one-field
+    tuple, checked on construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, letters: tuple[int, ...]):
+        n = len(letters)
+        if sorted(letters) != list(range(1, n + 1)):
+            raise ValueError(f"{letters} is not a permutation word of 1..{n}")
+        return tuple.__new__(cls, (letters,))
+
+    @classmethod
+    def _make(cls, iterable):
+        # the inherited _make (and _replace, which calls it) skips __new__
+        return cls(*iterable)
 
     @classmethod
     def from_string(cls, text: str) -> PermWord:
@@ -88,18 +97,35 @@ def _words_field(texts) -> str:
     return "|".join(texts)
 
 
-@dataclass(frozen=True)
 class PermTuple:
-    """One permutation word per marked point."""
+    """One permutation word per marked point. Immutable, and equal and
+    hashed by its words; not a tuple, so that its descents and text can be
+    cached on first use."""
 
-    words: tuple[PermWord, ...]
-
-    def __post_init__(self):
-        if not self.words:
+    def __init__(self, words: tuple[PermWord, ...]):
+        if not words:
             raise ValueError("need at least one word")
-        n = self.words[0].n
-        if any(w.n != n for w in self.words):
+        n = words[0].n
+        if any(w.n != n for w in words):
             raise ValueError("words have mixed sizes")
+        object.__setattr__(self, "words", words)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.words == other.words
+
+    def __hash__(self) -> int:
+        return hash((self.words,))
+
+    def __repr__(self) -> str:
+        return f"PermTuple(words={self.words!r})"
 
     @classmethod
     def from_strings(cls, *texts: str) -> PermTuple:
@@ -274,16 +300,6 @@ def enumerate_components(p: ModuliParams, w: WeightSystem) -> Components:
     return Components(census, words)
 
 
-def component_variant_epoly(p: ModuliParams, c: ComponentType11) -> BivarPoly:
-    """Variant E-polynomial contribution of one component:
-    (n^2g - 1) times the product of the degree-m_j slices of
-    ((1-u)(1-v))^(g-1); zero once any m_j exceeds 2g-2."""
-    poly = BivarPoly.constant(p.n ** (2 * p.g) - 1)
-    for mj in c.m:
-        poly = poly * binom_deg_slice(p.g - 1, mj)
-    return poly
-
-
 def variant_total_bruteforce(
     p: ModuliParams, w: WeightSystem, *, components=None
 ) -> BivarPoly:
@@ -394,26 +410,6 @@ def variant_total_cyclotomic(p: ModuliParams) -> BivarPoly:
     proj = cyc_project(total.exact_div(n))
     h = dim_hitchin_base(p)
     return (proj * (n ** (2 * g) - 1)).shift(h, h)
-
-
-def descent_character_sum(n: int, l: int) -> CycInt:
-    """Sum over S_n of xi^(l * sigma(word)); zero for every l not divisible
-    by n because each residue class of sigma has exactly (n-1)! words."""
-    acc = CycInt.zero(n)
-    for w in kernels.words_lex(n):
-        acc = acc + CycInt.root_power(n, (l * sigma(w)) % n)
-    return acc
-
-
-def cyclotomic_discarded_term(p: ModuliParams) -> BivarPoly:
-    """Closed form of each discarded l != 0 filter term:
-    ((1-u^n)(1-v^n)/((1-u)(1-v)))^(g-1) * (n*count_S(n) - n!)^k.
-    The scalar factor vanishes, so this is the zero polynomial."""
-    n, g, k = p.n, p.g, p.k
-    geom_u = sum((U**i for i in range(n)), ZERO)
-    geom_v = sum((V**i for i in range(n)), ZERO)
-    weight = (n * count_S(n) - factorial(n)) ** k
-    return (geom_u * geom_v) ** (g - 1) * weight
 
 
 def count_S(n: int, residue: int = 0) -> int:

@@ -246,13 +246,6 @@ def binom_deg_slice(G: int, m: int) -> BivarPoly:
     return BivarPoly(terms)
 
 
-def root_of_unity_filter(n: int, nu: int) -> int:
-    """Sum of xi^(l*nu) over l = 0..n-1: n when n | nu, else 0."""
-    if not is_prime(n):
-        raise ValueError(f"n = {n} is not prime")
-    return n if nu % n == 0 else 0
-
-
 class CycInt:
     """Element of Z[xi] for xi a primitive n-th root of unity, n prime.
 

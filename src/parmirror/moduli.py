@@ -1,6 +1,6 @@
 """Numerical invariants of the moduli spaces.
 
-Dimensions, spectral-cover degrees and genera, parabolic slopes, and a
+Dimensions of the moduli space, its Hitchin base and the Prym variety, and a
 typing check for the section of the Hitchin map built from a companion
 matrix with full-flag parabolic structure. Rank is a prime n, the curve has
 genus g >= 2, and every one of the k marked points carries a full flag.
@@ -8,43 +8,38 @@ genus g >= 2, and every one of the k marked points carries a full flag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exactpoly import IdentityCheckError, NonIntegralCoefficientError, is_prime
 
 
-@dataclass(frozen=True)
-class ModuliParams:
-    """Discrete input data: prime rank n, genus g, marked points k, degree d."""
-
+class _ModuliFields(NamedTuple):
     n: int
     g: int
     k: int
-    d: int = 0
-
-    def __post_init__(self):
-        if not is_prime(self.n):
-            raise ValueError(f"rank {self.n} is not prime")
-        if self.g < 2:
-            raise ValueError(f"genus {self.g} must be at least 2")
-        if self.k < 1:
-            raise ValueError(f"need at least one marked point, got {self.k}")
+    d: int
 
 
-@dataclass(frozen=True)
-class ParabolicSummary:
-    """Rank, degree and total weight of a parabolic bundle, for slopes."""
+class ModuliParams(_ModuliFields):
+    """Discrete input data: prime rank n, genus g, marked points k, degree d.
+    An immutable tuple of these four fields, checked on construction."""
 
-    rank: int
-    degree: int
-    weight_total: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError(f"rank {self.rank} must be positive")
-        if self.weight_total < 0:
-            raise ValueError(f"total weight {self.weight_total} must be nonnegative")
+    def __new__(cls, n: int, g: int, k: int, d: int = 0):
+        if not is_prime(n):
+            raise ValueError(f"rank {n} is not prime")
+        if g < 2:
+            raise ValueError(f"genus {g} must be at least 2")
+        if k < 1:
+            raise ValueError(f"need at least one marked point, got {k}")
+        return tuple.__new__(cls, (n, g, k, d))
+
+    @classmethod
+    def _make(cls, iterable):
+        # the inherited _make (and _replace, which calls it) skips __new__
+        return cls(*iterable)
 
 
 def _as_int(q: Fraction, what: str) -> int:
@@ -69,28 +64,10 @@ def dim_hitchin_base(p: ModuliParams) -> int:
     return val
 
 
-def spectral_fiber_degree(p: ModuliParams) -> int:
-    """Degree d + n(n-1)(g - 1 + k/2) of the line bundles on the spectral
-    cover that parametrize a generic Hitchin fibre."""
-    return _as_int(
-        p.d + p.n * (p.n - 1) * (Fraction(2 * p.g - 2 + p.k, 2)),
-        "spectral fibre degree",
-    )
-
-
-def cover_genus(n: int, g: int) -> int:
-    """Genus n(g-1) + 1 of the degree-n unramified cyclic cover."""
-    return n * (g - 1) + 1
-
-
 def prym_dim(n: int, g: int) -> int:
-    """Dimension (n-1)(g-1) of the Prym variety of that cover."""
+    """Dimension (n-1)(g-1) of the Prym variety of the degree-n unramified
+    cyclic cover."""
     return (n - 1) * (g - 1)
-
-
-def par_slope(s: ParabolicSummary) -> Fraction:
-    """Parabolic slope (degree + total weight) / rank."""
-    return Fraction(s.degree + s.weight_total, s.rank)
 
 
 def hitchin_section_check(p: ModuliParams, reverse_flags: bool = False) -> bool:

@@ -8,9 +8,9 @@ rotation combine into the stringy total that mirrors the variant total.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import factorial
+from typing import NamedTuple
 
 from .exactpoly import ONE, U, V, BivarPoly, IdentityCheckError, uv_power
 from .kernels import words_lex
@@ -97,8 +97,7 @@ def sn_quotient_count_bruteforce(n: int, k: int) -> int:
     return average
 
 
-@dataclass(frozen=True)
-class FixedLocusInvariants:
+class FixedLocusInvariants(NamedTuple):
     """Everything the stringy side needs for one nonzero torsion point."""
 
     dim: int

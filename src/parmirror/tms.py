@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import json
 import time
-from configparser import ConfigParser, Error as ConfigError
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .chambers import (
     WeightSystem,
@@ -34,8 +33,7 @@ from .moduli import ModuliParams
 from .pgl_fixed import stringy_gamma_sum
 
 
-@dataclass(frozen=True)
-class TmsReport:
+class TmsReport(NamedTuple):
     """Result of one identity check. timing_ms is informational only and is
     excluded from canonical serialization."""
 
@@ -51,8 +49,7 @@ class TmsReport:
     timing_ms: dict
 
 
-@dataclass(frozen=True)
-class SweepFailure:
+class SweepFailure(NamedTuple):
     """One sweep instance that raised instead of reporting."""
 
     n: int
@@ -111,8 +108,7 @@ def verify_identity(p: ModuliParams, w: WeightSystem, *, totals=None) -> TmsRepo
     )
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(NamedTuple):
     """Grid of parameters, seeds, and sampling scales for a sweep."""
 
     ns: tuple[int, ...]
@@ -137,6 +133,9 @@ class SweepConfig:
     def from_file(cls, path) -> SweepConfig:
         """Read an INI grid. A missing file, section or key, an unparsable
         file, or an empty axis raises ValueError."""
+        # imported here, as only a sweep with a config file reads one
+        from configparser import ConfigParser, Error as ConfigError
+
         parser = ConfigParser()
         try:
             read = parser.read(path)

@@ -10,26 +10,44 @@ mod a prime n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import gcd
+from typing import NamedTuple
 
 from .exactpoly import IdentityCheckError, is_prime
 
 
-@dataclass(frozen=True)
 class TorsionVector:
-    """Element of (Z/n)^(2g); coordinates stored reduced mod n."""
+    """Element of (Z/n)^(2g); coordinates stored reduced mod n. Immutable,
+    and equal and hashed by (n, coords); not a tuple, so that + and * act
+    on the group and values do not order."""
 
-    n: int
-    coords: tuple[int, ...]
+    __slots__ = ("n", "coords")
 
-    def __post_init__(self):
-        if not is_prime(self.n):
-            raise ValueError(f"n = {self.n} is not prime")
-        if len(self.coords) % 2 or len(self.coords) < 4:
-            raise ValueError(f"coordinate length {len(self.coords)} is not 2g with g >= 2")
-        object.__setattr__(self, "coords", tuple(c % self.n for c in self.coords))
+    def __init__(self, n: int, coords: tuple[int, ...]):
+        if not is_prime(n):
+            raise ValueError(f"n = {n} is not prime")
+        if len(coords) % 2 or len(coords) < 4:
+            raise ValueError(f"coordinate length {len(coords)} is not 2g with g >= 2")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "coords", tuple(c % n for c in coords))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.coords) == (other.n, other.coords)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.coords))
+
+    def __repr__(self) -> str:
+        return f"TorsionVector(n={self.n!r}, coords={self.coords!r})"
 
     @property
     def g(self) -> int:
@@ -61,30 +79,39 @@ def standard_basis_vector(n: int, g: int, index: int) -> TorsionVector:
     return TorsionVector(n, tuple(coords))
 
 
-@dataclass(frozen=True)
-class SymplecticForm:
-    """Alternating nondegenerate form on (Z/n)^(2g), as a matrix mod n."""
-
+class _FormFields(NamedTuple):
     n: int
     g: int
     matrix: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        if not is_prime(self.n):
-            raise ValueError(f"n = {self.n} is not prime")
-        size = 2 * self.g
-        if len(self.matrix) != size or any(len(row) != size for row in self.matrix):
+
+class SymplecticForm(_FormFields):
+    """Alternating nondegenerate form on (Z/n)^(2g), as a matrix mod n.
+    An immutable tuple of these three fields, checked on construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, g: int, matrix: tuple[tuple[int, ...], ...]):
+        if not is_prime(n):
+            raise ValueError(f"n = {n} is not prime")
+        size = 2 * g
+        if len(matrix) != size or any(len(row) != size for row in matrix):
             raise ValueError(f"form matrix is not {size} x {size}")
-        m = tuple(tuple(c % self.n for c in row) for row in self.matrix)
-        object.__setattr__(self, "matrix", m)
+        m = tuple(tuple(c % n for c in row) for row in matrix)
         for i in range(size):
             if m[i][i] != 0:
                 raise ValueError("form is not alternating (nonzero diagonal)")
             for j in range(size):
-                if (m[i][j] + m[j][i]) % self.n != 0:
+                if (m[i][j] + m[j][i]) % n != 0:
                     raise ValueError("form is not antisymmetric")
-        if _rref(m, self.n)[0] < size:
+        if _rref(m, n)[0] < size:
             raise ValueError("form is degenerate")
+        return tuple.__new__(cls, (n, g, m))
+
+    @classmethod
+    def _make(cls, iterable):
+        # the inherited _make (and _replace, which calls it) skips __new__
+        return cls(*iterable)
 
     @classmethod
     def standard(cls, n: int, g: int) -> SymplecticForm:
@@ -153,18 +180,6 @@ def _invert_mod(rows, n: int) -> list[list[int]]:
     return [row[size:] for row in reduced]
 
 
-def coordinates_in_basis(v: TorsionVector, basis) -> tuple[int, ...]:
-    """Coefficients c with v = sum c_i basis_i, mod n."""
-    basis = tuple(basis)
-    n = v.n
-    binv = _invert_mod([b.coords for b in basis], n)
-    # v = c . B (vectors as rows), so c = v . B^(-1)
-    size = len(basis)
-    return tuple(
-        sum(v.coords[i] * binv[i][j] for i in range(size)) % n for j in range(size)
-    )
-
-
 def complete_basis(gamma: TorsionVector, form: SymplecticForm, l_gamma: int = 1):
     """Basis (gamma, delta_0, delta_1, ..., delta_{2g-2}) with
     <delta_0, gamma> = l_gamma and <delta_i, gamma> = 0 for i >= 1.
@@ -208,25 +223,35 @@ def galois_orbit_size(n: int, d: int) -> int:
     return n // gcd(n, d % n if d % n else n)
 
 
-@dataclass(frozen=True)
-class NormFiberModel:
-    """Component bookkeeping for a norm-map fibre: labels Z/n, a nonzero
-    gamma acting through its pairing, Galois acting by +d."""
-
+class _FiberFields(NamedTuple):
     n: int
     d: int
     gamma: TorsionVector
-    l_gamma: int = 1
+    l_gamma: int
 
-    def __post_init__(self):
-        if not is_prime(self.n):
-            raise ValueError(f"n = {self.n} is not prime")
-        if self.gamma.n != self.n:
+
+class NormFiberModel(_FiberFields):
+    """Component bookkeeping for a norm-map fibre: labels Z/n, a nonzero
+    gamma acting through its pairing, Galois acting by +d. An immutable
+    tuple of these four fields, checked on construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, d: int, gamma: TorsionVector, l_gamma: int = 1):
+        if not is_prime(n):
+            raise ValueError(f"n = {n} is not prime")
+        if gamma.n != n:
             raise ValueError("gamma lives mod a different n")
-        if self.gamma.is_zero():
+        if gamma.is_zero():
             raise ValueError("gamma must be nonzero")
-        if gcd(self.l_gamma, self.n) != 1:
-            raise ValueError(f"l_gamma = {self.l_gamma} is not invertible mod {self.n}")
+        if gcd(l_gamma, n) != 1:
+            raise ValueError(f"l_gamma = {l_gamma} is not invertible mod {n}")
+        return tuple.__new__(cls, (n, d, gamma, l_gamma))
+
+    @classmethod
+    def _make(cls, iterable):
+        # the inherited _make (and _replace, which calls it) skips __new__
+        return cls(*iterable)
 
     @property
     def components(self) -> tuple[int, ...]:

@@ -8,6 +8,7 @@ from fractions import Fraction
 from itertools import permutations, product
 from math import factorial
 
+from oracles import cyclotomic_discarded_term
 from parmirror.chambers import (
     enumerate_walls,
     sample_generic_weights,
@@ -18,7 +19,6 @@ from parmirror.cstar_fixed import (
     PermTuple,
     PermWord,
     count_S,
-    cyclotomic_discarded_term,
     degree_constraint,
     enumerate_components,
     insertion_bijection_check,

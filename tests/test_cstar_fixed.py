@@ -17,6 +17,7 @@ from math import factorial
 
 import pytest
 
+from oracles import component_variant_epoly, cyclotomic_discarded_term, descent_character_sum
 from parmirror import cli, cstar_fixed, kernels
 from parmirror.chambers import (
     NonGenericWeightsError,
@@ -32,12 +33,9 @@ from parmirror.cstar_fixed import (
     PermTuple,
     PermWord,
     component_dn,
-    component_variant_epoly,
     components_to_csv,
     count_S,
-    cyclotomic_discarded_term,
     degree_constraint,
-    descent_character_sum,
     enumerate_components,
     insertion_bijection_check,
     sigma,

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import root_of_unity_filter
 from parmirror.exactpoly import (
     ONE,
     U,
@@ -25,7 +26,6 @@ from parmirror.exactpoly import (
     format_rat,
     is_prime,
     parse_rat,
-    root_of_unity_filter,
     uv_power,
 )
 

@@ -8,16 +8,13 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import ParabolicSummary, cover_genus, par_slope, spectral_fiber_degree
 from parmirror.moduli import (
     ModuliParams,
-    ParabolicSummary,
-    cover_genus,
     dim_hitchin_base,
     dim_moduli,
     hitchin_section_check,
-    par_slope,
     prym_dim,
-    spectral_fiber_degree,
 )
 
 SWEEP = [

@@ -12,6 +12,7 @@ from itertools import product
 
 import pytest
 
+from oracles import coordinates_in_basis
 from parmirror import cli, torsion
 from parmirror.exactpoly import IdentityCheckError
 from parmirror.torsion import (
@@ -20,7 +21,6 @@ from parmirror.torsion import (
     TorsionVector,
     check_component_action,
     complete_basis,
-    coordinates_in_basis,
     galois_orbit_size,
     gamma_component_shift,
     invariant_fiber_count,

@@ -5,10 +5,18 @@ takes len() of their results, iterates the components twice and replays
 every census call on each backend. A small `variant` and a small `tms` run
 go through its Probe here, so a result type that breaks those hooks fails
 these tests. The module is imported from its file and left unchanged.
+
+The traced child imports parmirror.cli and then looks up every module it
+wraps in sys.modules, so importing the CLI must load them all; it must
+also stay clear of the modules that made every run pay for dataclass code
+generation or for what only `sweep` uses.
 """
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from math import factorial
 from pathlib import Path
 
@@ -18,6 +26,14 @@ import parmirror.cli
 from parmirror import cstar_fixed, kernels
 
 TRACING_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+SRC_DIR = Path(parmirror.cli.__file__).resolve().parents[1]
+STARTUP_PROBE = """
+import json, sys
+before = set(sys.modules)
+import parmirror.cli
+print(json.dumps({"before": sorted(before), "after": sorted(sys.modules)}))
+"""
+NOT_AT_STARTUP = ("dataclasses", "inspect", "configparser", "csv")
 
 
 @pytest.fixture(scope="module")
@@ -51,3 +67,14 @@ def test_traced_run_counters_agree(tracing, tmp_path, argv):
     assert 0 < stats["supported"] <= stats["components"]
     assert len(probe.census_calls) == 1
     assert set(probe.backend_parity(kernels)) == set(kernels.backends())
+
+
+def test_cli_import_loads_the_traced_modules_and_nothing_sweep_only(tracing):
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    out = subprocess.run([sys.executable, "-c", STARTUP_PROBE], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    modules = json.loads(out)
+    loaded = set(modules["after"]) - set(modules["before"])
+    wanted = {f"parmirror.{name}" for name, _ in tracing.SPAN_TARGETS} | {"parmirror.exactpoly"}
+    assert wanted <= loaded, sorted(wanted - loaded)
+    assert not loaded & set(NOT_AT_STARTUP), sorted(loaded & set(NOT_AT_STARTUP))

@@ -10,10 +10,10 @@ Every run starts a fresh interpreter that runs ``parmirror.cli`` from
 address-space cap, with its outputs written to a temporary directory. The runs go one child at a time,
 and the trees alternate within each round, so drift in machine speed falls
 on every tree alike. Each child is reaped with ``os.wait4``: its wall time
-runs from spawn to reap, and its peak RSS is its own ``ru_maxrss``. On
-Linux that value also counts the image the child had before ``exec``, so
-this script imports nothing beyond the standard library and keeps its own
-RSS small.
+runs from spawn to reap. Its peak RSS is the ``VmHWM`` line of its own
+``/proc/self/status``, which the child writes at exit. ``ru_maxrss`` would
+not do: on Linux it also counts the image the child had before ``exec``,
+so every child would read at least this script's own RSS.
 
 Before every run, and once after the last, a fresh interpreter runs
 perfbench's calibration load (``harness.CALIBRATION_CODE``, a fixed
@@ -22,15 +22,15 @@ is perfbench's: ``CALIBRATION_REF_S`` over the mean of the calibrations on
 either side of it, so a run made while the machine was slow is scaled down
 to the reference speed, and absolute times of two BENCH files, or a goal
 such as "< 10 s", can be compared on the scaled medians. The two constants
-are read from perfbench/harness.py by a child that imports it, because
-importing it here would add about 1 MB to this process and so to the peak
-RSS floor of every child.
+are read from perfbench/harness.py by a child that imports it.
 
 A run fails on a non-zero exit, a timeout or a memory-cap kill. The sha256
 of each rung's output files must be the same on every run of every tree;
 the file records whether it was. Per tree and rung it holds the median wall
 time, raw and speed-scaled, the median peak RSS of the runs, and every
-run's numbers; the calibration times are recorded as well.
+run's numbers; the calibration times are recorded as well, and so is
+``PYTHONDONTWRITEBYTECODE``: the children inherit it, and when it is set
+every run compiles ``src/`` anew.
 """
 
 from __future__ import annotations
@@ -68,13 +68,24 @@ RUNS = 3
 AS_LIMIT = 2 << 30
 TIMEOUT_S = 600.0
 
-# Sets the cap, then runs the CLI module as "python -m" would.
-BOOT = (
-    "import resource, runpy, sys; "
-    "resource.setrlimit(resource.RLIMIT_AS, (int(sys.argv[1]),) * 2); "
-    "del sys.argv[1]; "
-    "runpy.run_module('parmirror.cli', run_name='__main__', alter_sys=True)"
-)
+# Sets the cap, arranges for the peak RSS to be written to the file named
+# by the second argument at exit, then runs the CLI module as "python -m"
+# would.
+BOOT = """\
+import atexit, resource, runpy, sys
+
+peak_path = sys.argv.pop(2)
+
+def write_peak():
+    with open("/proc/self/status") as status, open(peak_path, "w") as out:
+        out.write(next(line for line in status if line.startswith("VmHWM:")))
+
+resource.setrlimit(resource.RLIMIT_AS, (int(sys.argv[1]),) * 2)
+del sys.argv[1]
+atexit.register(write_peak)
+runpy.run_module("parmirror.cli", run_name="__main__", alter_sys=True)
+"""
+PEAK_FILE = ".vmhwm"  # in the run's directory; not one of its outputs
 
 
 def run_once(tree: Path, args: list[str]) -> dict:
@@ -82,7 +93,8 @@ def run_once(tree: Path, args: list[str]) -> dict:
     status and the sha256 of each output file."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     with tempfile.TemporaryDirectory() as tmp:
-        argv = [sys.executable, "-c", BOOT, str(AS_LIMIT)]
+        peak_path = Path(tmp) / PEAK_FILE
+        argv = [sys.executable, "-c", BOOT, str(AS_LIMIT), str(peak_path)]
         argv += [a.replace("{tmp}", tmp) for a in args]
         start = time.perf_counter()
         proc = subprocess.Popen(argv, env=env, cwd=tmp, stdout=subprocess.DEVNULL,
@@ -90,18 +102,22 @@ def run_once(tree: Path, args: list[str]) -> dict:
         timer = threading.Timer(TIMEOUT_S, proc.kill)
         timer.start()
         try:
-            _, status, usage = os.wait4(proc.pid, 0)
+            _, status, _ = os.wait4(proc.pid, 0)
         finally:
             timer.cancel()
         wall = time.perf_counter() - start
         proc.returncode = os.waitstatus_to_exitcode(status)
+        # "VmHWM:  13824 kB"; absent when the child was killed
+        peak_kb = int(peak_path.read_text().split()[1]) if peak_path.exists() else None
         digests = {}
         for path in sorted(Path(tmp).iterdir()):
+            if path.name == PEAK_FILE:
+                continue
             with path.open("rb") as fh:  # streamed, so this process stays small
                 digests[path.name] = hashlib.file_digest(fh, "sha256").hexdigest()
-    # ru_maxrss is in KiB on Linux
-    return {"wall_s": round(wall, 4), "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),
-            "exit": proc.returncode, "sha256": digests}
+    peak_mb = None if peak_kb is None else round(peak_kb / 1024, 1)
+    return {"wall_s": round(wall, 4), "peak_rss_mb": peak_mb, "exit": proc.returncode,
+            "sha256": digests}
 
 
 def calibration_load() -> tuple[str, float]:
@@ -174,7 +190,7 @@ def main(argv=None) -> int:
                 runs[label].append(run)
                 print(f"{rung} [{label}] run {i + 1}: {run['wall_s']:.3f} s "
                       f"(scaled {run['scaled_wall_s']:.3f} s) "
-                      f"{run['peak_rss_mb']:.1f} MB exit {run['exit']}", file=sys.stderr)
+                      f"{run['peak_rss_mb']} MB exit {run['exit']}", file=sys.stderr)
         digests = {json.dumps(r["sha256"], sort_keys=True) for rs in runs.values() for r in rs}
         entry = {"argv": rung_argv, "outputs_equal": len(digests) == 1, "trees": {}}
         for label, rs in runs.items():
@@ -196,6 +212,7 @@ def main(argv=None) -> int:
         "nproc": os.cpu_count(),
         "runs_per_rung": RUNS,
         "as_limit_bytes": AS_LIMIT,
+        "pythondontwritebytecode": os.environ.get("PYTHONDONTWRITEBYTECODE"),
         "calibration": {"ref_s": ref_s,
                         "median_s": statistics.median(calibrations),
                         "runs_s": calibrations},

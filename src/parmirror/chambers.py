@@ -124,9 +124,9 @@ class Walls:
     """The walls of one parameter set, stored as runs.
 
     A sized, re-iterable sequence of Wall records in (nprime, subsets,
-    dprime) order that compares equal to any sized iterable of them. Each
-    run (nprime, subsets, d_lo, d_hi) stands for the walls with dprime in
-    d_lo..d_hi; the records are built only while iterating.
+    dprime) order. Each run (nprime, subsets, d_lo, d_hi) stands for the
+    walls with dprime in d_lo..d_hi; the records are built only while
+    iterating.
     """
 
     __slots__ = ("runs", "_count")
@@ -142,15 +142,6 @@ class Walls:
         for nprime, subsets, d_lo, d_hi in self.runs:
             for dprime in range(d_lo, d_hi + 1):
                 yield Wall(nprime, subsets, dprime)
-
-    def __eq__(self, other):
-        try:
-            size = len(other)
-        except TypeError:
-            return NotImplemented
-        return size == self._count and all(a == b for a, b in zip(self, other))
-
-    __hash__ = None
 
 
 @lru_cache(maxsize=None)
@@ -295,6 +286,13 @@ def small_weight_margin(p: ModuliParams) -> Fraction:
         if not n * (n - l + 1) * eps < 1:
             raise IdentityCheckError(f"weight slack too large at l = {l}")
     return eps
+
+
+def sampler_scale(p: ModuliParams, scale=Fraction(1)) -> Fraction:
+    """The scale the sampler runs at: scale itself for n <= 3; above that,
+    at most small_weight_margin(p), so large rank only ever samples inside
+    the single certified small-weight chamber."""
+    return scale if p.n <= 3 else min(scale, small_weight_margin(p))
 
 
 def tensor_transform(w: WeightSystem, beta) -> tuple[WeightSystem, tuple[int, ...]]:

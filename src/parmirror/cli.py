@@ -23,7 +23,7 @@ from .chambers import (
     enumerate_walls,
     is_generic,
     sample_generic_weights,
-    small_weight_margin,
+    sampler_scale,
     walls_to_jsonable,
 )
 from .cstar_fixed import (
@@ -68,7 +68,7 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _emit(args, payload: dict) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         _write_text(args.out, dumps_canonical(payload))
 
 
@@ -91,12 +91,7 @@ def _resolve_weights(args, p: ModuliParams) -> WeightSystem:
             raise ValueError("--weights conflicts with --seed/--scale; pick one source")
         return load_weights_json(args.weights)
     seed = 1 if args.seed is None else args.seed
-    if args.scale is not None:
-        scale = args.scale
-    elif p.n <= 3:
-        scale = Fraction(1)
-    else:
-        scale = small_weight_margin(p)
+    scale = sampler_scale(p) if args.scale is None else args.scale
     return sample_generic_weights(p, seed=seed, scale=scale)
 
 
@@ -108,7 +103,9 @@ def _add_params_flags(sub, with_deg=True):
         sub.add_argument("--deg", type=int, default=0, help="underlying bundle degree")
 
 
-def _add_weights_flags(sub):
+def _instance_flags(sub):
+    """The flags of one instance: its parameters and its weights source."""
+    _add_params_flags(sub)
     sub.add_argument("--weights", default=None, help="weights JSON file (conflicts with sampler flags)")
     sub.add_argument("--seed", type=int, default=None, help="sampler seed (default 1)")
     sub.add_argument("--scale", type=_rat, default=None,
@@ -153,7 +150,7 @@ def _cmd_variant(args) -> int:
     p = _params(args)
     w = _resolve_weights(args, p)
     components = enumerate_components(p, w)
-    brute = variant_total_bruteforce(p, w, components=components)
+    brute = variant_total_bruteforce(p, components)
     closed = variant_closed_form(p)
     cyclotomic = variant_total_cyclotomic(p)
     equal = brute == closed == cyclotomic
@@ -281,46 +278,23 @@ def _cmd_section(args) -> int:
 
 
 def _tms_flags(sub):
-    _add_params_flags(sub)
-    _add_weights_flags(sub)
-    sub.add_argument("--out", default=None, help="write canonical JSON report here")
+    _instance_flags(sub)
     sub.add_argument("--timings", action="store_true", help="include timings in the report")
-    sub.set_defaults(func=_cmd_tms)
 
 
 def _sweep_flags(sub):
     sub.add_argument("--config", default=None, help="INI grid file (default: built-in grid)")
-    sub.add_argument("--out", default=None, help="write canonical JSON report here")
     sub.add_argument("--csv", default=None, help="write summary CSV here")
     sub.add_argument("--timings", action="store_true", help="include timings in outputs")
-    sub.set_defaults(func=_cmd_sweep)
 
 
 def _variant_flags(sub):
-    _add_params_flags(sub)
-    _add_weights_flags(sub)
-    sub.add_argument("--out", default=None, help="write canonical JSON report here")
+    _instance_flags(sub)
     sub.add_argument("--csv", default=None, help="write the component census CSV here")
-    sub.set_defaults(func=_cmd_variant)
-
-
-def _stringy_flags(sub):
-    _add_params_flags(sub)
-    sub.add_argument("--out", default=None, help="write canonical JSON report here")
-    sub.set_defaults(func=_cmd_stringy)
-
-
-def _walls_flags(sub):
-    _add_params_flags(sub)
-    _add_weights_flags(sub)
-    sub.add_argument("--out", default=None, help="write canonical JSON report here")
-    sub.set_defaults(func=_cmd_walls)
 
 
 def _lemma_flags(sub):
     sub.add_argument("--n", type=int, required=True, help="word length (1..10)")
-    sub.add_argument("--out", default=None, help="write canonical JSON report here")
-    sub.set_defaults(func=_cmd_lemma)
 
 
 def _orbits_flags(sub):
@@ -331,26 +305,23 @@ def _orbits_flags(sub):
                      help="comma-separated 2g coordinates (default: first basis vector)")
     sub.add_argument("--l-gamma", dest="l_gamma", type=int, default=1,
                      help="pairing value against the distinguished partner")
-    sub.add_argument("--out", default=None, help="write canonical JSON report here")
-    sub.set_defaults(func=_cmd_orbits)
 
 
 def _section_flags(sub):
     _add_params_flags(sub, with_deg=False)
-    sub.add_argument("--out", default=None, help="write canonical JSON report here")
-    sub.set_defaults(func=_cmd_section)
 
 
-# name -> (help line, function that adds the subcommand's flags and handler)
+# name -> (help line, handler, function that adds the subcommand's own flags);
+# build_parser adds --out and the handler to each
 SUBCOMMANDS = {
-    "tms": ("verify the four-way identity for one instance", _tms_flags),
-    "sweep": ("run the identity over a parameter grid", _sweep_flags),
-    "variant": ("variant totals only (census, closed, filtered)", _variant_flags),
-    "stringy": ("quotient-side invariants and total", _stringy_flags),
-    "walls": ("enumerate walls; optionally test weight genericity", _walls_flags),
-    "lemma": ("shift-residue census and insertion check", _lemma_flags),
-    "orbits": ("torsion-point action on norm-fibre components", _orbits_flags),
-    "section": ("degree bookkeeping for the distinguished section", _section_flags),
+    "tms": ("verify the four-way identity for one instance", _cmd_tms, _tms_flags),
+    "sweep": ("run the identity over a parameter grid", _cmd_sweep, _sweep_flags),
+    "variant": ("variant totals only (census, closed, filtered)", _cmd_variant, _variant_flags),
+    "stringy": ("quotient-side invariants and total", _cmd_stringy, _add_params_flags),
+    "walls": ("enumerate walls; optionally test weight genericity", _cmd_walls, _instance_flags),
+    "lemma": ("shift-residue census and insertion check", _cmd_lemma, _lemma_flags),
+    "orbits": ("torsion-point action on norm-fibre components", _cmd_orbits, _orbits_flags),
+    "section": ("degree bookkeeping for the distinguished section", _cmd_section, _section_flags),
 }
 
 
@@ -365,9 +336,12 @@ def build_parser(subcommand: str | None = None) -> argparse.ArgumentParser:
         description="Exact mirror-identity checks for parabolic Higgs moduli.",
     )
     subs = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (help_line, add_flags) in SUBCOMMANDS.items():
+    for name, (help_line, handler, add_flags) in SUBCOMMANDS.items():
         if subcommand in (None, name):
-            add_flags(subs.add_parser(name, help=help_line))
+            sub = subs.add_parser(name, help=help_line)
+            add_flags(sub)
+            sub.add_argument("--out", default=None, help="write canonical JSON report here")
+            sub.set_defaults(func=handler)
     return parser
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import cache, cached_property, partial
+from functools import cache, partial
 from itertools import permutations, product
 from math import factorial
 from typing import NamedTuple
@@ -82,8 +82,7 @@ class PermWord(_WordFields):
     @property
     def descents(self) -> tuple[int, ...]:
         """1 at each position j where the word steps down, else 0."""
-        w = self.letters
-        return tuple(1 if w[i] > w[i + 1] else 0 for i in range(len(w) - 1))
+        return kernels.descent_vector(self.letters)
 
     def __str__(self) -> str:
         if self.n <= 9:
@@ -97,35 +96,28 @@ def _words_field(texts) -> str:
     return "|".join(texts)
 
 
-class PermTuple:
-    """One permutation word per marked point. Immutable, and equal and
-    hashed by its words; not a tuple, so that its descents and text can be
-    cached on first use."""
+class _TupleFields(NamedTuple):
+    words: tuple[PermWord, ...]
 
-    def __init__(self, words: tuple[PermWord, ...]):
+
+class PermTuple(_TupleFields):
+    """One permutation word per marked point. An immutable one-field tuple,
+    checked on construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, words: tuple[PermWord, ...]):
         if not words:
             raise ValueError("need at least one word")
         n = words[0].n
         if any(w.n != n for w in words):
             raise ValueError("words have mixed sizes")
-        object.__setattr__(self, "words", words)
+        return tuple.__new__(cls, (words,))
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.words == other.words
-
-    def __hash__(self) -> int:
-        return hash((self.words,))
-
-    def __repr__(self) -> str:
-        return f"PermTuple(words={self.words!r})"
+    @classmethod
+    def _make(cls, iterable):
+        # the inherited _make (and _replace, which calls it) skips __new__
+        return cls(*iterable)
 
     @classmethod
     def from_strings(cls, *texts: str) -> PermTuple:
@@ -139,18 +131,14 @@ class PermTuple:
     def k(self) -> int:
         return len(self.words)
 
-    @cached_property
+    @property
     def descents(self) -> tuple[int, ...]:
         """s_j: how many of the words step down at position j."""
         return tuple(map(sum, zip(*(w.descents for w in self.words))))
 
-    @cached_property
-    def text(self) -> str:
+    def __str__(self) -> str:
         """The words field of the census CSV."""
         return _words_field(map(str, self.words))
-
-    def __str__(self) -> str:
-        return self.text
 
 
 def sigma(word) -> int:
@@ -300,24 +288,20 @@ def enumerate_components(p: ModuliParams, w: WeightSystem) -> Components:
     return Components(census, words)
 
 
-def variant_total_bruteforce(
-    p: ModuliParams, w: WeightSystem, *, components=None
-) -> BivarPoly:
+def variant_total_bruteforce(p: ModuliParams, components: Components) -> BivarPoly:
     """Sum of the census contributions, shifted by (uv)^(dim/2).
 
     A contribution depends only on the twist vector m, through the product
     of the slices of its entries, and the slices vanish beyond 2g - 2. So
-    the row counts per m, taken from the census groups without listing the
-    rows, are summed over the box [0, 2g - 2]^(n-1) only, and each multiset
-    of entries gets one product: its row count times (n^2g - 1) times its
-    slices, summed in sorted order.
+    the row counts per m, taken from the census's distinct lattices
+    without listing the rows, are summed over the box [0, 2g - 2]^(n-1)
+    only, and each multiset of entries gets one product: its row count
+    times (n^2g - 1) times its slices, summed in sorted order.
 
     Raises IdentityCheckError when some box point is not the twist vector
     of exactly (n!)^k / n rows: the whole box is stable for every word
     tuple, and each degree residue mod n holds (n!)^k / n word tuples.
     """
-    if components is None:
-        components = enumerate_components(p, w)
     counts = components.census.box_counts(2 * p.g - 2)
     flat = factorial(p.n) ** p.k // p.n
     multisets: Counter = Counter()
@@ -433,7 +417,7 @@ def insertion_bijection_check(prev: PermWord) -> bool:
     if n > 10:
         raise LimitError(f"insertion check supports n <= 10, got {n}")
     sig_prev = sigma(w)
-    dsc = [1 if w[i] > w[i + 1] else 0 for i in range(len(w) - 1)]
+    dsc = kernels.descent_vector(w)
     residues = []
     for j in range(n):
         inserted = w[:j] + (n,) + w[j:]
@@ -452,33 +436,28 @@ def insertion_bijection_check(prev: PermWord) -> bool:
     return sorted(residues) == list(range(n))
 
 
-def components_to_csv(components: Components, dest) -> None:
+def components_to_csv(components: Components, fh) -> None:
     """Write the census as CSV: words, m, s, d_n, homogeneous degree.
 
     Lines end in CRLF, as the csv module writes them. No field can hold a
     comma, a quote or a line break, so none is quoted and each line is
-    formatted directly and streamed to the file. A word tuple's lines differ
-    only in the text after its words field, and that text depends only on
-    its (lattice, s, floor of d_n) block: each block's lines are rendered
-    once, and each word tuple writes them behind its own words field.
+    formatted directly and streamed to fh, an open text file. A word
+    tuple's lines differ only in the text after its words field, and that
+    text depends only on its (lattice, s, floor of d_n) block: each block's
+    lines are rendered once, and each word tuple writes them behind its own
+    words field.
     """
-    own = isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__")
-    fh = open(dest, "w", newline="") if own else dest
-    try:
-        fh.write("words,m,s,d_n,degree\r\n")
-        blocks: dict[tuple, list[str]] = {}
-        texts = [str(w) for w in components.words]
-        for t_idx, s, dn_floor, lattice in components.census.groups:
-            key = (id(lattice), s, dn_floor)
-            block = blocks.get(key)
-            if block is None:
-                s_text = " ".join(map(str, s))
-                block = blocks[key] = [
-                    f"{' '.join(map(str, m))},{s_text},{dn_floor + q},{sum(m)}\r\n"
-                    for m, q in lattice
-                ]
-            prefix = _words_field(map(texts.__getitem__, t_idx)) + ","
-            fh.write(prefix + prefix.join(block))
-    finally:
-        if own:
-            fh.close()
+    fh.write("words,m,s,d_n,degree\r\n")
+    blocks: dict[tuple, list[str]] = {}
+    texts = [str(w) for w in components.words]
+    for t_idx, s, dn_floor, lattice in components.census.groups:
+        key = (id(lattice), s, dn_floor)
+        block = blocks.get(key)
+        if block is None:
+            s_text = " ".join(map(str, s))
+            block = blocks[key] = [
+                f"{' '.join(map(str, m))},{s_text},{dn_floor + q},{sum(m)}\r\n"
+                for m, q in lattice
+            ]
+        prefix = _words_field(map(texts.__getitem__, t_idx)) + ","
+        fh.write(prefix + prefix.join(block))

@@ -111,31 +111,33 @@ class CensusGroup(NamedTuple):
 class Census:
     """Census rows grouped by word tuple.
 
-    A sized, re-iterable sequence of the rows in canonical order that
-    compares equal to a list of them; the rows themselves are built only
-    while iterating. Nothing mutates the groups after the kernel returns.
+    A sized, re-iterable sequence of the rows in canonical order; the rows
+    themselves are built only while iterating. uses pairs each distinct
+    lattice with the number of word tuples sharing it, in order of first
+    use: one walk over the groups builds it, and the row count, points()
+    and box_counts() read it, not the groups. Nothing mutates the groups
+    after the kernel returns.
     """
 
-    __slots__ = ("groups", "_rows")
+    __slots__ = ("groups", "uses", "_rows")
 
     def __init__(self, groups: list[CensusGroup]):
         self.groups = groups
-        self._rows = sum(len(group.lattice) for group in groups)
+        uses: dict[int, list] = {}
+        for group in groups:
+            entry = uses.get(id(group.lattice))
+            if entry is None:
+                uses[id(group.lattice)] = [group.lattice, 1]
+            else:
+                entry[1] += 1
+        self.uses = [(lattice, count) for lattice, count in uses.values()]
+        self._rows = sum(len(lattice) * count for lattice, count in self.uses)
 
     def __len__(self) -> int:
         return self._rows
 
     def __iter__(self):
         return self.rows()
-
-    def __eq__(self, other):
-        try:
-            size = len(other)
-        except TypeError:
-            return NotImplemented
-        return size == self._rows and all(a == b for a, b in zip(self, other))
-
-    __hash__ = None
 
     def rows(self, labels=None):
         """The rows in canonical order, as (label, m, s, d_n).
@@ -149,27 +151,16 @@ class Census:
             for m, q in lattice:
                 yield label, m, s, dn_floor + q
 
-    def lattice_uses(self) -> list[tuple[tuple, int]]:
-        """Each distinct lattice with the number of word tuples sharing it."""
-        uses: dict[int, list] = {}
-        for group in self.groups:
-            entry = uses.get(id(group.lattice))
-            if entry is None:
-                uses[id(group.lattice)] = [group.lattice, 1]
-            else:
-                entry[1] += 1
-        return [(lattice, count) for lattice, count in uses.values()]
-
     def points(self):
         """Each lattice point (m, q), once per distinct lattice."""
-        for lattice, _ in self.lattice_uses():
+        for lattice, _ in self.uses:
             yield from lattice
 
     def box_counts(self, top: int) -> Counter:
         """Row count per twist vector m with every entry at most top: each
         such lattice point counted once per word tuple sharing its lattice."""
         counts: Counter = Counter()
-        for lattice, uses in self.lattice_uses():
+        for lattice, uses in self.uses:
             for m, _ in lattice:
                 if max(m) <= top:
                     counts[m] += uses

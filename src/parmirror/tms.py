@@ -20,7 +20,7 @@ from .chambers import (
     WeightSystem,
     enumerate_walls,
     sample_generic_weights,
-    small_weight_margin,
+    sampler_scale,
 )
 from .cstar_fixed import (
     enumerate_components,
@@ -87,9 +87,7 @@ def verify_identity(p: ModuliParams, w: WeightSystem, *, totals=None) -> TmsRepo
 
     walls = clock("walls", enumerate_walls, p)
     components = clock("census", enumerate_components, p, w)
-    lhs_bruteforce = clock(
-        "bruteforce", variant_total_bruteforce, p, w, components=components
-    )
+    lhs_bruteforce = clock("bruteforce", variant_total_bruteforce, p, components)
     lhs_closed = clock("closed", weight_free, "closed", variant_closed_form)
     lhs_cyclotomic = clock("cyclotomic", weight_free, "cyclotomic", variant_total_cyclotomic)
     rhs = clock("stringy", weight_free, "stringy", stringy_gamma_sum)
@@ -177,9 +175,7 @@ def _run_instance(spec, totals=None):
     n, g, k, d, seed, scale = spec
     try:
         p = ModuliParams(n=n, g=g, k=k, d=d)
-        # large rank only ever runs in the single certified small chamber
-        eff_scale = scale if n <= 3 else min(scale, small_weight_margin(p))
-        w = sample_generic_weights(p, seed=seed, scale=eff_scale)
+        w = sample_generic_weights(p, seed=seed, scale=sampler_scale(p, scale))
         return verify_identity(p, w, totals=totals)
     except Exception as exc:
         return SweepFailure(n=n, g=g, k=k, d=d, seed=seed, scale=Fraction(scale),

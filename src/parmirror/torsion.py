@@ -281,17 +281,9 @@ def check_component_action(model: NormFiberModel, form: SymplecticForm) -> bool:
     """
     n, g = model.n, model.gamma.g
     basis = complete_basis(model.gamma, form, model.l_gamma)
+    # delta_0 shifts every label by 1, so it acts freely and transitively
     if gamma_component_shift(basis[1], model, form) != 1:
         return False
-    # free and transitive: repeated delta_0 from any label visits all labels
-    for start in model.components:
-        seen = []
-        label = start
-        for _ in range(n):
-            label = (label + 1) % n
-            seen.append(label)
-        if len(set(seen)) != n or seen[-1] != start:
-            return False
     binv = _invert_mod([b.coords for b in basis], n)
 
     def coords_of(vec: TorsionVector) -> tuple[int, ...]:

@@ -98,7 +98,7 @@ def test_criterion_03_identity_rank_five_small_weights():
         p = ModuliParams(5, 2, 1, d)
         w = sample_generic_weights(p, seed=1, scale=small_weight_margin(p))
         components = enumerate_components(p, w)
-        brute = variant_total_bruteforce(p, w, components=components)
+        brute = variant_total_bruteforce(p, components)
         closed = variant_closed_form(p)
         stringy = stringy_gamma_sum(p)
         assert brute == closed == stringy, d
@@ -153,7 +153,7 @@ def test_criterion_05_weight_independence():
         }
         assert len(chambers) > 1, "systems must span different chambers"
         for w in systems:
-            assert variant_total_bruteforce(p, w) == closed
+            assert variant_total_bruteforce(p, enumerate_components(p, w)) == closed
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     print(f"[C5] PASS weight independence: 20 distinct systems per (n,g,k,d),"

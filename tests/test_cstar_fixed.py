@@ -243,7 +243,7 @@ def test_bruteforce_equals_closed_form(n, g, k, d):
     p = ModuliParams(n, g, k, d)
     scale = Fraction(1, 2) if n <= 3 else small_weight_margin(p)
     w = sample_generic_weights(p, seed=2, scale=scale)
-    assert variant_total_bruteforce(p, w) == variant_closed_form(p)
+    assert variant_total_bruteforce(p, enumerate_components(p, w)) == variant_closed_form(p)
 
 
 def _census_instances():
@@ -266,7 +266,7 @@ def test_bruteforce_matches_row_by_row_oracle(p, w):
     assert len(comps) <= 20_000
     h = dim_hitchin_base(p)
     oracle = sum((component_variant_epoly(p, c) for c in comps), ZERO).shift(h, h)
-    assert variant_total_bruteforce(p, w, components=comps) == oracle
+    assert variant_total_bruteforce(p, comps) == oracle
 
 
 @pytest.mark.parametrize("p,w", _census_instances())
@@ -334,7 +334,7 @@ def test_flat_histogram_check_catches_a_moved_row(monkeypatch, capsys):
     moved = sum((component_variant_epoly(p, c) for c in comps), ZERO).shift(h, h)
     assert moved == variant_closed_form(p)
     with pytest.raises(IdentityCheckError, match=r"twist vector \(0, 1\) has 1 census rows"):
-        variant_total_bruteforce(p, w, components=comps)
+        variant_total_bruteforce(p, comps)
     assert cli.main(["tms", "--n", "3", "--g", "2", "--marked", "1", "--deg", "0"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
 
@@ -350,7 +350,7 @@ def test_bruteforce_weight_independent():
     values = set()
     for seed in range(1, 21):
         w = sample_generic_weights(p, seed=seed)
-        values.add(variant_total_bruteforce(p, w))
+        values.add(variant_total_bruteforce(p, enumerate_components(p, w)))
     assert len(values) == 1
 
 
@@ -487,7 +487,7 @@ def test_census_memory_does_not_grow_with_rows():
         tracemalloc.start()
         try:
             comps = enumerate_components(p, w)
-            variant_total_bruteforce(p, w, components=comps)
+            variant_total_bruteforce(p, comps)
             components_to_csv(comps, sink)
             _, peak = tracemalloc.get_traced_memory()
         finally:

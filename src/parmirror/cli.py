@@ -149,15 +149,15 @@ def _cmd_sweep(args) -> int:
 def _cmd_variant(args) -> int:
     p = _params(args)
     w = _resolve_weights(args, p)
-    components = enumerate_components(p, w)
-    brute = variant_total_bruteforce(p, components)
+    census = enumerate_components(p, w)
+    brute = variant_total_bruteforce(p, census)
     closed = variant_closed_form(p)
     cyclotomic = variant_total_cyclotomic(p)
     equal = brute == closed == cyclotomic
     _emit(args, {
         "params": params_to_jsonable(p),
         "weights": w.to_jsonable(),
-        "component_count": len(components),
+        "component_count": len(census),
         "bruteforce": brute.to_triples(),
         "closed": closed.to_triples(),
         "cyclotomic": cyclotomic.to_triples(),
@@ -165,8 +165,8 @@ def _cmd_variant(args) -> int:
     })
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            components_to_csv(components, fh)
-    print(f"components={len(components)} equal={str(equal).lower()}")
+            components_to_csv(p, census, fh)
+    print(f"components={len(census)} equal={str(equal).lower()}")
     print(f"closed form: {closed}")
     return 0 if equal else 1
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import cache, partial
-from itertools import permutations, product
+from functools import cache
+from itertools import product
 from math import factorial
 from typing import NamedTuple
 
@@ -79,201 +79,82 @@ class PermWord(_WordFields):
     def n(self) -> int:
         return len(self.letters)
 
-    @property
-    def descents(self) -> tuple[int, ...]:
-        """1 at each position j where the word steps down, else 0."""
-        return kernels.descent_vector(self.letters)
-
     def __str__(self) -> str:
         if self.n <= 9:
             return "".join(str(a) for a in self.letters)
         return ".".join(str(a) for a in self.letters)
 
 
-def _words_field(texts) -> str:
-    """A word tuple's words field in the census CSV: its words' strings
-    joined by "|"."""
-    return "|".join(texts)
+def descent_counts(words) -> tuple[int, ...]:
+    """s_j: how many of the words, letter tuples, step down at position j."""
+    return tuple(map(sum, zip(*map(kernels.descent_vector, words))))
 
 
-class _TupleFields(NamedTuple):
-    words: tuple[PermWord, ...]
-
-
-class PermTuple(_TupleFields):
-    """One permutation word per marked point. An immutable one-field tuple,
-    checked on construction."""
-
-    __slots__ = ()
-
-    def __new__(cls, words: tuple[PermWord, ...]):
-        if not words:
-            raise ValueError("need at least one word")
-        n = words[0].n
-        if any(w.n != n for w in words):
-            raise ValueError("words have mixed sizes")
-        return tuple.__new__(cls, (words,))
-
-    @classmethod
-    def _make(cls, iterable):
-        # the inherited _make (and _replace, which calls it) skips __new__
-        return cls(*iterable)
-
-    @classmethod
-    def from_strings(cls, *texts: str) -> PermTuple:
-        return cls(tuple(PermWord.from_string(t) for t in texts))
-
-    @property
-    def n(self) -> int:
-        return self.words[0].n
-
-    @property
-    def k(self) -> int:
-        return len(self.words)
-
-    @property
-    def descents(self) -> tuple[int, ...]:
-        """s_j: how many of the words step down at position j."""
-        return tuple(map(sum, zip(*(w.descents for w in self.words))))
-
-    def __str__(self) -> str:
-        """The words field of the census CSV."""
-        return _words_field(map(str, self.words))
-
-
-def sigma(word) -> int:
-    """Descent statistic: sum of the positions where the word steps down."""
-    letters = word.letters if isinstance(word, PermWord) else word
-    return sum(i + 1 for i in range(len(letters) - 1) if letters[i] > letters[i + 1])
-
-
-class _ComponentFields(NamedTuple):
-    words: PermTuple
-    m: tuple[int, ...]
-    s: tuple[int, ...]
-    d_n: int
-
-
-class ComponentType11(_ComponentFields):
-    """A fixed component: words, twist jumps m, descent counts s, and the
-    common degree d_n of its line-bundle factors. An immutable tuple of
-    these four fields, checked on construction."""
-
-    __slots__ = ()
-
-    def __new__(cls, words: PermTuple, m, s, d_n: int):
-        desc = words.descents
-        if len(s) != len(desc):
-            raise ValueError("m and s must have length n-1")
-        cls.check_twists(m, len(desc))
-        cls.check_descents(words, s)
-        return tuple.__new__(cls, (words, m, s, d_n))
-
-    @staticmethod
-    def check_twists(m, length: int) -> None:
-        if len(m) != length:
-            raise ValueError("m and s must have length n-1")
-        if min(m, default=0) < 0:
-            raise ValueError(f"negative twist jump in {m}")
-
-    @staticmethod
-    def check_descents(words: PermTuple, s) -> None:
-        if s != words.descents:
-            raise ValueError(f"s = {s} does not match the words {words}")
-
-    @classmethod
-    def _make(cls, iterable):
-        # the inherited _make (and _replace, which calls it) skips __new__
-        return cls(*iterable)
-
-
-def degree_constraint(p: ModuliParams, t: PermTuple, m) -> bool:
-    """Degree congruence for a type-(1,...,1) component to exist."""
-    s = t.descents
+def degree_constraint(p: ModuliParams, words, m) -> bool:
+    """Degree congruence for a type-(1,...,1) component to exist; words
+    holds one letter tuple per marked point."""
+    s = descent_counts(words)
     if p.n == 2:
         return (p.d + m[0] + s[0] - p.k) % 2 == 0
     total = sum((j + 1) * (m[j] + s[j]) for j in range(p.n - 1))
     return (p.d + total) % p.n == 0
 
 
-def component_dn(p: ModuliParams, t: PermTuple, m) -> int:
+def component_dn(p: ModuliParams, words, m) -> int:
     """Common factor degree d_n with
     n*d_n = d + sum j(m_j + s_j) - n(n-1)(g - 1 + k/2)."""
-    s = t.descents
+    s = descent_counts(words)
     num = p.d + sum((j + 1) * (m[j] + s[j]) for j in range(p.n - 1))
     num -= p.n * (p.n - 1) * (2 * p.g - 2 + p.k) // 2
     if num % p.n:
-        raise NonIntegralDegreeError(f"degree congruence fails for m={tuple(m)}, t={t}")
+        raise NonIntegralDegreeError(f"degree congruence fails for m={tuple(m)}, words={words}")
     return num // p.n
 
 
-def stability_check(p: ModuliParams, w: WeightSystem, t: PermTuple, m) -> bool:
+def stability_check(p: ModuliParams, w: WeightSystem, words, m) -> bool:
     """Strict stability of the component data against every destabilizing
     index l = 2..n, evaluated in exact rational arithmetic. Reference
     implementation; the kernels must agree with it."""
     n, g, k = p.n, p.g, p.k
-    s = t.descents
+    s = descent_counts(words)
     for l in range(2, n + 1):
         coef = [(n - l + 1) * j if j <= l - 1 else (l - 1) * (n - j) for j in range(1, n)]
         lhs = sum(c * (mj + sj) for c, mj, sj in zip(coef, m, s))
         rhs = Fraction((n - l + 1) * (l - 1) * n * (2 * g - 2 + k), 2)
-        for row, word in zip(w.alpha, t.words):
-            rhs += (n - l + 1) * sum(row) - n * sum(
-                row[word.letters[j] - 1] for j in range(l - 1, n)
-            )
+        for row, letters in zip(w.alpha, words):
+            rhs += (n - l + 1) * sum(row) - n * sum(row[letters[j] - 1] for j in range(l - 1, n))
         if not lhs < rhs:
             return False
     return True
 
 
-class Components:
-    """The census as a sized, re-iterable sequence of ComponentType11, in
-    canonical (word tuple, m) order.
-
-    Holds the kernel's Census, grouped by word tuple, and the words of S_n
-    in lexicographic order. Each group's PermTuple, shared by its
-    components, and each component are built only while iterating, so
-    memory does not grow with the number of components or word tuples.
-    enumerate_components has already run every ComponentType11 check on the
-    groups and lattice points the rows are made of.
-    """
-
-    __slots__ = ("census", "words")
-
-    def __init__(self, census: kernels.Census, words: list[PermWord]):
-        self.census = census
-        self.words = words
-
-    def __len__(self) -> int:
-        return len(self.census)
-
-    def __iter__(self):
-        words = self.words
-        labels = (
-            PermTuple(tuple(words[i] for i in group.t_idx)) for group in self.census.groups
-        )
-        return map(partial(tuple.__new__, ComponentType11), self.census.rows(labels))
+def _word_texts(n: int) -> list[str]:
+    """Each word of S_n, in lexicographic order, as PermWord prints it."""
+    return [str(PermWord(letters)) for letters in kernels.words_lex(n)]
 
 
-def enumerate_components(p: ModuliParams, w: WeightSystem) -> Components:
-    """All type-(1,...,1) fixed components for generic weights, in canonical
+def enumerate_components(p: ModuliParams, w: WeightSystem) -> kernels.Census:
+    """The kernel's census of all type-(1,...,1) fixed components for
+    generic weights, checked: iterating it yields CensusRow in canonical
     (word tuple, m) order.
 
-    Every row is checked as ComponentType11 checks it, at the level where
-    its fields live: s once per word tuple, against the sum of its words'
-    PermWord descents, and the length and signs of m once per shared
-    lattice point.
+    Every row is checked at the level where its fields live: s once per
+    word tuple, against the sum of its words' descent vectors, and the
+    length and signs of m once per shared lattice point. A failure is a
+    fault of the kernel and raises IdentityCheckError.
     """
     if not is_generic(w, p):
         raise NonGenericWeightsError(f"weights sit on a wall for {p}")
     den, wnum = integer_weights(w)
     census = kernels.enumerate_census(p.n, p.g, p.k, p.d, wnum, den)
-    words = [PermWord(letters) for letters in kernels.words_lex(p.n)]
     # a word's descents as the base-(k + 1) digits of one integer: k words
     # put at most k in a digit, so a word tuple's s is the digits of the sum
     # of its words' integers; each distinct sum is decoded once
     base = p.k + 1
-    packed = [sum(x * base**j for j, x in enumerate(word.descents)) for word in words]
+    packed = [
+        sum(x * base**j for j, x in enumerate(kernels.descent_vector(letters)))
+        for letters in kernels.words_lex(p.n)
+    ]
     decoded: dict[int, tuple[int, ...]] = {}
     for group in census.groups:
         total = sum(map(packed.__getitem__, group.t_idx))
@@ -281,14 +162,18 @@ def enumerate_components(p: ModuliParams, w: WeightSystem) -> Components:
         if s is None:
             s = decoded[total] = tuple(total // base**j % base for j in range(p.n - 1))
         if s != group.s:
-            t = PermTuple(tuple(words[i] for i in group.t_idx))
-            ComponentType11.check_descents(t, group.s)
+            texts = _word_texts(p.n)
+            words = "|".join(texts[i] for i in group.t_idx)
+            raise IdentityCheckError(f"s = {group.s} does not match the words {words}")
     for m, _ in census.points():
-        ComponentType11.check_twists(m, p.n - 1)
-    return Components(census, words)
+        if len(m) != p.n - 1:
+            raise IdentityCheckError("m and s must have length n-1")
+        if min(m, default=0) < 0:
+            raise IdentityCheckError(f"negative twist jump in {m}")
+    return census
 
 
-def variant_total_bruteforce(p: ModuliParams, components: Components) -> BivarPoly:
+def variant_total_bruteforce(p: ModuliParams, census: kernels.Census) -> BivarPoly:
     """Sum of the census contributions, shifted by (uv)^(dim/2).
 
     A contribution depends only on the twist vector m, through the product
@@ -302,7 +187,7 @@ def variant_total_bruteforce(p: ModuliParams, components: Components) -> BivarPo
     of exactly (n!)^k / n rows: the whole box is stable for every word
     tuple, and each degree residue mod n holds (n!)^k / n word tuples.
     """
-    counts = components.census.box_counts(2 * p.g - 2)
+    counts = census.box_counts(2 * p.g - 2)
     flat = factorial(p.n) ** p.k // p.n
     multisets: Counter = Counter()
     for m in product(range(2 * p.g - 1), repeat=p.n - 1):
@@ -346,11 +231,11 @@ def _root_shift_product(n: int, g: int, l: int) -> CycBivarPoly:
 
 @cache
 def _sigma_residue_counts(n: int) -> tuple[int, ...]:
-    """How many words of S_n have each value of sigma mod n; computed once
-    per n, streaming the words rather than holding S_n."""
+    """How many words of S_n have each value of sigma mod n, read from the
+    kernel's sigma table; computed once per n."""
     single = [0] * n
-    for w in permutations(range(1, n + 1)):
-        single[sigma(w) % n] += 1
+    for value in kernels.sigma_table(n):
+        single[value % n] += 1
     return tuple(single)
 
 
@@ -416,12 +301,12 @@ def insertion_bijection_check(prev: PermWord) -> bool:
     n = len(w) + 1
     if n > 10:
         raise LimitError(f"insertion check supports n <= 10, got {n}")
-    sig_prev = sigma(w)
+    sig_prev = kernels.sigma(w)
     dsc = kernels.descent_vector(w)
     residues = []
     for j in range(n):
         inserted = w[:j] + (n,) + w[j:]
-        shift = (sigma(inserted) - sig_prev) % n
+        shift = (kernels.sigma(inserted) - sig_prev) % n
         if j == n - 1:  # end
             pred = 0
         elif j == 0:  # front
@@ -436,8 +321,10 @@ def insertion_bijection_check(prev: PermWord) -> bool:
     return sorted(residues) == list(range(n))
 
 
-def components_to_csv(components: Components, fh) -> None:
-    """Write the census as CSV: words, m, s, d_n, homogeneous degree.
+def components_to_csv(p: ModuliParams, census: kernels.Census, fh) -> None:
+    """Write the census as CSV: words, m, s, d_n, homogeneous degree. The
+    words field joins the word tuple's words, as PermWord prints them,
+    with "|".
 
     Lines end in CRLF, as the csv module writes them. No field can hold a
     comma, a quote or a line break, so none is quoted and each line is
@@ -449,8 +336,8 @@ def components_to_csv(components: Components, fh) -> None:
     """
     fh.write("words,m,s,d_n,degree\r\n")
     blocks: dict[tuple, list[str]] = {}
-    texts = [str(w) for w in components.words]
-    for t_idx, s, dn_floor, lattice in components.census.groups:
+    texts = _word_texts(p.n)
+    for t_idx, s, dn_floor, lattice in census.groups:
         key = (id(lattice), s, dn_floor)
         block = blocks.get(key)
         if block is None:
@@ -459,5 +346,5 @@ def components_to_csv(components: Components, fh) -> None:
                 f"{' '.join(map(str, m))},{s_text},{dn_floor + q},{sum(m)}\r\n"
                 for m, q in lattice
             ]
-        prefix = _words_field(map(texts.__getitem__, t_idx)) + ","
+        prefix = "|".join(map(texts.__getitem__, t_idx)) + ","
         fh.write(prefix + prefix.join(block))

@@ -5,8 +5,8 @@ common denominator, all pairs (word tuple, m vector) that satisfy the
 degree congruence and every strict stability inequality. It runs on
 unbounded ints.
 
-Row format: (word index tuple, m tuple, s tuple, d_n). Rows come out in
-lexicographic order of (word indices, m).
+Row format: CensusRow(word index tuple, m tuple, s tuple, d_n). Rows come
+out in lexicographic order of (word indices, m).
 
 At scale 2*wden the stability inequality for index l reads C[l].m < R[l],
 and every coefficient is C[l][j] = 2*wden*coef[l][j] with a positive
@@ -58,7 +58,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cache
-from itertools import permutations
+from itertools import compress, count, permutations
 from typing import NamedTuple
 
 
@@ -79,7 +79,20 @@ def words_lex(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def descent_vector(word) -> tuple[int, ...]:
-    return tuple(1 if word[i] > word[i + 1] else 0 for i in range(len(word) - 1))
+    """1 at each position j where the word steps down, else 0."""
+    return tuple([1 if a > b else 0 for a, b in zip(word, word[1:])])
+
+
+def sigma(word) -> int:
+    """Descent statistic: sum of the positions where the word steps down."""
+    return sum(compress(count(1), descent_vector(word)))
+
+
+@cache
+def sigma_table(n: int) -> tuple[int, ...]:
+    """sigma of each word of S_n, in lexicographic order; built once per n,
+    streaming the words rather than holding S_n."""
+    return tuple(sigma(w) for w in permutations(range(1, n + 1)))
 
 
 @cache
@@ -88,13 +101,13 @@ def _word_tables(n: int):
     word's descent vector and sigma, the stability coefficient rows coef,
     and each word's descent share coef[l].desc(w); built once per n."""
     desc = tuple(descent_vector(w) for w in words_lex(n))
-    sigma = tuple(sum(j * x for j, x in enumerate(dv, 1)) for dv in desc)
+    sig = sigma_table(n)
     coef = tuple(
         tuple((n - l + 1) * j if j <= l - 1 else (l - 1) * (n - j) for j in range(1, n))
         for l in range(2, n + 1)
     )
     share = tuple(tuple(sum(c * x for c, x in zip(row, dv)) for row in coef) for dv in desc)
-    return desc, sigma, coef, share
+    return desc, sig, coef, share
 
 
 class CensusGroup(NamedTuple):
@@ -108,15 +121,26 @@ class CensusGroup(NamedTuple):
     lattice: tuple
 
 
+class CensusRow(NamedTuple):
+    """One fixed component: its word tuple as indices into words_lex(n), its
+    twist jumps m, its descent counts s, and the common degree d_n of its
+    line-bundle factors."""
+
+    t_idx: tuple[int, ...]
+    m: tuple[int, ...]
+    s: tuple[int, ...]
+    d_n: int
+
+
 class Census:
     """Census rows grouped by word tuple.
 
-    A sized, re-iterable sequence of the rows in canonical order; the rows
-    themselves are built only while iterating. uses pairs each distinct
-    lattice with the number of word tuples sharing it, in order of first
-    use: one walk over the groups builds it, and the row count, points()
-    and box_counts() read it, not the groups. Nothing mutates the groups
-    after the kernel returns.
+    A sized, re-iterable sequence of CensusRow in canonical (t_idx, m)
+    order; the rows themselves are built only while iterating. uses pairs
+    each distinct lattice with the number of word tuples sharing it, in
+    order of first use: one walk over the groups builds it, and the row
+    count, points() and box_counts() read it, not the groups. Nothing
+    mutates the groups after the kernel returns.
     """
 
     __slots__ = ("groups", "uses", "_rows")
@@ -137,19 +161,9 @@ class Census:
         return self._rows
 
     def __iter__(self):
-        return self.rows()
-
-    def rows(self, labels=None):
-        """The rows in canonical order, as (label, m, s, d_n).
-
-        labels yields, group by group, the label that stands in place of
-        the group's word indices (default: the word indices).
-        """
-        if labels is None:
-            labels = [group.t_idx for group in self.groups]
-        for label, (_, s, dn_floor, lattice) in zip(labels, self.groups):
+        for t_idx, s, dn_floor, lattice in self.groups:
             for m, q in lattice:
-                yield label, m, s, dn_floor + q
+                yield CensusRow(t_idx, m, s, dn_floor + q)
 
     def points(self):
         """Each lattice point (m, q), once per distinct lattice."""
@@ -179,7 +193,7 @@ def enumerate_census(n, g, k, d, wnum, wden, t0_lo=0, t0_hi=None, backend=None) 
     """
     if backend not in (None, "python"):
         raise ValueError(f"unknown backend {backend!r}; have {sorted(backends())}")
-    desc, sigma, coef, share = _word_tables(n)
+    desc, sig, coef, share = _word_tables(n)
     nw = len(desc)
     if t0_hi is None:
         t0_hi = nw
@@ -231,7 +245,7 @@ def enumerate_census(n, g, k, d, wnum, wden, t0_lo=0, t0_hi=None, backend=None) 
                     t + (wi,),
                     [x + y for x, y in zip(r, vec[wi])],
                     tuple([x + y for x, y in zip(s, desc[wi])]),
-                    base + sigma[wi],
+                    base + sig[wi],
                 )
             return
         srow = s_rows.get(s)
@@ -244,7 +258,7 @@ def enumerate_census(n, g, k, d, wnum, wden, t0_lo=0, t0_hi=None, backend=None) 
         for wi in range(lo, hi):
             Q = tuple([(x + y) // scale for x, y in zip(r, vec[wi])])
             if min(Q) >= 0:
-                dn_floor, residue = divmod(base + sigma[wi], n)
+                dn_floor, residue = divmod(base + sig[wi], n)
                 key = (Q, residue)
                 groups.append(CensusGroup(t + (wi,), srow[wi], dn_floor, keys.setdefault(key, key)))
 

@@ -86,8 +86,8 @@ def verify_identity(p: ModuliParams, w: WeightSystem, *, totals=None) -> TmsRepo
         return totals[key]
 
     walls = clock("walls", enumerate_walls, p)
-    components = clock("census", enumerate_components, p, w)
-    lhs_bruteforce = clock("bruteforce", variant_total_bruteforce, p, components)
+    census = clock("census", enumerate_components, p, w)
+    lhs_bruteforce = clock("bruteforce", variant_total_bruteforce, p, census)
     lhs_closed = clock("closed", weight_free, "closed", variant_closed_form)
     lhs_cyclotomic = clock("cyclotomic", weight_free, "cyclotomic", variant_total_cyclotomic)
     rhs = clock("stringy", weight_free, "stringy", stringy_gamma_sum)
@@ -100,7 +100,7 @@ def verify_identity(p: ModuliParams, w: WeightSystem, *, totals=None) -> TmsRepo
         lhs_cyclotomic=lhs_cyclotomic,
         rhs=rhs,
         equal=equal,
-        component_count=len(components),
+        component_count=len(census),
         wall_count=len(walls),
         timing_ms=timing,
     )

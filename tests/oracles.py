@@ -12,13 +12,13 @@ from math import factorial
 from typing import NamedTuple
 
 from parmirror import kernels
-from parmirror.cstar_fixed import ComponentType11, count_S, sigma
+from parmirror.cstar_fixed import count_S
 from parmirror.exactpoly import U, V, ZERO, BivarPoly, CycInt, binom_deg_slice, is_prime
 from parmirror.moduli import ModuliParams, _as_int
 from parmirror.torsion import TorsionVector, _invert_mod
 
 
-def component_variant_epoly(p: ModuliParams, c: ComponentType11) -> BivarPoly:
+def component_variant_epoly(p: ModuliParams, c: kernels.CensusRow) -> BivarPoly:
     """Variant E-polynomial contribution of one component:
     (n^2g - 1) times the product of the degree-m_j slices of
     ((1-u)(1-v))^(g-1); zero once any m_j exceeds 2g-2."""
@@ -33,7 +33,7 @@ def descent_character_sum(n: int, l: int) -> CycInt:
     by n because each residue class of sigma has exactly (n-1)! words."""
     acc = CycInt.zero(n)
     for w in kernels.words_lex(n):
-        acc = acc + CycInt.root_power(n, (l * sigma(w)) % n)
+        acc = acc + CycInt.root_power(n, (l * kernels.sigma(w)) % n)
     return acc
 
 

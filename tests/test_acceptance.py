@@ -16,7 +16,6 @@ from parmirror.chambers import (
     wall_value,
 )
 from parmirror.cstar_fixed import (
-    PermTuple,
     PermWord,
     count_S,
     degree_constraint,
@@ -92,7 +91,7 @@ def test_criterion_02_identity_rank_three():
 
 def test_criterion_03_identity_rank_five_small_weights():
     start = time.perf_counter()
-    words = [PermWord(t) for t in permutations(range(1, 6))]
+    words = list(permutations(range(1, 6)))
     assert len(words) == 120
     for d in (0, 1, 2):
         p = ModuliParams(5, 2, 1, d)
@@ -107,7 +106,7 @@ def test_criterion_03_identity_rank_five_small_weights():
             1
             for word in words
             for m in product(range(3), repeat=4)
-            if degree_constraint(p, PermTuple((word,)), m)
+            if degree_constraint(p, (word,), m)
         )
         assert in_box == grid == 120 * 81 // 5
     elapsed = time.perf_counter() - start

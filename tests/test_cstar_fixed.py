@@ -26,30 +26,28 @@ from parmirror.chambers import (
     small_weight_margin,
 )
 from parmirror.cstar_fixed import (
-    ComponentType11,
     IdentityCheckError,
     LimitError,
     NonIntegralDegreeError,
-    PermTuple,
     PermWord,
     component_dn,
     components_to_csv,
     count_S,
     degree_constraint,
+    descent_counts,
     enumerate_components,
     insertion_bijection_check,
-    sigma,
     stability_check,
     variant_closed_form,
     variant_total_bruteforce,
     variant_total_cyclotomic,
 )
 from parmirror.exactpoly import ONE, U, V, ZERO, CycInt, uv_power
-from parmirror.kernels import Census, CensusGroup
+from parmirror.kernels import Census, CensusGroup, CensusRow, sigma
 from parmirror.moduli import ModuliParams, dim_hitchin_base
 
-W21 = PermTuple.from_strings("21")
-W12 = PermTuple.from_strings("12")
+W21 = ((2, 1),)
+W12 = ((1, 2),)
 ALPHA = WeightSystem.from_rows([[Fraction(1, 10), Fraction(1, 2)]])
 P221 = ModuliParams(2, 2, 1, 0)
 
@@ -57,45 +55,18 @@ P221 = ModuliParams(2, 2, 1, 0)
 def test_perm_word_parsing():
     assert PermWord.from_string("231").letters == (2, 3, 1)
     assert str(PermWord.from_string("231")) == "231"
-    assert str(PermTuple.from_strings("231", "312")) == "231|312"
     with pytest.raises(ValueError):
         PermWord.from_string("122")
-    with pytest.raises(ValueError):
-        PermTuple.from_strings("12", "123")
 
 
 def test_sigma_and_descent_stats():
-    assert sigma(PermWord.from_string("123")) == 0
-    assert sigma(PermWord.from_string("21")) == 1
-    assert sigma(PermWord.from_string("231")) == 2
-    assert sigma(PermWord.from_string("312")) == 1
-    assert PermTuple.from_strings("231", "312").descents == (1, 1)
-    assert PermTuple.from_strings("123").descents == (0, 0)
-    assert PermTuple.from_strings("321").descents == (1, 1)
-
-
-def test_component_type_validation():
-    t = PermTuple.from_strings("21")
-    ComponentType11(t, (0,), (1,), -1)
-    with pytest.raises(ValueError):
-        ComponentType11(t, (0,), (0,), -1)
-    with pytest.raises(ValueError):
-        ComponentType11(t, (-1,), (1,), -1)
-    with pytest.raises(ValueError):
-        ComponentType11(t, (0, 0), (1,), -1)
-
-
-def test_component_fields_are_read_only():
-    c = ComponentType11(PermTuple.from_strings("21"), (0,), (1,), -1)
-    assert (c.words, c.m, c.s, c.d_n) == (W21, (0,), (1,), -1)
-    for field, value in (("words", W12), ("m", (2,)), ("s", (0,)), ("d_n", 0)):
-        with pytest.raises(AttributeError):
-            setattr(c, field, value)
-    with pytest.raises(AttributeError):
-        c.extra = 1
-    with pytest.raises(ValueError):
-        c._replace(s=(0,))
-    assert (c.words, c.m, c.s, c.d_n) == (W21, (0,), (1,), -1)
+    assert sigma((1, 2, 3)) == 0
+    assert sigma((2, 1)) == 1
+    assert sigma((2, 3, 1)) == 2
+    assert sigma((3, 1, 2)) == 1
+    assert descent_counts(((2, 3, 1), (3, 1, 2))) == (1, 1)
+    assert descent_counts(((1, 2, 3),)) == (0, 0)
+    assert descent_counts(((3, 2, 1),)) == (1, 1)
 
 
 def test_degree_constraint_hand_cases():
@@ -103,7 +74,7 @@ def test_degree_constraint_hand_cases():
     assert degree_constraint(P221, W12, (1,))
     assert degree_constraint(P221, W21, (0,))
     p3 = ModuliParams(3, 2, 1, 0)
-    assert degree_constraint(p3, PermTuple.from_strings("123"), (1, 1))
+    assert degree_constraint(p3, ((1, 2, 3),), (1, 1))
 
 
 def test_stability_hand_cases():
@@ -121,27 +92,26 @@ def test_component_dn_hand_cases():
     assert component_dn(P221, W21, (0,)) == -1
     assert component_dn(P221, W21, (2,)) == 0
     p3 = ModuliParams(3, 2, 1, 0)
-    assert component_dn(p3, PermTuple.from_strings("123"), (1, 1)) == -2
+    assert component_dn(p3, ((1, 2, 3),), (1, 1)) == -2
     with pytest.raises(NonIntegralDegreeError):
         component_dn(P221, W12, (0,))
 
 
 def test_enumerate_components_small_census():
-    comps = enumerate_components(P221, ALPHA)
-    listing = [(str(c.words), c.m, c.s, c.d_n) for c in comps]
-    assert listing == [
-        ("12", (1,), (0,), -1),
-        ("21", (0,), (1,), -1),
-        ("21", (2,), (1,), 0),
+    # word index 0 is "12", 1 is "21"
+    census = enumerate_components(P221, ALPHA)
+    assert [(c.t_idx, c.m, c.s, c.d_n) for c in census] == [
+        ((0,), (1,), (0,), -1),
+        ((1,), (0,), (1,), -1),
+        ((1,), (2,), (1,), 0),
     ]
 
 
 def test_enumerate_components_parity_flip():
     p = ModuliParams(2, 2, 1, 1)
-    comps = enumerate_components(p, ALPHA)
-    listing = [(str(c.words), c.m) for c in comps]
-    assert listing == [("12", (0,)), ("12", (2,)), ("21", (1,))]
-    assert len(comps) == len(enumerate_components(P221, ALPHA))
+    census = enumerate_components(p, ALPHA)
+    assert [(c.t_idx, c.m) for c in census] == [((0,), (0,)), ((0,), (2,)), ((1,), (1,))]
+    assert len(census) == len(enumerate_components(P221, ALPHA))
 
 
 def _patch_census(monkeypatch, *groups):
@@ -156,7 +126,7 @@ def test_enumerate_components_checks_every_row(monkeypatch):
     # is the first group's, and its s = (1,) is wrong
     lattice = (((1,), 0), ((3,), 1))
     _patch_census(monkeypatch, ((1,), (1,), -1, lattice), ((0,), (1,), -1, lattice))
-    with pytest.raises(ValueError, match="does not match the words"):
+    with pytest.raises(IdentityCheckError, match="does not match the words"):
         enumerate_components(P221, ALPHA)
 
 
@@ -166,7 +136,7 @@ def test_enumerate_components_checks_the_last_word(monkeypatch):
     p = ModuliParams(2, 2, 2, 0)
     lattice = (((1,), 0),)
     _patch_census(monkeypatch, ((0, 0), (0,), -1, lattice), ((0, 1), (0,), -1, lattice))
-    with pytest.raises(ValueError, match=r"s = \(0,\) does not match the words 12\|21"):
+    with pytest.raises(IdentityCheckError, match=r"s = \(0,\) does not match the words 12\|21"):
         enumerate_components(p, sample_generic_weights(p, seed=1))
 
 
@@ -177,23 +147,34 @@ def test_enumerate_components_rejects_negative_twist(monkeypatch):
         ((1,), (1,), -1, (((0,), 0),)),
         ((1,), (1,), -1, (((0,), 0), ((-2,), -1))),
     )
-    with pytest.raises(ValueError, match="negative twist jump"):
+    with pytest.raises(IdentityCheckError, match="negative twist jump"):
         enumerate_components(P221, ALPHA)
 
 
 def test_enumerate_components_rejects_wrong_twist_length(monkeypatch):
     _patch_census(monkeypatch, ((1,), (1,), -1, (((0,), 0), ((1, 1), 1))))
-    with pytest.raises(ValueError, match="length n-1"):
+    with pytest.raises(IdentityCheckError, match="length n-1"):
         enumerate_components(P221, ALPHA)
+
+
+def test_census_faults_exit_one(monkeypatch, capsys):
+    """A census that fails the s check is a fault of the program, not of
+    the invocation: variant and tms exit 1, not 2."""
+    lattice = (((1,), 0), ((3,), 1))
+    _patch_census(monkeypatch, ((1,), (1,), -1, lattice), ((0,), (1,), -1, lattice))
+    for sub in ("variant", "tms"):
+        assert cli.main([sub, "--n", "2", "--g", "2", "--marked", "1", "--deg", "0"]) == 1, sub
+        err = capsys.readouterr().err
+        assert err.startswith("error: s = (1,) does not match the words 12"), err
 
 
 def test_enumerate_components_shares_word_tuples():
     p = ModuliParams(3, 2, 2, 1)
-    comps = enumerate_components(p, sample_generic_weights(p, seed=4, scale=Fraction(1, 8)))
+    census = enumerate_components(p, sample_generic_weights(p, seed=4, scale=Fraction(1, 8)))
     by_words = {}
-    for c in comps:
-        by_words.setdefault(c.words, []).append(c.words)
-    assert len(by_words) < len(comps)
+    for c in census:
+        by_words.setdefault(c.t_idx, []).append(c.t_idx)
+    assert len(by_words) < len(census)
     for shared in by_words.values():
         assert all(t is shared[0] for t in shared)
 
@@ -206,11 +187,11 @@ def test_enumerate_components_rejects_wall_weights():
 
 
 def test_component_variant_epoly_hand_cases():
-    c1 = ComponentType11(W12, (1,), (0,), -1)
+    c1 = CensusRow((0,), (1,), (0,), -1)
     assert component_variant_epoly(P221, c1) == 15 * (-U - V)
-    c0 = ComponentType11(W21, (0,), (1,), -1)
+    c0 = CensusRow((1,), (0,), (1,), -1)
     assert component_variant_epoly(P221, c0) == 15 * ONE
-    c3 = ComponentType11(W21, (4,), (1,), 1)
+    c3 = CensusRow((1,), (4,), (1,), 1)
     assert component_variant_epoly(P221, c3) == ZERO
 
 
@@ -262,11 +243,11 @@ def _census_instances():
 
 @pytest.mark.parametrize("p,w", _census_instances())
 def test_bruteforce_matches_row_by_row_oracle(p, w):
-    comps = enumerate_components(p, w)
-    assert len(comps) <= 20_000
+    census = enumerate_components(p, w)
+    assert len(census) <= 20_000
     h = dim_hitchin_base(p)
-    oracle = sum((component_variant_epoly(p, c) for c in comps), ZERO).shift(h, h)
-    assert variant_total_bruteforce(p, comps) == oracle
+    oracle = sum((component_variant_epoly(p, c) for c in census), ZERO).shift(h, h)
+    assert variant_total_bruteforce(p, census) == oracle
 
 
 @pytest.mark.parametrize("p,w", _census_instances())
@@ -274,14 +255,18 @@ def test_grouped_census_matches_its_rows(p, w):
     """The m counts taken from the groups, on the box and with a bound that
     takes in every row, are the Counter over the listed rows within that
     bound, len() is the row count, and every iteration lists the same rows,
-    each of which passes the full ComponentType11 check."""
-    comps = enumerate_components(p, w)
-    rows = list(comps)
-    assert len(comps) == len(rows)
+    each with n - 1 twist jumps, none negative, and the descent counts of
+    its words."""
+    census = enumerate_components(p, w)
+    rows = list(census)
+    assert len(census) == len(rows)
     for top in (2 * p.g - 2, max(max(c.m) for c in rows)):
-        assert comps.census.box_counts(top) == Counter(c.m for c in rows if max(c.m) <= top)
-    assert list(comps) == rows
-    assert [ComponentType11(*c) for c in rows] == rows
+        assert census.box_counts(top) == Counter(c.m for c in rows if max(c.m) <= top)
+    assert list(census) == rows
+    words = kernels.words_lex(p.n)
+    for c in rows:
+        assert len(c.m) == p.n - 1 and min(c.m) >= 0
+        assert c.s == descent_counts([words[i] for i in c.t_idx])
 
 
 @pytest.mark.parametrize("p,w", _census_instances())
@@ -291,11 +276,10 @@ def test_box_is_flat_by_corner_stability(p, w):
     as the stability coefficients are positive; and at each box point the
     degree congruence holds for (n!)^k / n word tuples. The census box
     counts agree."""
-    words = [PermWord(letters) for letters in kernels.words_lex(p.n)]
-    tuples = [PermTuple(t) for t in product(words, repeat=p.k)]
+    tuples = list(product(kernels.words_lex(p.n), repeat=p.k))
     corner = (2 * p.g - 2,) * (p.n - 1)
     assert all(stability_check(p, w, t, corner) for t in tuples)
-    counts = enumerate_components(p, w).census.box_counts(2 * p.g - 2)
+    counts = enumerate_components(p, w).box_counts(2 * p.g - 2)
     flat = factorial(p.n) ** p.k // p.n
     for m in product(range(2 * p.g - 1), repeat=p.n - 1):
         assert sum(1 for t in tuples if degree_constraint(p, t, m)) == flat == counts[m]
@@ -328,13 +312,13 @@ def test_flat_histogram_check_catches_a_moved_row(monkeypatch, capsys):
     )
     p = ModuliParams(3, 2, 1, 0)
     w = sample_generic_weights(p, seed=1, scale=Fraction(1))
-    comps = enumerate_components(p, w)
-    assert Counter(c.m for c in comps)[(1, 0)] == factorial(3) // 3 + 1
+    census = enumerate_components(p, w)
+    assert Counter(c.m for c in census)[(1, 0)] == factorial(3) // 3 + 1
     h = dim_hitchin_base(p)
-    moved = sum((component_variant_epoly(p, c) for c in comps), ZERO).shift(h, h)
+    moved = sum((component_variant_epoly(p, c) for c in census), ZERO).shift(h, h)
     assert moved == variant_closed_form(p)
     with pytest.raises(IdentityCheckError, match=r"twist vector \(0, 1\) has 1 census rows"):
-        variant_total_bruteforce(p, comps)
+        variant_total_bruteforce(p, census)
     assert cli.main(["tms", "--n", "3", "--g", "2", "--marked", "1", "--deg", "0"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
 
@@ -376,6 +360,7 @@ def _scan_filter_exponent_counts(n, k, d, sig):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_filter_counts_match_tuple_scan(n, k):
     sig = [sigma(w) for w in kernels.words_lex(n)]
+    assert kernels.sigma_table(n) == tuple(sig)
     single = cstar_fixed._sigma_residue_counts(n)
     assert single == tuple(sum(1 for s in sig if s % n == r) for r in range(n))
     for d in (0, 1, 2):
@@ -420,9 +405,9 @@ def test_insertion_bijection_limit():
 
 
 def test_components_csv_golden():
-    comps = enumerate_components(P221, ALPHA)
+    census = enumerate_components(P221, ALPHA)
     buf = io.StringIO()
-    components_to_csv(comps, buf)
+    components_to_csv(P221, census, buf)
     assert buf.getvalue().splitlines() == [
         "words,m,s,d_n,degree",
         "12,1,0,-1,1",
@@ -435,7 +420,7 @@ def test_components_csv_golden_multiword():
     p = ModuliParams(2, 2, 2, 0)
     w = WeightSystem.from_rows([[0, Fraction(1, 10)], [0, Fraction(1, 3)]])
     buf = io.StringIO()
-    components_to_csv(enumerate_components(p, w), buf)
+    components_to_csv(p, enumerate_components(p, w), buf)
     assert buf.getvalue().splitlines() == [
         "words,m,s,d_n,degree",
         "12|12,0,0,-2,0",
@@ -448,14 +433,19 @@ def test_components_csv_golden_multiword():
     ]
 
 
-def _csv_module_text(components) -> str:
+def _csv_module_text(n, census) -> str:
+    words = [PermWord(letters) for letters in kernels.words_lex(n)]
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["words", "m", "s", "d_n", "degree"])
-    for c in components:
-        writer.writerow(
-            [str(c.words), " ".join(map(str, c.m)), " ".join(map(str, c.s)), c.d_n, sum(c.m)]
-        )
+    for c in census:
+        writer.writerow([
+            "|".join(str(words[i]) for i in c.t_idx),
+            " ".join(map(str, c.m)),
+            " ".join(map(str, c.s)),
+            c.d_n,
+            sum(c.m),
+        ])
     return buf.getvalue()
 
 
@@ -464,20 +454,20 @@ def test_components_csv_matches_csv_module(n, g, k, d):
     """Byte-equal to the csv module's text, on censuses where several word
     tuples share one (lattice, s, floor of d_n) block of lines."""
     p = ModuliParams(n, g, k, d)
-    comps = enumerate_components(p, sample_generic_weights(p, seed=1, scale=Fraction(1, 8)))
-    assert any(c.d_n < 0 for c in comps)
-    groups = comps.census.groups
+    census = enumerate_components(p, sample_generic_weights(p, seed=1, scale=Fraction(1, 8)))
+    assert any(c.d_n < 0 for c in census)
+    groups = census.groups
     assert len({(id(g.lattice), g.s, g.dn_floor) for g in groups}) < len(groups)
     buf = io.StringIO()
-    components_to_csv(comps, buf)
-    assert buf.getvalue() == _csv_module_text(comps)
+    components_to_csv(p, census, buf)
+    assert buf.getvalue() == _csv_module_text(n, census)
 
 
 def test_census_memory_does_not_grow_with_rows():
     """The census, its sum and its CSV export of the 78,125 components at
     (5, 3, 1, 2) allocate at most 1,670,699 bytes at peak: the census holds
     one record per word tuple and 10,500 shared lattice points. A census
-    that listed every row as a tuple and as a ComponentType11 peaked at
+    that listed every row as a tuple and as a component object peaked at
     15.7 MB on this instance (Python 3.11). Free lists are cleared first,
     so every tuple is traced whatever ran before."""
     p = ModuliParams(5, 3, 1, 2)
@@ -486,11 +476,11 @@ def test_census_memory_does_not_grow_with_rows():
         gc.collect()
         tracemalloc.start()
         try:
-            comps = enumerate_components(p, w)
-            variant_total_bruteforce(p, comps)
-            components_to_csv(comps, sink)
+            census = enumerate_components(p, w)
+            variant_total_bruteforce(p, census)
+            components_to_csv(p, census, sink)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-    assert len(comps) == 78_125
+    assert len(census) == 78_125
     assert peak <= 1_670_699, peak

@@ -19,13 +19,7 @@ from hypothesis import strategies as st
 
 from parmirror import kernels
 from parmirror.chambers import sample_generic_weights, small_weight_margin, weight_denominator
-from parmirror.cstar_fixed import (
-    PermTuple,
-    PermWord,
-    component_dn,
-    degree_constraint,
-    stability_check,
-)
+from parmirror.cstar_fixed import component_dn, degree_constraint, descent_counts, stability_check
 from parmirror.moduli import ModuliParams
 
 INSTANCES = [
@@ -142,9 +136,9 @@ def _l2_region(p, w, t):
     n = p.n
     coef = [n - 1 if j == 1 else n - j for j in range(1, n)]
     rhs = Fraction((n - 1) * n * (2 * p.g - 2 + p.k), 2)
-    for row, word in zip(w.alpha, t.words):
-        rhs += (n - 1) * sum(row) - n * sum(row[word.letters[j] - 1] for j in range(1, n))
-    budget = rhs - sum(c * s for c, s in zip(coef, t.descents))
+    for row, word in zip(w.alpha, t):
+        rhs += (n - 1) * sum(row) - n * sum(row[word[j] - 1] for j in range(1, n))
+    budget = rhs - sum(c * s for c, s in zip(coef, descent_counts(t)))
 
     def below(j, left):
         if j == n - 1:
@@ -167,10 +161,10 @@ def test_census_matches_reference_oracle(p, scale, seed):
     w = sample_generic_weights(p, seed=seed, scale=scale)
     den = weight_denominator(w)
     wnum = tuple(tuple(int(a * den) for a in row) for row in w.alpha)
-    words = [PermWord(letters) for letters in kernels.words_lex(p.n)]
+    words = kernels.words_lex(p.n)
     expected = set()
     for t_idx in product(range(len(words)), repeat=p.k):
-        t = PermTuple(tuple(words[i] for i in t_idx))
+        t = tuple(words[i] for i in t_idx)
         for m in _l2_region(p, w, t):
             if degree_constraint(p, t, m) and stability_check(p, w, t, m):
                 expected.add((t_idx, m))
@@ -180,8 +174,8 @@ def test_census_matches_reference_oracle(p, scale, seed):
         assert len(rows) == len(expected)
         assert {(t_idx, m) for t_idx, m, _, _ in rows} == expected
         for t_idx, m, s, dn in rows:
-            t = PermTuple(tuple(words[i] for i in t_idx))
-            assert s == t.descents
+            t = tuple(words[i] for i in t_idx)
+            assert s == descent_counts(t)
             assert dn == component_dn(p, t, m)
 
 
@@ -319,10 +313,10 @@ def test_census_searches_each_distinct_lattice_once(monkeypatch):
     monkeypatch.setattr(kernels, "_lattice", spy)
     census = kernels.enumerate_census(n, g, k, d, wnum, den)
     assert len(found) == len(set(found)) == len(census.uses) == 16
-    words = [PermWord(letters) for letters in kernels.words_lex(n)]
+    words = kernels.words_lex(n)
     shared = {}
     for group in census.groups:
-        key = _lattice_key(p, w, PermTuple(tuple(words[i] for i in group.t_idx)))
+        key = _lattice_key(p, w, tuple(words[i] for i in group.t_idx))
         assert shared.setdefault(key, group.lattice) is group.lattice
     assert len(shared) == 47
 
@@ -337,14 +331,15 @@ def _coefficients(n):
 
 
 def _lattice_key(p, w, t):
-    """(Q, offset mod n) with Q[l] the largest integer below the l-th
-    stability bound minus its s side: coef.m < bound iff coef.m <= Q[l]."""
-    n, s = p.n, t.descents
+    """(Q, offset mod n) of the word tuple t, one letter tuple per point,
+    with Q[l] the largest integer below the l-th stability bound minus its
+    s side: coef.m < bound iff coef.m <= Q[l]."""
+    n, s = p.n, descent_counts(t)
     budgets = []
     for l, coef in enumerate(_coefficients(n), start=2):
         rhs = Fraction((n - l + 1) * (l - 1) * n * (2 * p.g - 2 + p.k), 2)
-        for row, word in zip(w.alpha, t.words):
-            rhs += (n - l + 1) * sum(row) - n * sum(row[a - 1] for a in word.letters[l - 1:])
+        for row, word in zip(w.alpha, t):
+            rhs += (n - l + 1) * sum(row) - n * sum(row[a - 1] for a in word[l - 1:])
         budgets.append(math.ceil(rhs - sum(c * sj for c, sj in zip(coef, s))) - 1)
     offset = p.d - n * (n - 1) * (2 * p.g - 2 + p.k) // 2 + sum((j + 1) * sj for j, sj in enumerate(s))
     return tuple(budgets), offset % n
@@ -354,16 +349,16 @@ def _census_searching_every_key(p, w):
     """The census rows with no lattice reused: every word tuple's key,
     recomputed from the Fraction form of the stability bound, is searched on
     its own, and d_n comes from component_dn."""
-    words = [PermWord(letters) for letters in kernels.words_lex(p.n)]
+    words = kernels.words_lex(p.n)
     coef = _coefficients(p.n)
     rows = []
     for t_idx in product(range(len(words)), repeat=p.k):
-        t = PermTuple(tuple(words[i] for i in t_idx))
+        t = tuple(words[i] for i in t_idx)
         Q, residue = _lattice_key(p, w, t)
         if min(Q) < 0:
             continue
         lattice, _ = kernels._lattice(p.n, coef, Q, residue)
-        rows.extend((t_idx, m, t.descents, component_dn(p, t, m)) for m, _ in lattice)
+        rows.extend((t_idx, m, descent_counts(t), component_dn(p, t, m)) for m, _ in lattice)
     return rows
 
 

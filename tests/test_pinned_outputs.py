@@ -1,14 +1,15 @@
-"""Byte pins: eleven CLI invocations must write exactly the pinned bytes.
+"""Byte pins: twelve CLI invocations must write exactly the pinned bytes.
 
 Three invocations and their sha256 values are those of the benchmark's
 three workloads at seed 1 (``perfbench/workloads.py``, ``WORKLOADS`` and
 ``sweep_config_text(1)``). Copy them from there when a change to the output
 is intended; any other change to a report byte fails here. The two
 ``walls`` reports, one with sampled weights so that it carries the
-``generic`` field, pin every wall record in enumeration order. The other
-six pin one report of each remaining subcommand; the three ``orbits``
-reports cover an explicit gamma, the exhaustive pool of all 5^4 vectors,
-and the basis-plus-pairwise-sums pool taken when 11^6 > 10^6.
+``generic`` field, pin every wall record in enumeration order. A
+two-point ``variant`` with its CSV pins the "|"-joined words field. The
+other six pin one report of each remaining subcommand; the three
+``orbits`` reports cover an explicit gamma, the exhaustive pool of all 5^4
+vectors, and the basis-plus-pairwise-sums pool taken when 11^6 > 10^6.
 """
 
 import hashlib
@@ -37,6 +38,11 @@ PINNED = {
         ["variant", "--n", "5", "--g", "3", "--marked", "1", "--deg", "2", "--seed=1"],
         {"json": "1c052df7d2490663c4774c96f13375e99d18387e843bde2d4c508475a771bee6",
          "csv": "60527fd3510b420e26b0c0e88a11ec4d3ebda3458eb35d044b85eefc2fc95fa9"},
+    ),
+    "variant_two_points": (
+        ["variant", "--n", "3", "--g", "2", "--marked", "2", "--deg", "1", "--seed", "4"],
+        {"json": "c647ace7d25684ed9b5735b1e50a6a73d2fc76b170eb649fde88c02c789a62ca",
+         "csv": "e5f4dcc70b917e83a8b0a2735dea3e9a6de21c95805d5d15c9c6c889822972e5"},
     ),
     "walls_weights": (
         ["walls", "--n", "3", "--g", "2", "--marked", "2", "--deg", "1", "--seed", "2"],

@@ -251,7 +251,6 @@ def test_model_validation():
     with pytest.raises(ValueError):
         NormFiberModel(n=3, d=0, gamma=gamma, l_gamma=3)
     model = NormFiberModel(n=3, d=2, gamma=gamma)
-    assert model.components == (0, 1, 2)
     assert model.galois_shift() == 2
 
 

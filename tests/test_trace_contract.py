@@ -1,10 +1,10 @@
 """The hooks of perfbench's traced run still fit the program.
 
-perfbench/tracing.py wraps the census kernel and enumerate_components,
-takes len() of their results, iterates the components twice and replays
-every census call on each backend. A small `variant` and a small `tms` run
-go through its Probe here, so a result type that breaks those hooks fails
-these tests. The module is imported from its file and left unchanged.
+perfbench/tracing.py wraps the census kernel, enumerate_components and
+the CSV export, takes len() of the censuses, iterates the checked census
+twice and replays every census call on each backend. A small `variant`
+with its CSV and a small `tms` run go through its Probe here, so a result
+type or signature that breaks those hooks fails these tests. The module is imported from its file and left unchanged.
 
 The traced child imports parmirror.cli and then looks up every module it
 wraps in sys.modules, so importing the CLI must load them all; it must
@@ -45,11 +45,13 @@ def tracing():
 
 
 @pytest.mark.parametrize("argv", [
-    ["variant", "--n", "3", "--g", "2", "--marked", "2", "--deg", "1", "--seed", "4"],
+    ["variant", "--n", "3", "--g", "2", "--marked", "2", "--deg", "1", "--seed", "4",
+     "--csv", "{tmp}/rows.csv"],
     ["tms", "--n", "5", "--g", "2", "--marked", "1", "--deg", "0", "--seed", "1"],
 ], ids=["variant", "tms"])
 def test_traced_run_counters_agree(tracing, tmp_path, argv):
     out = tmp_path / "report.json"
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
     rec = tracing.Recorder("contract")
     probe = tracing.Probe(rec)
     try:
@@ -67,6 +69,7 @@ def test_traced_run_counters_agree(tracing, tmp_path, argv):
     assert 0 < stats["supported"] <= stats["components"]
     assert len(probe.census_calls) == 1
     assert set(probe.backend_parity(kernels)) == set(kernels.backends())
+    assert rec.counts["cstar_fixed.components_to_csv"] == ("--csv" in argv)
 
 
 def test_cli_import_loads_the_traced_modules_and_nothing_sweep_only(tracing):

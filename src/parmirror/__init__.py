@@ -1,10 +1,13 @@
 """Exact verification of a topological mirror identity for parabolic
 Higgs moduli of prime rank with full flags.
 
-The library computes the variant E-polynomial total three independent ways
+The library computes the variant E-polynomial total three ways
 (fixed-component census, closed form, root-of-unity filtered sum) and the
 stringy total on the quotient side, entirely in exact arithmetic, and checks
-the four agree. Supporting pieces: sparse bivariate integer polynomials and
+the four agree. Only the census reads the weights. The filtered sum is the
+closed form computed in Z[xi], whose own content is the sigma mod n
+histogram convolution; the stringy total is the closed-form product
+rearranged. Supporting pieces: sparse bivariate integer polynomials and
 cyclotomic integers, wall/chamber analysis of parabolic weights, descent
 combinatorics, and torsion-group actions with the standard symplectic
 pairing.

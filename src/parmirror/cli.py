@@ -27,7 +27,6 @@ from .chambers import (
     walls_to_jsonable,
 )
 from .cstar_fixed import (
-    PermWord,
     components_to_csv,
     count_S,
     enumerate_components,
@@ -219,7 +218,7 @@ def _cmd_lemma(args) -> int:
     # the words of S_(n-1) are streamed, never held at once
     checked = factorial(n - 1) if n > 1 else 0
     prevs = permutations(range(1, n)) if n > 1 else ()
-    ok = all(insertion_bijection_check(PermWord(word)) for word in prevs)
+    ok = all(insertion_bijection_check(word) for word in prevs)
     _emit(args, {
         "n": n,
         "residue_counts": counts,

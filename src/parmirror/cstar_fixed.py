@@ -16,7 +16,6 @@ from fractions import Fraction
 from functools import cache
 from itertools import product
 from math import factorial
-from typing import NamedTuple
 
 from . import kernels
 from .chambers import (
@@ -48,52 +47,10 @@ class NonIntegralDegreeError(ValueError):
     """The degree congruence fails, so the component degree is not an integer."""
 
 
-class _WordFields(NamedTuple):
-    letters: tuple[int, ...]
-
-
-class PermWord(_WordFields):
-    """A permutation of 1..n as a letter tuple. An immutable one-field
-    tuple, checked on construction."""
-
-    __slots__ = ()
-
-    def __new__(cls, letters: tuple[int, ...]):
-        n = len(letters)
-        if sorted(letters) != list(range(1, n + 1)):
-            raise ValueError(f"{letters} is not a permutation word of 1..{n}")
-        return tuple.__new__(cls, (letters,))
-
-    @classmethod
-    def _make(cls, iterable):
-        # the inherited _make (and _replace, which calls it) skips __new__
-        return cls(*iterable)
-
-    @classmethod
-    def from_string(cls, text: str) -> PermWord:
-        if "." in text:
-            return cls(tuple(int(part) for part in text.split(".")))
-        return cls(tuple(int(ch) for ch in text))
-
-    @property
-    def n(self) -> int:
-        return len(self.letters)
-
-    def __str__(self) -> str:
-        if self.n <= 9:
-            return "".join(str(a) for a in self.letters)
-        return ".".join(str(a) for a in self.letters)
-
-
-def descent_counts(words) -> tuple[int, ...]:
-    """s_j: how many of the words, letter tuples, step down at position j."""
-    return tuple(map(sum, zip(*map(kernels.descent_vector, words))))
-
-
 def degree_constraint(p: ModuliParams, words, m) -> bool:
     """Degree congruence for a type-(1,...,1) component to exist; words
     holds one letter tuple per marked point."""
-    s = descent_counts(words)
+    s = kernels.descent_counts(words)
     if p.n == 2:
         return (p.d + m[0] + s[0] - p.k) % 2 == 0
     total = sum((j + 1) * (m[j] + s[j]) for j in range(p.n - 1))
@@ -103,7 +60,7 @@ def degree_constraint(p: ModuliParams, words, m) -> bool:
 def component_dn(p: ModuliParams, words, m) -> int:
     """Common factor degree d_n with
     n*d_n = d + sum j(m_j + s_j) - n(n-1)(g - 1 + k/2)."""
-    s = descent_counts(words)
+    s = kernels.descent_counts(words)
     num = p.d + sum((j + 1) * (m[j] + s[j]) for j in range(p.n - 1))
     num -= p.n * (p.n - 1) * (2 * p.g - 2 + p.k) // 2
     if num % p.n:
@@ -116,7 +73,7 @@ def stability_check(p: ModuliParams, w: WeightSystem, words, m) -> bool:
     index l = 2..n, evaluated in exact rational arithmetic. Reference
     implementation; the kernels must agree with it."""
     n, g, k = p.n, p.g, p.k
-    s = descent_counts(words)
+    s = kernels.descent_counts(words)
     for l in range(2, n + 1):
         coef = [(n - l + 1) * j if j <= l - 1 else (l - 1) * (n - j) for j in range(1, n)]
         lhs = sum(c * (mj + sj) for c, mj, sj in zip(coef, m, s))
@@ -129,8 +86,10 @@ def stability_check(p: ModuliParams, w: WeightSystem, words, m) -> bool:
 
 
 def _word_texts(n: int) -> list[str]:
-    """Each word of S_n, in lexicographic order, as PermWord prints it."""
-    return [str(PermWord(letters)) for letters in kernels.words_lex(n)]
+    """Each word of S_n, in lexicographic order, as the CSV prints it: its
+    letters run together up to n = 9, joined by "." above."""
+    sep = "" if n <= 9 else "."
+    return [sep.join(map(str, letters)) for letters in kernels.words_lex(n)]
 
 
 def enumerate_components(p: ModuliParams, w: WeightSystem) -> kernels.Census:
@@ -138,36 +97,18 @@ def enumerate_components(p: ModuliParams, w: WeightSystem) -> kernels.Census:
     generic weights, checked: iterating it yields CensusRow in canonical
     (word tuple, m) order.
 
-    Every row is checked at the level where its fields live: s once per
-    word tuple, against the sum of its words' descent vectors, and the
-    length and signs of m once per shared lattice point. A failure is a
-    fault of the kernel and raises IdentityCheckError.
+    The length and signs of m are checked once per shared lattice point,
+    which covers every row; s is not stored, but derived from the words
+    where it is read. A failure is a fault of the kernel and raises
+    IdentityCheckError.
     """
     if not is_generic(w, p):
         raise NonGenericWeightsError(f"weights sit on a wall for {p}")
     den, wnum = integer_weights(w)
     census = kernels.enumerate_census(p.n, p.g, p.k, p.d, wnum, den)
-    # a word's descents as the base-(k + 1) digits of one integer: k words
-    # put at most k in a digit, so a word tuple's s is the digits of the sum
-    # of its words' integers; each distinct sum is decoded once
-    base = p.k + 1
-    packed = [
-        sum(x * base**j for j, x in enumerate(kernels.descent_vector(letters)))
-        for letters in kernels.words_lex(p.n)
-    ]
-    decoded: dict[int, tuple[int, ...]] = {}
-    for group in census.groups:
-        total = sum(map(packed.__getitem__, group.t_idx))
-        s = decoded.get(total)
-        if s is None:
-            s = decoded[total] = tuple(total // base**j % base for j in range(p.n - 1))
-        if s != group.s:
-            texts = _word_texts(p.n)
-            words = "|".join(texts[i] for i in group.t_idx)
-            raise IdentityCheckError(f"s = {group.s} does not match the words {words}")
     for m, _ in census.points():
         if len(m) != p.n - 1:
-            raise IdentityCheckError("m and s must have length n-1")
+            raise IdentityCheckError("m must have length n-1")
         if min(m, default=0) < 0:
             raise IdentityCheckError(f"negative twist jump in {m}")
     return census
@@ -289,15 +230,15 @@ def count_S(n: int, residue: int = 0) -> int:
     return _sigma_residue_counts(n)[residue % n]
 
 
-def insertion_bijection_check(prev: PermWord) -> bool:
-    """Insert the letter n into a word of S_(n-1) at each of the n slots and
-    check that the descent statistic shifts hit every residue mod n once.
+def insertion_bijection_check(w: tuple[int, ...]) -> bool:
+    """Insert the letter n into w, a word of S_(n-1) as a letter tuple, at
+    each of the n slots and check that the descent statistic shifts hit
+    every residue mod n once.
 
     Each insertion is classified (end, front, interior at an ascent,
     interior at a descent), and its predicted shift is checked against
     direct recomputation.
     """
-    w = prev.letters
     n = len(w) + 1
     if n > 10:
         raise LimitError(f"insertion check supports n <= 10, got {n}")
@@ -323,21 +264,23 @@ def insertion_bijection_check(prev: PermWord) -> bool:
 
 def components_to_csv(p: ModuliParams, census: kernels.Census, fh) -> None:
     """Write the census as CSV: words, m, s, d_n, homogeneous degree. The
-    words field joins the word tuple's words, as PermWord prints them,
+    words field joins the word tuple's words, as _word_texts prints them,
     with "|".
 
     Lines end in CRLF, as the csv module writes them. No field can hold a
     comma, a quote or a line break, so none is quoted and each line is
     formatted directly and streamed to fh, an open text file. A word
     tuple's lines differ only in the text after its words field, and that
-    text depends only on its (lattice, s, floor of d_n) block: each block's
-    lines are rendered once, and each word tuple writes them behind its own
-    words field.
+    text depends only on its (lattice, s, floor of d_n) block, with s
+    derived from its words: each block's lines are rendered once, and each
+    word tuple writes them behind its own words field.
     """
     fh.write("words,m,s,d_n,degree\r\n")
     blocks: dict[tuple, list[str]] = {}
     texts = _word_texts(p.n)
-    for t_idx, s, dn_floor, lattice in census.groups:
+    words = kernels.words_lex(p.n)
+    for t_idx, dn_floor, lattice in census.groups:
+        s = kernels.descent_counts(map(words.__getitem__, t_idx))
         key = (id(lattice), s, dn_floor)
         block = blocks.get(key)
         if block is None:

@@ -6,7 +6,9 @@ degree congruence and every strict stability inequality. It runs on
 unbounded ints.
 
 Row format: CensusRow(word index tuple, m tuple, s tuple, d_n). Rows come
-out in lexicographic order of (word indices, m).
+out in lexicographic order of (word indices, m). The descent counts s are a
+function of the words alone; the census does not store them, and
+`descent_counts` derives them where a row or a CSV block is read.
 
 At scale 2*wden the stability inequality for index l reads C[l].m < R[l],
 and every coefficient is C[l][j] = 2*wden*coef[l][j] with a positive
@@ -26,9 +28,10 @@ a_p(w)[l] = 2((n-l+1) tot_p - n tail_p(w)[l]) - 2*wden*coef[l].desc(w),
 where tail_p(w)[l] is the weight numerator sum of the letters of w in
 slots l..n. The kernel builds each a_p(w) vector once per word and walks
 the word tuples depth first, in lexicographic order, carrying the prefix
-sums of R, of s and of sigma(w) = sum_j j desc(w)_j (whose total fixes
-the degree offset), so the last point costs one vector add per tuple. The
-weight-free tables (descent vectors, sigma, coef and each word's
+sums of R - 1 and of sigma(w) = sum_j j desc(w)_j (whose total fixes the
+degree offset), so the last point costs one vector add per tuple. The
+bound reads each word's descents only through its share coef.desc(w),
+never through s. The weight-free tables (sigma, coef and each word's
 coef.desc products) are built once per n; the per-call a_p tables are
 freed before the lattice search.
 
@@ -88,6 +91,11 @@ def sigma(word) -> int:
     return sum(compress(count(1), descent_vector(word)))
 
 
+def descent_counts(words) -> tuple[int, ...]:
+    """s_j: how many of the words, letter tuples, step down at position j."""
+    return tuple(map(sum, zip(*map(descent_vector, words))))
+
+
 @cache
 def sigma_table(n: int) -> tuple[int, ...]:
     """sigma of each word of S_n, in lexicographic order; built once per n,
@@ -98,25 +106,25 @@ def sigma_table(n: int) -> tuple[int, ...]:
 @cache
 def _word_tables(n: int):
     """The weight-free tables of S_n, words in lexicographic order: each
-    word's descent vector and sigma, the stability coefficient rows coef,
-    and each word's descent share coef[l].desc(w); built once per n."""
+    word's sigma, the stability coefficient rows coef, and each word's
+    descent share coef[l].desc(w); built once per n."""
     desc = tuple(descent_vector(w) for w in words_lex(n))
-    sig = sigma_table(n)
     coef = tuple(
         tuple((n - l + 1) * j if j <= l - 1 else (l - 1) * (n - j) for j in range(1, n))
         for l in range(2, n + 1)
     )
     share = tuple(tuple(sum(c * x for c, x in zip(row, dv)) for row in coef) for dv in desc)
-    return desc, sig, coef, share
+    return sigma_table(n), coef, share
 
 
 class CensusGroup(NamedTuple):
     """The rows of one word tuple: (t_idx, m, s, dn_floor + q) for each pair
-    (m, q) of lattice, in increasing m order. The lattice tuple is shared by
-    every word tuple with the same budgets and degree offset mod n."""
+    (m, q) of lattice, in increasing m order, where s, the descent counts
+    of the words of t_idx, is not stored but derived where it is read. The
+    lattice tuple is shared by every word tuple with the same budgets and
+    degree offset mod n."""
 
     t_idx: tuple[int, ...]
-    s: tuple[int, ...]
     dn_floor: int
     lattice: tuple
 
@@ -136,16 +144,18 @@ class Census:
     """Census rows grouped by word tuple.
 
     A sized, re-iterable sequence of CensusRow in canonical (t_idx, m)
-    order; the rows themselves are built only while iterating. uses pairs
+    order; the rows themselves, and each group's s, are built only while
+    iterating. n is the rank, whose words t_idx indexes. uses pairs
     each distinct lattice with the number of word tuples sharing it, in
     order of first use: one walk over the groups builds it, and the row
     count, points() and box_counts() read it, not the groups. Nothing
     mutates the groups after the kernel returns.
     """
 
-    __slots__ = ("groups", "uses", "_rows")
+    __slots__ = ("n", "groups", "uses", "_rows")
 
-    def __init__(self, groups: list[CensusGroup]):
+    def __init__(self, n: int, groups: list[CensusGroup]):
+        self.n = n
         self.groups = groups
         uses: dict[int, list] = {}
         for group in groups:
@@ -161,7 +171,9 @@ class Census:
         return self._rows
 
     def __iter__(self):
-        for t_idx, s, dn_floor, lattice in self.groups:
+        words = words_lex(self.n)
+        for t_idx, dn_floor, lattice in self.groups:
+            s = descent_counts(map(words.__getitem__, t_idx))
             for m, q in lattice:
                 yield CensusRow(t_idx, m, s, dn_floor + q)
 
@@ -193,8 +205,8 @@ def enumerate_census(n, g, k, d, wnum, wden, t0_lo=0, t0_hi=None, backend=None) 
     """
     if backend not in (None, "python"):
         raise ValueError(f"unknown backend {backend!r}; have {sorted(backends())}")
-    desc, sig, coef, share = _word_tables(n)
-    nw = len(desc)
+    sig, coef, share = _word_tables(n)
+    nw = len(sig)
     if t0_hi is None:
         t0_hi = nw
     if not 0 <= t0_lo <= t0_hi <= nw:
@@ -227,15 +239,12 @@ def enumerate_census(n, g, k, d, wnum, wden, t0_lo=0, t0_hi=None, backend=None) 
     # phase one: each word tuple's group, with its interned key standing in
     # the lattice slot until phase two has its lattice
     keys: dict[tuple, tuple] = {}
-    descents: dict[tuple, tuple] = {}
-    s_rows: dict[tuple, list] = {}  # prefix s -> the interned s after each last word
     groups: list[CensusGroup] = []
     last = k - 1
 
-    def walk(p, t, r, s, base):
+    def walk(p, t, r, base):
         """Append the groups of the word tuples extending the prefix t of
-        p words, whose sums of R - 1, s and the degree offset are r, s and
-        base."""
+        p words, whose sums of R - 1 and the degree offset are r and base."""
         lo, hi = (t0_lo, t0_hi) if p == 0 else (0, nw)
         if p < last:
             vec = vecs[p]
@@ -244,26 +253,19 @@ def enumerate_census(n, g, k, d, wnum, wden, t0_lo=0, t0_hi=None, backend=None) 
                     p + 1,
                     t + (wi,),
                     [x + y for x, y in zip(r, vec[wi])],
-                    tuple([x + y for x, y in zip(s, desc[wi])]),
                     base + sig[wi],
                 )
             return
-        srow = s_rows.get(s)
-        if srow is None:
-            srow = s_rows[s] = [
-                descents.setdefault(x, x)
-                for x in (tuple([a + b for a, b in zip(s, dv)]) for dv in desc)
-            ]
         vec = vecs[p]
         for wi in range(lo, hi):
             Q = tuple([(x + y) // scale for x, y in zip(r, vec[wi])])
             if min(Q) >= 0:
                 dn_floor, residue = divmod(base + sig[wi], n)
                 key = (Q, residue)
-                groups.append(CensusGroup(t + (wi,), srow[wi], dn_floor, keys.setdefault(key, key)))
+                groups.append(CensusGroup(t + (wi,), dn_floor, keys.setdefault(key, key)))
 
-    walk(0, (), root, (0,) * nm, dn_base)
-    del vecs, s_rows, descents
+    walk(0, (), root, dn_base)
+    del vecs
     # phase two: one lattice per key, searched only when no searched
     # lattice with wider budgets holds its points (see the module docstring)
     lattices: dict[tuple, tuple] = {}
@@ -284,13 +286,13 @@ def enumerate_census(n, g, k, d, wnum, wden, t0_lo=0, t0_hi=None, backend=None) 
         lattices[key] = lattice
     # swap each key for its lattice in place, dropping empty lattices
     kept = 0
-    for t, s, dn_floor, key in groups:
+    for t, dn_floor, key in groups:
         lattice = lattices[key]
         if lattice:
-            groups[kept] = CensusGroup(t, s, dn_floor, lattice)
+            groups[kept] = CensusGroup(t, dn_floor, lattice)
             kept += 1
     del groups[kept:]
-    return Census(groups)
+    return Census(n, groups)
 
 
 def _lattice(n, coef, Q, residue):

@@ -131,13 +131,15 @@ def stringy_gamma_summand(
     """Contribution (uv)^F(gamma) E-invariant of one nonzero torsion point.
 
     Runs the component-action model for this specific gamma first; the
-    returned polynomial does not depend on which gamma was chosen.
+    returned polynomial does not depend on which gamma was chosen. A gamma
+    of another (n, g) raises ValueError; a failed model check is a fault of
+    the computation and raises IdentityCheckError.
     """
     if gamma.n != p.n or gamma.g != p.g:
         raise ValueError("gamma does not match the moduli parameters")
     model = NormFiberModel(n=p.n, d=p.d, gamma=gamma, l_gamma=l_gamma)
     if not check_component_action(model, form):
-        raise ValueError(f"component action model fails for gamma = {gamma}")
+        raise IdentityCheckError(f"component action model fails for gamma = {gamma}")
     shift = fermionic_shift(p)
     return invariant_epoly(p) * uv_power(shift)
 

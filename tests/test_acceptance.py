@@ -16,7 +16,6 @@ from parmirror.chambers import (
     wall_value,
 )
 from parmirror.cstar_fixed import (
-    PermWord,
     count_S,
     degree_constraint,
     enumerate_components,
@@ -124,7 +123,7 @@ def test_criterion_04_descent_lemma():
     checked = 0
     for n in range(2, 8):
         for letters in permutations(range(1, n)):
-            assert insertion_bijection_check(PermWord(letters)), letters
+            assert insertion_bijection_check(letters), letters
             checked += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0

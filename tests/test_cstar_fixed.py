@@ -29,12 +29,10 @@ from parmirror.cstar_fixed import (
     IdentityCheckError,
     LimitError,
     NonIntegralDegreeError,
-    PermWord,
     component_dn,
     components_to_csv,
     count_S,
     degree_constraint,
-    descent_counts,
     enumerate_components,
     insertion_bijection_check,
     stability_check,
@@ -43,7 +41,7 @@ from parmirror.cstar_fixed import (
     variant_total_cyclotomic,
 )
 from parmirror.exactpoly import ONE, U, V, ZERO, CycInt, uv_power
-from parmirror.kernels import Census, CensusGroup, CensusRow, sigma
+from parmirror.kernels import Census, CensusGroup, CensusRow, descent_counts, sigma
 from parmirror.moduli import ModuliParams, dim_hitchin_base
 
 W21 = ((2, 1),)
@@ -52,11 +50,12 @@ ALPHA = WeightSystem.from_rows([[Fraction(1, 10), Fraction(1, 2)]])
 P221 = ModuliParams(2, 2, 1, 0)
 
 
-def test_perm_word_parsing():
-    assert PermWord.from_string("231").letters == (2, 3, 1)
-    assert str(PermWord.from_string("231")) == "231"
-    with pytest.raises(ValueError):
-        PermWord.from_string("122")
+def test_word_texts_print_rule(monkeypatch):
+    """Letters run together up to n = 9 and are joined by "." above."""
+    assert cstar_fixed._word_texts(3) == ["123", "132", "213", "231", "312", "321"]
+    ten = tuple(range(10, 0, -1))
+    monkeypatch.setattr(cstar_fixed.kernels, "words_lex", lambda n: (ten,))
+    assert cstar_fixed._word_texts(10) == ["10.9.8.7.6.5.4.3.2.1"]
 
 
 def test_sigma_and_descent_stats():
@@ -115,57 +114,38 @@ def test_enumerate_components_parity_flip():
 
 
 def _patch_census(monkeypatch, *groups):
-    """Make the kernel return a census of the given (t_idx, s, dn_floor,
+    """Make the kernel return a rank-2 census of the given (t_idx, dn_floor,
     lattice) groups."""
-    census = Census([CensusGroup(*group) for group in groups])
+    census = Census(2, [CensusGroup(*group) for group in groups])
     monkeypatch.setattr(cstar_fixed.kernels, "enumerate_census", lambda *args: census)
-
-
-def test_enumerate_components_checks_every_row(monkeypatch):
-    # word index 0 is "12", which has no descent: the second group's lattice
-    # is the first group's, and its s = (1,) is wrong
-    lattice = (((1,), 0), ((3,), 1))
-    _patch_census(monkeypatch, ((1,), (1,), -1, lattice), ((0,), (1,), -1, lattice))
-    with pytest.raises(IdentityCheckError, match="does not match the words"):
-        enumerate_components(P221, ALPHA)
-
-
-def test_enumerate_components_checks_the_last_word(monkeypatch):
-    # k = 2: the tuple (0, 1) is "12|21", which descends once, in its last
-    # word; its s = (0,) leaves that word's share out
-    p = ModuliParams(2, 2, 2, 0)
-    lattice = (((1,), 0),)
-    _patch_census(monkeypatch, ((0, 0), (0,), -1, lattice), ((0, 1), (0,), -1, lattice))
-    with pytest.raises(IdentityCheckError, match=r"s = \(0,\) does not match the words 12\|21"):
-        enumerate_components(p, sample_generic_weights(p, seed=1))
 
 
 def test_enumerate_components_rejects_negative_twist(monkeypatch):
     # the bad point is the last one of a lattice that a good word tuple shares
     _patch_census(
         monkeypatch,
-        ((1,), (1,), -1, (((0,), 0),)),
-        ((1,), (1,), -1, (((0,), 0), ((-2,), -1))),
+        ((1,), -1, (((0,), 0),)),
+        ((1,), -1, (((0,), 0), ((-2,), -1))),
     )
     with pytest.raises(IdentityCheckError, match="negative twist jump"):
         enumerate_components(P221, ALPHA)
 
 
 def test_enumerate_components_rejects_wrong_twist_length(monkeypatch):
-    _patch_census(monkeypatch, ((1,), (1,), -1, (((0,), 0), ((1, 1), 1))))
+    _patch_census(monkeypatch, ((1,), -1, (((0,), 0), ((1, 1), 1))))
     with pytest.raises(IdentityCheckError, match="length n-1"):
         enumerate_components(P221, ALPHA)
 
 
 def test_census_faults_exit_one(monkeypatch, capsys):
-    """A census that fails the s check is a fault of the program, not of
-    the invocation: variant and tms exit 1, not 2."""
-    lattice = (((1,), 0), ((3,), 1))
-    _patch_census(monkeypatch, ((1,), (1,), -1, lattice), ((0,), (1,), -1, lattice))
+    """A census with a negative twist jump is a fault of the program, not
+    of the invocation: variant and tms exit 1, not 2."""
+    lattice = (((1,), 0), ((-1,), 0))
+    _patch_census(monkeypatch, ((0,), -1, (((1,), 0),)), ((1,), -1, lattice))
     for sub in ("variant", "tms"):
         assert cli.main([sub, "--n", "2", "--g", "2", "--marked", "1", "--deg", "0"]) == 1, sub
         err = capsys.readouterr().err
-        assert err.startswith("error: s = (1,) does not match the words 12"), err
+        assert err.startswith("error: negative twist jump in (-1,)"), err
 
 
 def test_enumerate_components_shares_word_tuples():
@@ -295,7 +275,7 @@ def _move_one_row(census, old, new):
             if m == old:
                 points[j] = (new, q)
                 groups[i] = group._replace(lattice=tuple(points))
-                return Census(groups)
+                return Census(census.n, groups)
     raise LookupError(f"no row has m = {old}")
 
 
@@ -396,12 +376,12 @@ def test_count_S_values_and_uniformity():
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_insertion_bijection_all_words(n):
     for letters in permutations(range(1, n)):
-        assert insertion_bijection_check(PermWord(letters))
+        assert insertion_bijection_check(letters)
 
 
 def test_insertion_bijection_limit():
     with pytest.raises(LimitError):
-        insertion_bijection_check(PermWord(tuple(range(1, 12))))
+        insertion_bijection_check(tuple(range(1, 12)))
 
 
 def test_components_csv_golden():
@@ -434,13 +414,13 @@ def test_components_csv_golden_multiword():
 
 
 def _csv_module_text(n, census) -> str:
-    words = [PermWord(letters) for letters in kernels.words_lex(n)]
+    words = ["".join(map(str, letters)) for letters in kernels.words_lex(n)]
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["words", "m", "s", "d_n", "degree"])
     for c in census:
         writer.writerow([
-            "|".join(str(words[i]) for i in c.t_idx),
+            "|".join(words[i] for i in c.t_idx),
             " ".join(map(str, c.m)),
             " ".join(map(str, c.s)),
             c.d_n,
@@ -456,8 +436,12 @@ def test_components_csv_matches_csv_module(n, g, k, d):
     p = ModuliParams(n, g, k, d)
     census = enumerate_components(p, sample_generic_weights(p, seed=1, scale=Fraction(1, 8)))
     assert any(c.d_n < 0 for c in census)
+    words = kernels.words_lex(n)
     groups = census.groups
-    assert len({(id(g.lattice), g.s, g.dn_floor) for g in groups}) < len(groups)
+    blocks = {
+        (id(g.lattice), descent_counts(words[i] for i in g.t_idx), g.dn_floor) for g in groups
+    }
+    assert len(blocks) < len(groups)
     buf = io.StringIO()
     components_to_csv(p, census, buf)
     assert buf.getvalue() == _csv_module_text(n, census)

@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 
 from parmirror import kernels
 from parmirror.chambers import sample_generic_weights, small_weight_margin, weight_denominator
-from parmirror.cstar_fixed import component_dn, degree_constraint, descent_counts, stability_check
+from parmirror.cstar_fixed import component_dn, degree_constraint, stability_check
+from parmirror.kernels import descent_counts
 from parmirror.moduli import ModuliParams
 
 INSTANCES = [

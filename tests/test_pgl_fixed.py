@@ -138,3 +138,13 @@ def test_stringy_summand_rejects_mismatched_gamma():
     form = SymplecticForm.standard(3, 2)
     with pytest.raises(ValueError):
         stringy_gamma_summand(p, standard_basis_vector(3, 3, 0), form)
+
+
+def test_stringy_summand_failed_action_model_is_identity_failure(monkeypatch):
+    """A failed per-gamma model check is a fault of the computation, not of
+    the invocation: IdentityCheckError (exit 1), not ValueError (exit 2)."""
+    monkeypatch.setattr(pgl_fixed, "check_component_action", lambda model, form: False)
+    p = ModuliParams(3, 2, 1, d=1)
+    form = SymplecticForm.standard(3, 2)
+    with pytest.raises(IdentityCheckError, match="component action model fails"):
+        stringy_gamma_summand(p, standard_basis_vector(3, 2, 0), form)

@@ -31,6 +31,11 @@ time, raw and speed-scaled, the median peak RSS of the runs, and every
 run's numbers; the calibration times are recorded as well, and so is
 ``PYTHONDONTWRITEBYTECODE``: the children inherit it, and when it is set
 every run compiles ``src/`` anew.
+
+Each tree's git commit and dirty flag are recorded before the first rung
+and read again after the last; if either changed, the file lists the tree
+under ``trees_changed`` and the script exits 1, since its runs did not all
+time the recorded state.
 """
 
 from __future__ import annotations
@@ -171,6 +176,7 @@ def main(argv=None) -> int:
             parser.error(f"{path} has no src/parmirror/cli.py")
         trees[label] = Path(path).resolve()
 
+    described = {label: describe(path) for label, path in trees.items()}
     results = {}
     failed = 0
     load, ref_s = calibration_load()
@@ -216,11 +222,15 @@ def main(argv=None) -> int:
         "calibration": {"ref_s": ref_s,
                         "median_s": statistics.median(calibrations),
                         "runs_s": calibrations},
-        "trees": {label: describe(path) for label, path in trees.items()},
+        "trees": described,
         "rungs": results,
     }
+    changed = [label for label, path in trees.items() if describe(path) != described[label]]
+    if changed:
+        out["trees_changed"] = changed
+        print(f"trees changed during the run: {', '.join(changed)}", file=sys.stderr)
     Path(args.out).write_text(json.dumps(out, indent=2) + "\n")
-    return 1 if failed else 0
+    return 1 if failed or changed else 0
 
 
 if __name__ == "__main__":

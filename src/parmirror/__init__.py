@@ -5,8 +5,8 @@ The library computes the variant E-polynomial total three ways
 (fixed-component census, closed form, root-of-unity filtered sum) and the
 stringy total on the quotient side, entirely in exact arithmetic, and checks
 the four agree. Only the census reads the weights. The filtered sum is the
-closed form computed in Z[xi], whose own content is the sigma mod n
-histogram convolution; the stringy total is the closed-form product
+closed form times one check in integers, that the sigma sums of the word
+tuples are flat mod n; the stringy total is the closed-form product
 rearranged. Supporting pieces: sparse bivariate integer polynomials and
 cyclotomic integers, wall/chamber analysis of parabolic weights, descent
 combinatorics, and torsion-group actions with the standard symplectic

@@ -5,8 +5,9 @@ A component is labeled by one permutation word per marked point plus a
 vector m of twist jumps. The census filters by the degree congruence and by
 strict parabolic stability; the variant total over the census, the closed
 product formula, and the root-of-unity filtered sum agree exactly for
-generic weights. Also houses the descent-statistics counting lemma that
-makes the filtered sum collapse.
+generic weights. The filtered sum is the closed form times a check, in
+integers, that the word tuples' sigma sums are flat mod n; the
+descent-statistics counting lemma housed here is why they are.
 """
 
 from __future__ import annotations
@@ -30,11 +31,8 @@ from .exactpoly import (
     V,
     ZERO,
     BivarPoly,
-    CycBivarPoly,
-    CycInt,
     IdentityCheckError,
     binom_deg_slice,
-    cyc_project,
 )
 from .moduli import ModuliParams, dim_hitchin_base
 
@@ -159,17 +157,6 @@ def variant_closed_form(p: ModuliParams) -> BivarPoly:
     return (((ONE - U) * (ONE - V)) ** ((n - 1) * (g - 1)) * (c // n)).shift(h, h)
 
 
-def _root_shift_product(n: int, g: int, l: int) -> CycBivarPoly:
-    """Product over j = 1..n-1 of (1 - xi^(jl) u)^(g-1) (1 - xi^(jl) v)^(g-1)."""
-    poly = CycBivarPoly.one(n)
-    for j in range(1, n):
-        r = CycInt.root_power(n, (j * l) % n)
-        fu = CycBivarPoly(n, {(0, 0): CycInt.from_int(n, 1), (1, 0): -r})
-        fv = CycBivarPoly(n, {(0, 0): CycInt.from_int(n, 1), (0, 1): -r})
-        poly = poly * fu ** (g - 1) * fv ** (g - 1)
-    return poly
-
-
 @cache
 def _sigma_residue_counts(n: int) -> tuple[int, ...]:
     """How many words of S_n have each value of sigma mod n, read from the
@@ -180,46 +167,32 @@ def _sigma_residue_counts(n: int) -> tuple[int, ...]:
     return tuple(single)
 
 
-def _filter_exponent_counts(n, k, d, single):
-    """counts[l][e]: word tuples whose filter exponent, times l, is e mod n.
-
-    The exponent depends on a word tuple only through its sigma sum mod n,
-    so single, the sigma mod n histogram over S_n, is convolved k times
-    over Z/n: O(n! + k n^2) work instead of a scan of all (n!)^k tuples.
-    """
+def _sigma_sum_residues(n: int, k: int, single) -> list[int]:
+    """How many k-word tuples have each sigma sum mod n: single, the sigma
+    mod n histogram over S_n, convolved k times over Z/n, O(n! + k n^2)
+    work instead of a scan of all (n!)^k tuples."""
     sums = [1] + [0] * (n - 1)
     for _ in range(k):
         sums = [sum(sums[a] * single[(r - a) % n] for a in range(n)) for r in range(n)]
-    offset = d - k if n == 2 else d
-    counts = [[0] * n for _ in range(n)]
-    for r, cnt in enumerate(sums):
-        for l in range(n):
-            counts[l][(l * (offset + r)) % n] += cnt
-    return counts
+    return sums
 
 
 def variant_total_cyclotomic(p: ModuliParams) -> BivarPoly:
-    """Root-of-unity filtered form of the variant total.
+    """Root-of-unity filtered form of the variant total, in integers.
 
-    Sums xi^(l * congruence exponent) over every word tuple and every
-    l = 0..n-1, with the m sums folded into the per-l product of
-    (1 - xi^(jl) u)^(g-1) (1 - xi^(jl) v)^(g-1); then divides by n inside
-    the cyclotomic ring, projects to Z[u, v], and applies the
-    (n^2g - 1)(uv)^(dim/2) prefactor. Exact at every step.
+    For prime n and l != 0, r -> l(offset + r) permutes Z/n, so the l-th
+    filter term vanishes exactly when the word tuples' sigma sums r are
+    flat mod n; that is checked (IdentityCheckError otherwise). What remains
+    is the l = 0 term: the flat count times (n^2g - 1) ((1-u)(1-v))^((n-1)(g-1)),
+    shifted by (uv)^(dim/2).
     """
-    n, g, k, d = p.n, p.g, p.k, p.d
-    counts = _filter_exponent_counts(n, k, d, _sigma_residue_counts(n))
-    total = CycBivarPoly.zero(n)
-    for l in range(n):
-        scal = CycInt.zero(n)
-        for e in range(n):
-            if counts[l][e]:
-                scal = scal + CycInt.root_power(n, e) * counts[l][e]
-        if not scal.is_zero():
-            total = total + _root_shift_product(n, g, l).scale(scal)
-    proj = cyc_project(total.exact_div(n))
+    n, g, k = p.n, p.g, p.k
+    sums = _sigma_sum_residues(n, k, _sigma_residue_counts(n))
+    if len(set(sums)) != 1:
+        raise IdentityCheckError(f"sigma sums of {k} words are not flat mod {n}: {sums}")
     h = dim_hitchin_base(p)
-    return (proj * (n ** (2 * g) - 1)).shift(h, h)
+    poly = ((ONE - U) * (ONE - V)) ** ((n - 1) * (g - 1))
+    return (poly * (sums[0] * (n ** (2 * g) - 1))).shift(h, h)
 
 
 def count_S(n: int, residue: int = 0) -> int:

@@ -2,8 +2,9 @@
 
 Sparse bivariate polynomials over Z with unbounded integer coefficients,
 rationals serialized as "num/den" strings, and cyclotomic integers Z[xi]
-for xi a primitive n-th root of unity, n prime. Everything here is exact;
-there is no floating point and no machine-integer fast path.
+for xi a primitive n-th root of unity, n prime, which only the tests and
+the benchmark's counters use. Everything here is exact; there is no
+floating point and no machine-integer fast path.
 """
 
 from __future__ import annotations

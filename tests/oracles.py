@@ -2,7 +2,8 @@
 
 Each is either a reference the library's faster path is checked against
 (one component's variant E-polynomial, the character sum over S_n, the
-discarded filter terms, the root-of-unity filter, coordinates in a basis)
+discarded filter terms, the filtered total in the cyclotomic ring, the
+root-of-unity filter, coordinates in a basis)
 or a textbook invariant the moduli tests check by hand (spectral fibre
 degree, cover genus, parabolic slope). None of them runs on a CLI path.
 """
@@ -11,10 +12,20 @@ from fractions import Fraction
 from math import factorial
 from typing import NamedTuple
 
-from parmirror import kernels
+from parmirror import cstar_fixed, kernels
 from parmirror.cstar_fixed import count_S
-from parmirror.exactpoly import U, V, ZERO, BivarPoly, CycInt, binom_deg_slice, is_prime
-from parmirror.moduli import ModuliParams, _as_int
+from parmirror.exactpoly import (
+    U,
+    V,
+    ZERO,
+    BivarPoly,
+    CycBivarPoly,
+    CycInt,
+    binom_deg_slice,
+    cyc_project,
+    is_prime,
+)
+from parmirror.moduli import ModuliParams, _as_int, dim_hitchin_base
 from parmirror.torsion import TorsionVector, _invert_mod
 
 
@@ -46,6 +57,42 @@ def cyclotomic_discarded_term(p: ModuliParams) -> BivarPoly:
     geom_v = sum((V**i for i in range(n)), ZERO)
     weight = (n * count_S(n) - factorial(n)) ** k
     return (geom_u * geom_v) ** (g - 1) * weight
+
+
+def _root_shift_product(n: int, g: int, l: int) -> CycBivarPoly:
+    """Product over j = 1..n-1 of (1 - xi^(jl) u)^(g-1) (1 - xi^(jl) v)^(g-1)."""
+    poly = CycBivarPoly.one(n)
+    for j in range(1, n):
+        r = CycInt.root_power(n, (j * l) % n)
+        fu = CycBivarPoly(n, {(0, 0): CycInt.from_int(n, 1), (1, 0): -r})
+        fv = CycBivarPoly(n, {(0, 0): CycInt.from_int(n, 1), (0, 1): -r})
+        poly = poly * fu ** (g - 1) * fv ** (g - 1)
+    return poly
+
+
+def ring_filtered_total(p: ModuliParams) -> BivarPoly:
+    """The root-of-unity filtered variant total in Z[xi][u, v].
+
+    Sums xi^(l * e) over every word tuple and every l = 0..n-1, where a
+    tuple's filter exponent e is d + (its sigma sum) mod n, less k for
+    n = 2; the m sums are folded into the per-l product of
+    (1 - xi^(jl) u)^(g-1) (1 - xi^(jl) v)^(g-1). Then divides by n inside
+    the ring, projects to Z[u, v], and applies the (n^2g - 1)(uv)^(dim/2)
+    prefactor.
+    """
+    n, g, k, d = p.n, p.g, p.k, p.d
+    sums = cstar_fixed._sigma_sum_residues(n, k, cstar_fixed._sigma_residue_counts(n))
+    offset = d - k if n == 2 else d
+    total = CycBivarPoly.zero(n)
+    for l in range(n):
+        scal = CycInt.zero(n)
+        for r, cnt in enumerate(sums):
+            scal = scal + CycInt.root_power(n, (l * (offset + r)) % n) * cnt
+        if not scal.is_zero():
+            total = total + _root_shift_product(n, g, l).scale(scal)
+    proj = cyc_project(total.exact_div(n))
+    h = dim_hitchin_base(p)
+    return (proj * (n ** (2 * g) - 1)).shift(h, h)
 
 
 def root_of_unity_filter(n: int, nu: int) -> int:

@@ -11,10 +11,10 @@ import jsonschema
 import pytest
 
 import parmirror
-from parmirror import schemas
+from parmirror import moduli, schemas
 from parmirror.chambers import sample_generic_weights
 from parmirror.cli import SUBCOMMANDS, build_parser, main
-from parmirror.exactpoly import CycBivarPoly, NonIntegralCoefficientError
+from parmirror.exactpoly import NonIntegralCoefficientError
 from parmirror.moduli import ModuliParams
 
 
@@ -53,11 +53,12 @@ def test_nonprime_rank_is_usage_error(capsys):
 
 
 def test_non_integral_result_exits_1(monkeypatch, capsys):
-    # A computed quantity that fails to be integral is a mathematical failure.
-    def not_integral(self, m):
-        raise NonIntegralCoefficientError(f"{self!r} is not divisible by {m}")
+    # A computed quantity that fails to be integral is a mathematical
+    # failure; every tms run checks that the Hitchin base dimension is one.
+    def not_integral(q, what):
+        raise NonIntegralCoefficientError(f"{what} = {q} is not an integer")
 
-    monkeypatch.setattr(CycBivarPoly, "exact_div", not_integral)
+    monkeypatch.setattr(moduli, "_as_int", not_integral)
     assert main(["tms", "--n", "3", "--g", "2", "--marked", "1"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
 

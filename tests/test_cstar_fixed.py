@@ -17,7 +17,12 @@ from math import factorial
 
 import pytest
 
-from oracles import component_variant_epoly, cyclotomic_discarded_term, descent_character_sum
+from oracles import (
+    component_variant_epoly,
+    cyclotomic_discarded_term,
+    descent_character_sum,
+    ring_filtered_total,
+)
 from parmirror import cli, cstar_fixed, kernels
 from parmirror.chambers import (
     NonGenericWeightsError,
@@ -326,14 +331,12 @@ def test_cyclotomic_equals_closed_form(n, k):
         assert variant_total_cyclotomic(p) == variant_closed_form(p)
 
 
-def _scan_filter_exponent_counts(n, k, d, sig):
-    """The direct form: visit every word tuple and bin its filter exponent."""
-    counts = [[0] * n for _ in range(n)]
+def _scan_sigma_sum_residues(n, k, sig):
+    """The direct form: visit every word tuple and bin its sigma sum mod n."""
+    sums = [0] * n
     for t in product(sig, repeat=k):
-        base = (d + sum(t) - k) if n == 2 else (d + sum(t))
-        for l in range(n):
-            counts[l][(l * base) % n] += 1
-    return counts
+        sums[sum(t) % n] += 1
+    return sums
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -343,10 +346,26 @@ def test_filter_counts_match_tuple_scan(n, k):
     assert kernels.sigma_table(n) == tuple(sig)
     single = cstar_fixed._sigma_residue_counts(n)
     assert single == tuple(sum(1 for s in sig if s % n == r) for r in range(n))
-    for d in (0, 1, 2):
-        assert cstar_fixed._filter_exponent_counts(n, k, d, single) == (
-            _scan_filter_exponent_counts(n, k, d, sig)
-        ), (n, k, d)
+    assert cstar_fixed._sigma_sum_residues(n, k, single) == _scan_sigma_sum_residues(n, k, sig)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 7])
+@pytest.mark.parametrize("g", [2, 3])
+def test_filtered_total_equals_ring_oracle(n, g):
+    for k, d in product((1, 2, 3), (0, 1, 2)):
+        p = ModuliParams(n, g, k, d)
+        assert variant_total_cyclotomic(p) == ring_filtered_total(p), (k, d)
+
+
+def test_non_flat_sigma_histogram_exits_1(monkeypatch, capsys):
+    # One word moved from residue 2 to residue 0: the l != 0 filter terms
+    # no longer vanish, and the integer path must refuse to drop them.
+    monkeypatch.setattr(cstar_fixed, "_sigma_residue_counts", lambda n: (3, 2, 1))
+    with pytest.raises(IdentityCheckError, match="not flat mod 3"):
+        variant_total_cyclotomic(ModuliParams(3, 2, 1, 0))
+    assert cli.main(["tms", "--n", "3", "--g", "2", "--marked", "1", "--deg", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not flat mod 3" in err
 
 
 def test_cyclotomic_discarded_term_vanishes():

@@ -10,6 +10,8 @@ two-point ``variant`` with its CSV pins the "|"-joined words field. The
 other six pin one report of each remaining subcommand; the three
 ``orbits`` reports cover an explicit gamma, the exhaustive pool of all 5^4
 vectors, and the basis-plus-pairwise-sums pool taken when 11^6 > 10^6.
+The three benchmark invocations are run once more with the products and
+sums of the cyclotomic ring made to raise: no run path uses that ring.
 """
 
 import hashlib
@@ -17,6 +19,7 @@ import hashlib
 import pytest
 
 from parmirror.cli import main
+from parmirror.exactpoly import CycBivarPoly, CycInt
 
 # The built-in grid, as perfbench writes it for seed 1.
 GRID_INI = (
@@ -79,8 +82,7 @@ PINNED = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(PINNED))
-def test_cli_outputs_match_pinned_sha256(tmp_path, name):
+def _assert_pinned(tmp_path, name):
     argv, pins = PINNED[name]
     grid = tmp_path / "grid.ini"
     grid.write_text(GRID_INI, encoding="utf-8")
@@ -91,3 +93,21 @@ def test_cli_outputs_match_pinned_sha256(tmp_path, name):
     assert main(argv) == 0
     for kind, path in paths.items():
         assert hashlib.sha256(path.read_bytes()).hexdigest() == pins[kind], kind
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_cli_outputs_match_pinned_sha256(tmp_path, name):
+    _assert_pinned(tmp_path, name)
+
+
+@pytest.mark.parametrize("name", ["marked_points", "cli_export", "sweep_default"])
+def test_runs_use_no_cyclotomic_arithmetic(monkeypatch, tmp_path, name):
+    # The filtered total is computed in integers; the Z[xi] ring serves
+    # only the tests and the benchmark's counters.
+    def refuse(self, other):
+        raise AssertionError("cyclotomic arithmetic on a run path")
+
+    for cls in (CycInt, CycBivarPoly):
+        for method in ("__mul__", "__add__"):
+            monkeypatch.setattr(cls, method, refuse)
+    _assert_pinned(tmp_path, name)

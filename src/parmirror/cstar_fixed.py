@@ -5,9 +5,8 @@ A component is labeled by one permutation word per marked point plus a
 vector m of twist jumps. The census filters by the degree congruence and by
 strict parabolic stability; the variant total over the census, the closed
 product formula, and the root-of-unity filtered sum agree exactly for
-generic weights. The filtered sum is the closed form times a check, in
-integers, that the word tuples' sigma sums are flat mod n; the
-descent-statistics counting lemma housed here is why they are.
+generic weights. The filtered sum is the closed form times a check that the
+sigma sums are flat mod n, as the descent counting lemma housed here says.
 """
 
 from __future__ import annotations

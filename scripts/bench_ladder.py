@@ -32,10 +32,11 @@ run's numbers; the calibration times are recorded as well, and so is
 ``PYTHONDONTWRITEBYTECODE``: the children inherit it, and when it is set
 every run compiles ``src/`` anew.
 
-Each tree's git commit and dirty flag are recorded before the first rung
-and read again after the last; if either changed, the file lists the tree
-under ``trees_changed`` and the script exits 1, since its runs did not all
-time the recorded state.
+Each tree's git commit, dirty flag and sha256 of ``git diff HEAD`` are
+recorded before the first rung and read again after the last, so a tree
+that was dirty already and is edited again is caught too; if any changed,
+the file lists the tree under ``trees_changed`` and the script exits 1,
+since its runs did not all time the recorded state.
 """
 
 from __future__ import annotations
@@ -150,15 +151,19 @@ def median(runs: list[dict], field: str, digits: int):
 
 
 def describe(tree: Path) -> dict:
-    """The tree's git commit and whether it has uncommitted changes (None
-    where git cannot tell)."""
+    """The tree's git commit, whether it has uncommitted changes, and the
+    sha256 of those changes as ``git diff HEAD`` prints them (None where git
+    cannot tell)."""
     def git(*cmd):
-        done = subprocess.run(["git", "-C", str(tree), *cmd], capture_output=True, text=True)
-        return done.stdout.strip() if done.returncode == 0 else None
+        done = subprocess.run(["git", "-C", str(tree), *cmd], capture_output=True)
+        return done.stdout if done.returncode == 0 else None
 
+    commit = git("rev-parse", "--short", "HEAD")
     status = git("status", "--porcelain", "--untracked-files=no")
-    return {"commit": git("rev-parse", "--short", "HEAD"),
-            "dirty": None if status is None else bool(status)}
+    diff = git("diff", "--no-ext-diff", "HEAD")
+    return {"commit": None if commit is None else commit.decode().strip(),
+            "dirty": None if status is None else bool(status.strip()),
+            "diff_sha256": None if diff is None else hashlib.sha256(diff).hexdigest()}
 
 
 def main(argv=None) -> int:

@@ -44,22 +44,24 @@ class NonIntegralDegreeError(ValueError):
     """The degree congruence fails, so the component degree is not an integer."""
 
 
-def degree_constraint(p: ModuliParams, words, m) -> bool:
-    """Degree congruence for a type-(1,...,1) component to exist; words
-    holds one letter tuple per marked point."""
+def _dn_numerator(p: ModuliParams, words, m) -> int:
+    """n*d_n = d + sum j(m_j + s_j) - n(n-1)(g - 1 + k/2), where s holds the
+    descent counts of words, one letter tuple per marked point."""
     s = kernels.descent_counts(words)
-    if p.n == 2:
-        return (p.d + m[0] + s[0] - p.k) % 2 == 0
-    total = sum((j + 1) * (m[j] + s[j]) for j in range(p.n - 1))
-    return (p.d + total) % p.n == 0
+    num = p.d + sum((j + 1) * (m[j] + s[j]) for j in range(p.n - 1))
+    return num - p.n * (p.n - 1) * (2 * p.g - 2 + p.k) // 2
+
+
+def degree_constraint(p: ModuliParams, words, m) -> bool:
+    """Degree congruence for a type-(1,...,1) component to exist: n divides
+    the numerator of its common factor degree d_n."""
+    return _dn_numerator(p, words, m) % p.n == 0
 
 
 def component_dn(p: ModuliParams, words, m) -> int:
     """Common factor degree d_n with
     n*d_n = d + sum j(m_j + s_j) - n(n-1)(g - 1 + k/2)."""
-    s = kernels.descent_counts(words)
-    num = p.d + sum((j + 1) * (m[j] + s[j]) for j in range(p.n - 1))
-    num -= p.n * (p.n - 1) * (2 * p.g - 2 + p.k) // 2
+    num = _dn_numerator(p, words, m)
     if num % p.n:
         raise NonIntegralDegreeError(f"degree congruence fails for m={tuple(m)}, words={words}")
     return num // p.n
@@ -251,7 +253,7 @@ def components_to_csv(p: ModuliParams, census: kernels.Census, fh) -> None:
     blocks: dict[tuple, list[str]] = {}
     texts = _word_texts(p.n)
     words = kernels.words_lex(p.n)
-    for t_idx, dn_floor, lattice in census.groups:
+    for t_idx, dn_floor, lattice in census.groups():
         s = kernels.descent_counts(map(words.__getitem__, t_idx))
         key = (id(lattice), s, dn_floor)
         block = blocks.get(key)

@@ -32,8 +32,7 @@ sums of R - 1 and of sigma(w) = sum_j j desc(w)_j (whose total fixes the
 degree offset), so the last point costs one vector add per tuple. The
 bound reads each word's descents only through its share coef.desc(w),
 never through s. The weight-free tables (sigma, coef and each word's
-coef.desc products) are built once per n; the per-call a_p tables are
-freed before the lattice search.
+coef.desc products) are built once per n.
 
 A key is searched only when no searched lattice already holds its points.
 For the lattice L(Q) of budgets Q, let reach[l] be the largest coef[l].m
@@ -45,10 +44,12 @@ order of sum(Q), so a key meets the wider budgets before its own. The
 search returns reach with the points: coef is positive, so within one call
 on the last coordinate its largest value leaves the least slack for every l.
 
-The rows are never listed. A `Census` holds one `CensusGroup` per word
-tuple with rows, and each group points at its shared lattice, so memory
-grows with the number of word tuples and distinct lattice points, not with
-the number of rows.
+Neither the rows nor the word tuples are listed. The walk runs once to
+count the word tuples of each key; a `Census` keeps each distinct lattice
+with the number of word tuples that share it, and walks the word tuples
+again, from the same a_p tables, wherever rows are read. What it keeps
+grows with the number of keys and distinct lattice points, not with the
+number of word tuples or rows.
 
 `enumerate_census` is the one entry point. `backends()` names this kernel
 "python", and `backend=` accepts only that name; t0_lo/t0_hi restrict the
@@ -145,34 +146,27 @@ class Census:
 
     A sized, re-iterable sequence of CensusRow in canonical (t_idx, m)
     order; the rows themselves, and each group's s, are built only while
-    iterating. n is the rank, whose words t_idx indexes. uses pairs
-    each distinct lattice with the number of word tuples sharing it, in
-    order of first use: one walk over the groups builds it, and the row
-    count, points() and box_counts() read it, not the groups. Nothing
-    mutates the groups after the kernel returns.
+    iterating. n is the rank, whose words t_idx indexes. uses pairs each
+    distinct lattice with the number of word tuples sharing it, in order of
+    first use; the row count, points() and box_counts() read it. groups is
+    a zero-argument callable that walks the word tuples again and yields
+    each one's CensusGroup in lexicographic order; iteration reads it.
     """
 
-    __slots__ = ("n", "groups", "uses", "_rows")
+    __slots__ = ("n", "uses", "groups", "_rows")
 
-    def __init__(self, n: int, groups: list[CensusGroup]):
+    def __init__(self, n: int, uses: list[tuple[tuple, int]], groups):
         self.n = n
+        self.uses = uses
         self.groups = groups
-        uses: dict[int, list] = {}
-        for group in groups:
-            entry = uses.get(id(group.lattice))
-            if entry is None:
-                uses[id(group.lattice)] = [group.lattice, 1]
-            else:
-                entry[1] += 1
-        self.uses = [(lattice, count) for lattice, count in uses.values()]
-        self._rows = sum(len(lattice) * count for lattice, count in self.uses)
+        self._rows = sum(len(lattice) * count for lattice, count in uses)
 
     def __len__(self) -> int:
         return self._rows
 
     def __iter__(self):
         words = words_lex(self.n)
-        for t_idx, dn_floor, lattice in self.groups:
+        for t_idx, dn_floor, lattice in self.groups():
             s = descent_counts(map(words.__getitem__, t_idx))
             for m, q in lattice:
                 yield CensusRow(t_idx, m, s, dn_floor + q)
@@ -236,36 +230,27 @@ def enumerate_census(n, g, k, d, wnum, wden, t0_lo=0, t0_hi=None, backend=None) 
     # R <= 0, an unstable word tuple
     root = [(n - l + 1) * (l - 1) * n * chi * wden - 1 for l in range(2, n + 1)]
     dn_base = d - n * (n - 1) * chi // 2
-    # phase one: each word tuple's group, with its interned key standing in
-    # the lattice slot until phase two has its lattice
-    keys: dict[tuple, tuple] = {}
-    groups: list[CensusGroup] = []
     last = k - 1
 
     def walk(p, t, r, base):
-        """Append the groups of the word tuples extending the prefix t of
-        p words, whose sums of R - 1 and the degree offset are r and base."""
+        """Yield (t_idx, dn_floor, key) for each stable word tuple extending
+        the prefix t of p words, whose sums of R - 1 and the degree offset
+        are r and base."""
         lo, hi = (t0_lo, t0_hi) if p == 0 else (0, nw)
-        if p < last:
-            vec = vecs[p]
-            for wi in range(lo, hi):
-                walk(
-                    p + 1,
-                    t + (wi,),
-                    [x + y for x, y in zip(r, vec[wi])],
-                    base + sig[wi],
-                )
-            return
         vec = vecs[p]
+        if p < last:
+            for wi in range(lo, hi):
+                yield from walk(p + 1, t + (wi,), [x + y for x, y in zip(r, vec[wi])], base + sig[wi])
+            return
         for wi in range(lo, hi):
             Q = tuple([(x + y) // scale for x, y in zip(r, vec[wi])])
             if min(Q) >= 0:
                 dn_floor, residue = divmod(base + sig[wi], n)
-                key = (Q, residue)
-                groups.append(CensusGroup(t + (wi,), dn_floor, keys.setdefault(key, key)))
+                yield t + (wi,), dn_floor, (Q, residue)
 
-    walk(0, (), root, dn_base)
-    del vecs
+    # phase one: how many word tuples share each (Q, offset mod n) key, in
+    # order of first use
+    keys = Counter(key for _, _, key in walk(0, (), root, dn_base))
     # phase two: one lattice per key, searched only when no searched
     # lattice with wider budgets holds its points (see the module docstring)
     lattices: dict[tuple, tuple] = {}
@@ -284,15 +269,18 @@ def enumerate_census(n, g, k, d, wnum, wden, t0_lo=0, t0_hi=None, backend=None) 
             lattice = distinct.setdefault(found, found)
             candidates.append((Q, reach, lattice))
         lattices[key] = lattice
-    # swap each key for its lattice in place, dropping empty lattices
-    kept = 0
-    for t, dn_floor, key in groups:
-        lattice = lattices[key]
-        if lattice:
-            groups[kept] = CensusGroup(t, dn_floor, lattice)
-            kept += 1
-    del groups[kept:]
-    return Census(n, groups)
+    uses: dict[int, list] = {}
+    for key, tuples in keys.items():
+        if lattices[key]:
+            uses.setdefault(id(lattices[key]), [lattices[key], 0])[1] += tuples
+
+    def groups():
+        """The word tuples walked again, each with its nonempty lattice."""
+        for t, dn_floor, key in walk(0, (), root, dn_base):
+            if lattices[key]:
+                yield CensusGroup(t, dn_floor, lattices[key])
+
+    return Census(n, [(lattice, tuples) for lattice, tuples in uses.values()], groups)
 
 
 def _lattice(n, coef, Q, residue):

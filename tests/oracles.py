@@ -1,9 +1,10 @@
 """Formulas and direct sums that only the tests use.
 
 Each is either a reference the library's faster path is checked against
-(one component's variant E-polynomial, the character sum over S_n, the
-discarded filter terms, the filtered total in the cyclotomic ring, the
-root-of-unity filter, coordinates in a basis)
+(one component's variant E-polynomial, a census's lattice uses counted
+over its word tuples, the character sum over S_n, the discarded filter
+terms, the filtered total in the cyclotomic ring, the root-of-unity filter,
+coordinates in a basis)
 or a textbook invariant the moduli tests check by hand (spectral fibre
 degree, cover genus, parabolic slope). None of them runs on a CLI path.
 """
@@ -37,6 +38,20 @@ def component_variant_epoly(p: ModuliParams, c: kernels.CensusRow) -> BivarPoly:
     for mj in c.m:
         poly = poly * binom_deg_slice(p.g - 1, mj)
     return poly
+
+
+def census_uses(groups) -> list[tuple[tuple, int]]:
+    """Each distinct lattice of the CensusGroups, by identity, with the
+    number of groups that share it, in order of first use: Census.uses
+    derived by one walk over the word tuples."""
+    uses: dict[int, list] = {}
+    for group in groups:
+        entry = uses.get(id(group.lattice))
+        if entry is None:
+            uses[id(group.lattice)] = [group.lattice, 1]
+        else:
+            entry[1] += 1
+    return [(lattice, count) for lattice, count in uses.values()]
 
 
 def descent_character_sum(n: int, l: int) -> CycInt:

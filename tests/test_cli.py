@@ -11,7 +11,7 @@ import jsonschema
 import pytest
 
 import parmirror
-from parmirror import moduli, schemas
+from parmirror import kernels, moduli, schemas
 from parmirror.chambers import sample_generic_weights
 from parmirror.cli import SUBCOMMANDS, build_parser, main
 from parmirror.exactpoly import NonIntegralCoefficientError
@@ -61,6 +61,17 @@ def test_non_integral_result_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(moduli, "_as_int", not_integral)
     assert main(["tms", "--n", "3", "--g", "2", "--marked", "1"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_out_of_memory_exits_2(monkeypatch, capsys):
+    """Running out of memory is not an identity failure: the census kernel
+    raising MemoryError gives exit 2 and one error line, no traceback."""
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(kernels, "enumerate_census", exhausted)
+    assert main(["tms", "--n", "3", "--g", "2", "--marked", "1"]) == 2
+    assert capsys.readouterr().err == "error: out of memory\n"
 
 
 def test_bad_flag_exits_2():

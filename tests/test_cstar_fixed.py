@@ -18,6 +18,7 @@ from math import factorial
 import pytest
 
 from oracles import (
+    census_uses,
     component_variant_epoly,
     cyclotomic_discarded_term,
     descent_character_sum,
@@ -81,6 +82,31 @@ def test_degree_constraint_hand_cases():
     assert degree_constraint(p3, ((1, 2, 3),), (1, 1))
 
 
+@pytest.mark.parametrize("n,ks", [(2, (1, 2, 3)), (3, (1, 2)), (5, (1,))])
+def test_degree_constraint_is_integrality_of_d_n(n, ks):
+    """The congruence holds exactly when component_dn's numerator
+    d + sum j(m_j + s_j) - n(n-1)chi/2 is divisible by n, and then n d_n is
+    that numerator. n(n-1)chi/2 is a multiple of n for odd prime n and is
+    chi = k mod 2 for n = 2, so the congruence reads n | d + sum j(m_j + s_j)
+    for odd n and d + m_1 + s_1 - k even for n = 2. The last twist jump's
+    coefficient n - 1 is a unit mod n, so its values 0..n-1 meet every
+    residue."""
+    for g, k, d in product((2, 3), ks, range(-2, 4)):
+        p, chi = ModuliParams(n, g, k, d), 2 * g - 2 + k
+        for words in product(kernels.words_lex(n), repeat=k):
+            s = descent_counts(words)
+            for lead, last in product((0, 1), range(n)):
+                m = (lead,) * (n - 2) + (last,)
+                plain = d + sum((j + 1) * (m[j] + s[j]) for j in range(n - 1))
+                holds = (plain - k) % 2 == 0 if n == 2 else plain % n == 0
+                assert degree_constraint(p, words, m) == holds, (p, words, m)
+                if holds:
+                    assert n * component_dn(p, words, m) == plain - n * (n - 1) * chi // 2
+                else:
+                    with pytest.raises(NonIntegralDegreeError):
+                        component_dn(p, words, m)
+
+
 def test_stability_hand_cases():
     # rank two, one point: bound for the descending word is 2 + a2 - a1,
     # for the ascending word 3 - (a2 - a1); here a2 - a1 = 2/5
@@ -118,10 +144,16 @@ def test_enumerate_components_parity_flip():
     assert len(census) == len(enumerate_components(P221, ALPHA))
 
 
+def _census(n, groups):
+    """A rank-n census of the given CensusGroup list, its uses derived by
+    the oracle."""
+    return Census(n, census_uses(groups), groups.__iter__)
+
+
 def _patch_census(monkeypatch, *groups):
     """Make the kernel return a rank-2 census of the given (t_idx, dn_floor,
     lattice) groups."""
-    census = Census(2, [CensusGroup(*group) for group in groups])
+    census = _census(2, [CensusGroup(*group) for group in groups])
     monkeypatch.setattr(cstar_fixed.kernels, "enumerate_census", lambda *args: census)
 
 
@@ -273,14 +305,14 @@ def test_box_is_flat_by_corner_stability(p, w):
 def _move_one_row(census, old, new):
     """The census with one row's twist vector old replaced by new: the first
     word tuple whose lattice holds old gets its own changed copy of it."""
-    groups = list(census.groups)
+    groups = list(census.groups())
     for i, group in enumerate(groups):
         points = list(group.lattice)
         for j, (m, q) in enumerate(points):
             if m == old:
                 points[j] = (new, q)
                 groups[i] = group._replace(lattice=tuple(points))
-                return Census(census.n, groups)
+                return _census(census.n, groups)
     raise LookupError(f"no row has m = {old}")
 
 
@@ -456,7 +488,7 @@ def test_components_csv_matches_csv_module(n, g, k, d):
     census = enumerate_components(p, sample_generic_weights(p, seed=1, scale=Fraction(1, 8)))
     assert any(c.d_n < 0 for c in census)
     words = kernels.words_lex(n)
-    groups = census.groups
+    groups = list(census.groups())
     blocks = {
         (id(g.lattice), descent_counts(words[i] for i in g.t_idx), g.dn_floor) for g in groups
     }
@@ -468,11 +500,12 @@ def test_components_csv_matches_csv_module(n, g, k, d):
 
 def test_census_memory_does_not_grow_with_rows():
     """The census, its sum and its CSV export of the 78,125 components at
-    (5, 3, 1, 2) allocate at most 1,670,699 bytes at peak: the census holds
-    one record per word tuple and 10,500 shared lattice points. A census
-    that listed every row as a tuple and as a component object peaked at
-    15.7 MB on this instance (Python 3.11). Free lists are cleared first,
-    so every tuple is traced whatever ran before."""
+    (5, 3, 1, 2) allocate at most 1,670,699 bytes at peak: the census keeps
+    a word-tuple count for each of its 16 distinct lattices, which share
+    10,500 lattice points, and walks the 120 word tuples again to write the
+    CSV. A census that listed every row as a tuple and as a component
+    object peaked at 15.7 MB on this instance (Python 3.11). Free lists are
+    cleared first, so every tuple is traced whatever ran before."""
     p = ModuliParams(5, 3, 1, 2)
     w = sample_generic_weights(p, seed=1, scale=small_weight_margin(p))
     with open(os.devnull, "w", newline="") as sink:

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import census_uses
 from parmirror import kernels
 from parmirror.chambers import sample_generic_weights, small_weight_margin, weight_denominator
 from parmirror.cstar_fixed import component_dn, degree_constraint, stability_check
@@ -82,21 +83,21 @@ def test_census_behaves_as_its_row_list():
     assert list(census) == rows
 
 
-class _Unreadable:
-    def __iter__(self):
-        raise AssertionError("the census groups were walked again")
+def _unreadable():
+    raise AssertionError("the census groups were walked again")
 
 
 def test_census_answers_from_its_lattice_uses():
-    """The row count, the lattice points and the box counts read uses, built
-    by one walk over the groups, and never walk the groups again."""
+    """The row count, the lattice points and the box counts read uses, the
+    kernel's word-tuple count per lattice, and never walk the word tuples
+    again."""
     census = kernels.enumerate_census(*_census_args(ModuliParams(3, 2, 2, 1), seed=4))
     rows = list(census)
     uses = census.uses
-    assert sum(count for _, count in uses) == len(census.groups)
+    assert sum(count for _, count in uses) == sum(1 for _ in census.groups())
     # lattices of different keys with the same points are one object
     assert len({lattice for lattice, _ in uses}) == len(uses)
-    census.groups = _Unreadable()
+    census.groups = _unreadable
     assert len(census) == len(rows) > 0
     assert {m for m, _ in census.points()} == {m for _, m, _, _ in rows}
     assert census.box_counts(2) == Counter(m for _, m, _, _ in rows if max(m) <= 2)
@@ -118,7 +119,7 @@ def test_first_word_range_is_checked():
             kernels.enumerate_census(*args, lo, hi)
     for lo in (0, 1, 2):
         empty = kernels.enumerate_census(*args, lo, lo)
-        assert empty.groups == [] and len(empty) == 0
+        assert list(empty.groups()) == empty.uses == [] and len(empty) == 0
 
 
 ORACLE_GRID = [
@@ -316,7 +317,7 @@ def test_census_searches_each_distinct_lattice_once(monkeypatch):
     assert len(found) == len(set(found)) == len(census.uses) == 16
     words = kernels.words_lex(n)
     shared = {}
-    for group in census.groups:
+    for group in census.groups():
         key = _lattice_key(p, w, tuple(words[i] for i in group.t_idx))
         assert shared.setdefault(key, group.lattice) is group.lattice
     assert len(shared) == 47
@@ -378,15 +379,28 @@ def test_lattice_reuse_matches_searching_every_key(p, scale, seed):
     assert list(census) == _census_searching_every_key(p, w)
 
 
-def test_census_memory_stays_one_record_per_word_tuple():
-    """The kernel keeps one record per word tuple, with its key in the
-    lattice slot until phase two swaps in its lattice. At (2, 2, 11, 1),
-    2,048 word tuples and 8,192 rows, its tracemalloc peak is 460,456 bytes;
-    the kernel that searched each key as the scan met it peaked at 555,184
+@pytest.mark.parametrize("scale,seed", ORACLE_WEIGHTS, ids=["scale1", "scale1/8"])
+@pytest.mark.parametrize("p", ORACLE_GRID, ids=lambda p: f"{p.n}-{p.g}-{p.k}-{p.d}")
+def test_census_uses_match_its_word_tuples(p, scale, seed):
+    """The kernel's per-lattice word-tuple counts equal the oracle's, taken
+    by lattice identity over the word tuples walked again, in order of
+    first use."""
+    census = kernels.enumerate_census(*_census_args(p, seed, scale))
+    expected = census_uses(census.groups())
+    assert census.uses == expected
+    assert all(a is b for (a, _), (b, _) in zip(census.uses, expected))
+
+
+def test_census_memory_does_not_grow_with_word_tuples():
+    """The kernel counts the word tuples per key and keeps no record of any
+    of them: the census walks them again where rows are read. At
+    (2, 2, 11, 1), 2,048 word tuples and 8,192 rows, its tracemalloc peak
+    is 15,672 bytes after the other kernel tests and 21,947 when run alone;
+    the kernel that kept one record per word tuple peaked at 460,456
     (Python 3.11, free lists cleared first so every tuple is traced)."""
     p = ModuliParams(2, 2, 11, 1)
     args = _census_args(p, 1, Fraction(1))
-    kernels.words_lex(p.n)
+    kernels._word_tables(p.n)
     gc.collect()
     tracemalloc.start()
     try:
@@ -394,5 +408,5 @@ def test_census_memory_stays_one_record_per_word_tuple():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(census.groups) == 2048 and len(census) == 8192
-    assert peak <= 555_184, peak
+    assert sum(count for _, count in census.uses) == 2048 and len(census) == 8192
+    assert peak <= 30_000, peak

@@ -5,8 +5,9 @@ write a canonical JSON report whose shape is pinned by a schema shipped in
 parmirror.schemas. Exit codes separate mathematical outcomes from plumbing:
 0 means success (and, for identity checks, equality), 1 means the run
 finished but an expected identity or check failed, 2 means the invocation
-or configuration was unusable or the run ran out of memory. Rationals on the command line are "num/den"
-strings; nothing in the input path goes through floating point.
+or configuration was unusable or the run ran out of memory. Rationals on
+the command line are "num/den" strings; nothing in the input path goes
+through floating point.
 """
 
 from __future__ import annotations

@@ -153,16 +153,15 @@ class Census:
     each one's CensusGroup in lexicographic order; iteration reads it.
     """
 
-    __slots__ = ("n", "uses", "groups", "_rows")
+    __slots__ = ("n", "uses", "groups")
 
     def __init__(self, n: int, uses: list[tuple[tuple, int]], groups):
         self.n = n
         self.uses = uses
         self.groups = groups
-        self._rows = sum(len(lattice) * count for lattice, count in uses)
 
     def __len__(self) -> int:
-        return self._rows
+        return sum(len(lattice) * count for lattice, count in self.uses)
 
     def __iter__(self):
         words = words_lex(self.n)

@@ -60,6 +60,8 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 RUNGS = {
     "tms 2 2 11 1": ["tms", "--n", "2", "--g", "2", "--marked", "11", "--deg", "1",
                      "--out", "{tmp}/report.json"],
+    "tms 3 2 3 0": ["tms", "--n", "3", "--g", "2", "--marked", "3", "--deg", "0",
+                    "--out", "{tmp}/report.json"],
     "tms 5 2 2 0": ["tms", "--n", "5", "--g", "2", "--marked", "2", "--deg", "0",
                     "--out", "{tmp}/report.json"],
     "tms 5 2 3 0": ["tms", "--n", "5", "--g", "2", "--marked", "3", "--deg", "0",

@@ -84,7 +84,10 @@ class WeightSystem(_WeightFields):
 
     @classmethod
     def from_jsonable(cls, data) -> WeightSystem:
-        return cls.from_rows([[parse_rat(a) for a in row] for row in data["points"]])
+        points = data.get("points") if isinstance(data, dict) else None
+        if not isinstance(points, list) or not all(isinstance(row, list) for row in points):
+            raise ValueError('expected {"points": [["num/den", ...], ...]}')
+        return cls.from_rows([[parse_rat(a) for a in row] for row in points])
 
 
 class Wall(NamedTuple):
@@ -354,7 +357,3 @@ def integer_weights(w: WeightSystem) -> tuple[int, tuple[tuple[int, ...], ...]]:
     wnum[p][i] = alpha[p][i] * den, all integers."""
     den = weight_denominator(w)
     return den, tuple(tuple(int(a * den) for a in row) for row in w.alpha)
-
-
-def walls_to_jsonable(walls) -> list[dict]:
-    return [wall.to_jsonable() for wall in walls]

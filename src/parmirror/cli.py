@@ -25,7 +25,6 @@ from .chambers import (
     is_generic,
     sample_generic_weights,
     sampler_scale,
-    walls_to_jsonable,
 )
 from .cstar_fixed import (
     components_to_csv,
@@ -62,14 +61,10 @@ from .torsion import (
 )
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-
-
 def _emit(args, payload: dict) -> None:
     if args.out:
-        _write_text(args.out, dumps_canonical(payload))
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(dumps_canonical(payload))
 
 
 def _rat(text: str) -> Fraction:
@@ -194,7 +189,7 @@ def _cmd_walls(args) -> int:
     walls = enumerate_walls(p)
     payload = {
         "params": params_to_jsonable(p),
-        "walls": walls_to_jsonable(walls),
+        "walls": [wall.to_jsonable() for wall in walls],
         "count": len(walls),
     }
     line = f"n={p.n} g={p.g} k={p.k} d={p.d}: {len(walls)} wall(s)"
@@ -236,13 +231,8 @@ def _cmd_lemma(args) -> int:
 
 def _cmd_orbits(args) -> int:
     form = SymplecticForm.standard(args.n, args.g)
-    if args.gamma is None:
-        coords = tuple(1 if i == 0 else 0 for i in range(2 * args.g))
-    else:
-        coords = args.gamma
+    coords = (1,) + (0,) * (2 * args.g - 1) if args.gamma is None else args.gamma
     gamma = TorsionVector(n=args.n, coords=coords)
-    if gamma.is_zero():
-        raise ValueError("gamma must be nonzero")
     model = NormFiberModel(n=args.n, d=args.deg, gamma=gamma, l_gamma=args.l_gamma)
     action_ok = check_component_action(model, form)
     payload = {

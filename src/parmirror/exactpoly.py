@@ -225,13 +225,6 @@ U = BivarPoly.monomial(1, 0)
 V = BivarPoly.monomial(0, 1)
 
 
-def uv_power(e: int) -> BivarPoly:
-    """(uv)^e as a polynomial."""
-    if e < 0:
-        raise ValueError(f"negative exponent {e}")
-    return BivarPoly.monomial(e, e)
-
-
 def binom_deg_slice(G: int, m: int) -> BivarPoly:
     """Degree-m slice of ((1-u)(1-v))^G.
 

@@ -12,7 +12,7 @@ from itertools import product
 from math import factorial
 from typing import NamedTuple
 
-from .exactpoly import ONE, U, V, BivarPoly, IdentityCheckError, uv_power
+from .exactpoly import ONE, U, V, BivarPoly, IdentityCheckError
 from .kernels import words_lex
 from .moduli import ModuliParams, dim_moduli, prym_dim
 from .torsion import NormFiberModel, SymplecticForm, TorsionVector, check_component_action
@@ -141,10 +141,10 @@ def stringy_gamma_summand(
     if not check_component_action(model, form):
         raise IdentityCheckError(f"component action model fails for gamma = {gamma}")
     shift = fermionic_shift(p)
-    return invariant_epoly(p) * uv_power(shift)
+    return invariant_epoly(p).shift(shift, shift)
 
 
 def stringy_gamma_sum(p: ModuliParams) -> BivarPoly:
     """Sum over the n^2g - 1 nonzero torsion points of identical summands."""
     shift = fermionic_shift(p)
-    return invariant_epoly(p) * uv_power(shift) * (p.n ** (2 * p.g) - 1)
+    return invariant_epoly(p).shift(shift, shift) * (p.n ** (2 * p.g) - 1)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import time
 from fractions import Fraction
+from itertools import product
 from typing import NamedTuple
 
 from .chambers import (
@@ -162,13 +163,7 @@ class SweepConfig(NamedTuple):
         )
 
     def instances(self):
-        for n in self.ns:
-            for g in self.gs:
-                for k in self.ks:
-                    for d in self.ds:
-                        for seed in self.seeds:
-                            for scale in self.scales:
-                                yield (n, g, k, d, seed, scale)
+        return product(self.ns, self.gs, self.ks, self.ds, self.seeds, self.scales)
 
 
 def _run_instance(spec, totals=None):
@@ -271,8 +266,13 @@ def sweep_to_csv_rows(results, include_timings: bool = False):
 
 
 def load_weights_json(path) -> WeightSystem:
+    """Read a weights file; JSON numbers are read from their text, not
+    through float. A file that is not valid weights raises ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return WeightSystem.from_jsonable(json.load(fh))
+        try:
+            return WeightSystem.from_jsonable(json.load(fh, parse_float=Fraction))
+        except ValueError as exc:
+            raise ValueError(f"weights file {path}: {exc}") from None
 
 
 __all__ = [

@@ -24,7 +24,7 @@ from parmirror.cstar_fixed import (
     variant_total_bruteforce,
     variant_total_cyclotomic,
 )
-from parmirror.exactpoly import ONE, U, V, ZERO, uv_power
+from parmirror.exactpoly import ONE, U, V, ZERO
 from parmirror.moduli import ModuliParams, dim_moduli
 from parmirror.pgl_fixed import (
     fermionic_shift,
@@ -73,7 +73,7 @@ def test_criterion_01_identity_rank_two():
     p = ModuliParams(2, 2, 1, 0)
     w = sample_generic_weights(p, seed=1, scale=Fraction(1, 1000))
     value = verify_identity(p, w).lhs_closed
-    assert value == 15 * uv_power(4) * (ONE - U) * (ONE - V)
+    assert value == 15 * (U * V) ** 4 * (ONE - U) * (ONE - V)
     print(f"[C1] PASS identity n=2: {checked} instances, 5 weight systems per cell,"
           f" (g=2,k=1) value 15(uv)^4(1-u)(1-v) ({elapsed:.2f}s < 1s)")
 
@@ -83,7 +83,7 @@ def test_criterion_02_identity_rank_three():
     p = ModuliParams(3, 2, 1, 0)
     w = sample_generic_weights(p, seed=1, scale=Fraction(1, 1000))
     value = verify_identity(p, w).lhs_closed
-    assert value == 160 * uv_power(11) * ((ONE - U) * (ONE - V)) ** 2
+    assert value == 160 * (U * V) ** 11 * ((ONE - U) * (ONE - V)) ** 2
     print(f"[C2] PASS identity n=3: {checked} instances, 5 weight systems per cell,"
           f" (g=2,k=1) value 160(uv)^11((1-u)(1-v))^2 ({elapsed:.2f}s < 5s)")
 

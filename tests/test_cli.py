@@ -160,6 +160,29 @@ def test_weights_file_missing_is_usage_error(tmp_path):
     ) == 2
 
 
+@pytest.mark.parametrize("text", ['{}', '[1, 2]', '{"points": 5}'])
+def test_malformed_weights_file_is_usage_error(tmp_path, capsys, text):
+    path = tmp_path / "w.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["tms", "--n", "2", "--g", "2", "--marked", "1", "--weights", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: weights file {path}: ") and err.count("\n") == 1, err
+    assert '{"points": [["num/den", ...], ...]}' in err
+
+
+def test_json_number_weights_are_read_exactly(tmp_path):
+    path = tmp_path / "w.json"
+    path.write_text('{"points": [[0, 0.12345678901234567890], [0, 0.5]]}', encoding="utf-8")
+    code, data = _run_json(
+        tmp_path, "walls",
+        ["walls", "--n", "2", "--g", "2", "--marked", "2", "--weights", str(path)],
+    )
+    assert code == 0
+    assert data["weights"]["points"] == [
+        ["0/1", "1234567890123456789/10000000000000000000"], ["0/1", "1/2"],
+    ]
+
+
 def test_variant_report_and_csv(tmp_path):
     csv_path = tmp_path / "census.csv"
     out = tmp_path / "variant.json"
@@ -219,8 +242,9 @@ def test_orbits_report(tmp_path):
     assert data["action_ok"] is True
 
 
-def test_orbits_zero_gamma_is_usage_error():
+def test_orbits_zero_gamma_is_usage_error(capsys):
     assert main(["orbits", "--n", "3", "--g", "2", "--gamma", "0,0,0,0"]) == 2
+    assert capsys.readouterr().err == "error: gamma must be nonzero\n"
 
 
 def test_section_report(tmp_path):

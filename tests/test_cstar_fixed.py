@@ -46,7 +46,7 @@ from parmirror.cstar_fixed import (
     variant_total_bruteforce,
     variant_total_cyclotomic,
 )
-from parmirror.exactpoly import ONE, U, V, ZERO, CycInt, uv_power
+from parmirror.exactpoly import ONE, U, V, ZERO, CycInt, binom_deg_slice
 from parmirror.kernels import Census, CensusGroup, CensusRow, descent_counts, sigma
 from parmirror.moduli import ModuliParams, dim_hitchin_base
 
@@ -185,6 +185,21 @@ def test_census_faults_exit_one(monkeypatch, capsys):
         assert err.startswith("error: negative twist jump in (-1,)"), err
 
 
+@pytest.mark.parametrize("n,g,k,d", [(2, 2, 1, 0), (3, 2, 2, 1), (5, 2, 1, 0)])
+def test_sign_flipped_slices_exit_one(monkeypatch, capsys, n, g, k, d):
+    """Past the flat box check, the census total's own content is the slice
+    expansion: slices with their odd degrees negated sum to
+    ((1+u)(1+v))^(g-1), so tms reports a failed identity."""
+
+    def flipped(G, m):
+        return -binom_deg_slice(G, m) if m % 2 else binom_deg_slice(G, m)
+
+    monkeypatch.setattr(cstar_fixed, "binom_deg_slice", flipped)
+    argv = ["tms", "--n", str(n), "--g", str(g), "--marked", str(k), "--deg", str(d)]
+    assert cli.main(argv) == 1
+    assert "equal=false" in capsys.readouterr().out
+
+
 def test_enumerate_components_shares_word_tuples():
     p = ModuliParams(3, 2, 2, 1)
     census = enumerate_components(p, sample_generic_weights(p, seed=4, scale=Fraction(1, 8)))
@@ -215,7 +230,7 @@ def test_component_variant_epoly_hand_cases():
 def _closed_oracle(n, g, k, scalar):
     prym = (n - 1) * (g - 1)
     h = (n * n - 1) * (g - 1) + k * n * (n - 1) // 2
-    return scalar * uv_power(h) * ((ONE - U) * (ONE - V)) ** prym
+    return scalar * (U * V) ** h * ((ONE - U) * (ONE - V)) ** prym
 
 
 def test_variant_totals_hand_values():

@@ -26,7 +26,6 @@ from parmirror.exactpoly import (
     format_rat,
     is_prime,
     parse_rat,
-    uv_power,
 )
 
 BIG = 1 << 512
@@ -117,7 +116,6 @@ def test_poly_basics():
     assert p.shift(1, 2) == BivarPoly({(3, 3): 3, (1, 2): -1})
     assert p.evaluate(1, 1) == Fraction(2)
     assert p.evaluate(Fraction(1, 2), 2) == Fraction(3, 2) - 1
-    assert uv_power(3) == BivarPoly({(3, 3): 1})
     assert (U * V).homogeneous_degree() == 2
 
 

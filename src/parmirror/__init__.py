@@ -7,14 +7,13 @@ stringy total on the quotient side, entirely in exact arithmetic, and checks
 the four agree. Only the census reads the weights. The filtered sum is the
 closed form times one check in integers, that the sigma sums of the word
 tuples are flat mod n; the stringy total is the closed-form product
-rearranged. Supporting pieces: sparse bivariate integer polynomials and
-cyclotomic integers, wall/chamber analysis of parabolic weights, descent
-combinatorics, and torsion-group actions with the standard symplectic
-pairing.
+rearranged. Supporting pieces: sparse bivariate integer polynomials,
+wall/chamber analysis of parabolic weights, descent combinatorics, and
+torsion-group actions with the standard symplectic pairing.
 """
 
 from .chambers import WeightSystem, enumerate_walls, is_generic, sample_generic_weights
-from .exactpoly import BivarPoly, CycInt
+from .exactpoly import BivarPoly
 from .kernels import active_backend
 from .moduli import ModuliParams, dim_hitchin_base, dim_moduli
 from .tms import SweepConfig, TmsReport, sweep, verify_identity
@@ -24,7 +23,6 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "BivarPoly",
-    "CycInt",
     "ModuliParams",
     "WeightSystem",
     "TmsReport",

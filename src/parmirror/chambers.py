@@ -28,7 +28,7 @@ class NonGenericWeightsError(ValueError):
     """The weight system lies on at least one wall."""
 
 
-class SamplingExhaustedError(RuntimeError):
+class SamplingExhaustedError(ValueError):
     """No generic weight system found within the retry budget."""
 
 
@@ -104,14 +104,6 @@ class Wall(NamedTuple):
             "subsets": [list(s) for s in self.subsets],
             "dprime": self.dprime,
         }
-
-    @classmethod
-    def from_jsonable(cls, data) -> Wall:
-        return cls(
-            nprime=int(data["nprime"]),
-            subsets=tuple(tuple(int(i) for i in s) for s in data["subsets"]),
-            dprime=int(data["dprime"]),
-        )
 
 
 def wall_value(w: WeightSystem, p: ModuliParams, wall: Wall) -> Fraction:

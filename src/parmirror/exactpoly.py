@@ -13,13 +13,13 @@ from fractions import Fraction
 from math import comb
 
 
-class NonIntegralCoefficientError(ValueError):
-    """A quantity expected to be a rational integer is not one."""
-
-
 class IdentityCheckError(RuntimeError):
     """An internal cross-check of the exact computation failed: a
     mathematical failure, not a usage error."""
+
+
+class NonIntegralCoefficientError(IdentityCheckError):
+    """A quantity expected to be a rational integer is not one."""
 
 
 def is_prime(n: int) -> bool:
@@ -48,15 +48,15 @@ def format_rat(q: Fraction | int) -> str:
 
 
 def _power(base, e: int, one):
-    """base ** e by square-and-multiply, starting from the ring's one."""
+    """base ** e by left-to-right square-and-multiply: one squaring per bit
+    after the leading one, one product per further set bit."""
     if not isinstance(e, int) or e < 0:
         raise ValueError(f"exponent {e!r} must be a nonnegative int")
-    out = one
-    while e:
-        if e & 1:
+    out = base if e else one
+    for bit in bin(e)[3:]:
+        out = out * out
+        if bit == "1":
             out = out * base
-        base = base * base
-        e >>= 1
     return out
 
 
@@ -99,32 +99,11 @@ class BivarPoly:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def leading_term(self) -> tuple[tuple[int, int], int]:
-        """Term with the lexicographically largest exponent pair."""
-        if not self._terms:
-            raise ValueError("zero polynomial has no leading term")
-        key = max(self._terms)
-        return key, self._terms[key]
-
-    def homogeneous_degree(self) -> int:
-        """Common total degree of all terms; ValueError if mixed or zero."""
-        degrees = {i + j for i, j in self._terms}
-        if len(degrees) != 1:
-            raise ValueError("polynomial is not homogeneous")
-        return degrees.pop()
-
-    def swap_uv(self) -> BivarPoly:
-        return BivarPoly({(j, i): c for (i, j), c in self._terms.items()})
-
     def shift(self, du: int, dv: int) -> BivarPoly:
         """Multiply by the monomial u^du v^dv."""
         if du == 0 and dv == 0:
             return self
         return BivarPoly({(i + du, j + dv): c for (i, j), c in self._terms.items()})
-
-    def evaluate(self, u0, v0) -> Fraction:
-        u0, v0 = Fraction(u0), Fraction(v0)
-        return sum((c * u0**i * v0**j for (i, j), c in self._terms.items()), Fraction(0))
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -190,10 +169,6 @@ class BivarPoly:
         any JSON round trip bit-exactly.
         """
         return [[i, j, str(c)] for (i, j), c in self.terms()]
-
-    @classmethod
-    def from_triples(cls, triples) -> BivarPoly:
-        return cls({(int(i), int(j)): int(c) for i, j, c in triples})
 
     def __str__(self) -> str:
         if not self._terms:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from itertools import product
 from math import factorial
-from typing import NamedTuple
 
 from .exactpoly import ONE, U, V, BivarPoly, IdentityCheckError
 from .kernels import words_lex
@@ -97,29 +96,11 @@ def sn_quotient_count_bruteforce(n: int, k: int) -> int:
     return average
 
 
-class FixedLocusInvariants(NamedTuple):
-    """Everything the stringy side needs for one nonzero torsion point."""
-
-    dim: int
-    fermionic_shift: int
-    orbit_count: int
-    invariant_epoly: BivarPoly
-
-
 def invariant_epoly(p: ModuliParams) -> BivarPoly:
     """Rotation-invariant E-polynomial of the fixed locus:
     (uv)^((n-1)(g-1)) ((1-u)(1-v))^((n-1)(g-1)) (n!)^k / n."""
     dim = prym_dim(p.n, p.g)
     return prym_epoly(p.n, p.g).shift(dim, dim) * sn_quotient_count(p.n, p.k)
-
-
-def fixed_locus_invariants(p: ModuliParams) -> FixedLocusInvariants:
-    return FixedLocusInvariants(
-        dim=fixed_locus_dim(p.n, p.g),
-        fermionic_shift=fermionic_shift(p),
-        orbit_count=sn_quotient_count(p.n, p.k),
-        invariant_epoly=invariant_epoly(p),
-    )
 
 
 def stringy_gamma_summand(

@@ -94,6 +94,8 @@ class SymplecticForm(_FormFields):
     def __new__(cls, n: int, g: int, matrix: tuple[tuple[int, ...], ...]):
         if not is_prime(n):
             raise ValueError(f"n = {n} is not prime")
+        if g < 2:
+            raise ValueError(f"genus {g} must be at least 2")
         size = 2 * g
         if len(matrix) != size or any(len(row) != size for row in matrix):
             raise ValueError(f"form matrix is not {size} x {size}")

@@ -6,7 +6,9 @@ over its word tuples, the character sum over S_n, the discarded filter
 terms, the filtered total in the cyclotomic ring, the root-of-unity filter,
 coordinates in a basis)
 or a textbook invariant the moduli tests check by hand (spectral fibre
-degree, cover genus, parabolic slope). None of them runs on a CLI path.
+degree, cover genus, parabolic slope), or an observed closed form the
+census is compared against (its component count). None of them runs on a
+CLI path.
 """
 
 from fractions import Fraction
@@ -38,6 +40,24 @@ def component_variant_epoly(p: ModuliParams, c: kernels.CensusRow) -> BivarPoly:
     for mj in c.m:
         poly = poly * binom_deg_slice(p.g - 1, mj)
     return poly
+
+
+def component_count_formula(p: ModuliParams) -> int:
+    """Number of census components, from closed forms fitted to census
+    runs, not derived: (2g-1)^(n-1) n^(n-2) at k = 1 (box size times
+    Cayley's count), 2^(k-2)(4g-3+k) at n = 2, and 72g^2-36g+5 and 432g^2+6
+    at n = 3 with k = 2 and 3. No weights, seed or degree enter. Other
+    (n, k) raise ValueError."""
+    n, g, k = p.n, p.g, p.k
+    if k == 1:
+        return (2 * g - 1) ** (n - 1) * n ** (n - 2)
+    if n == 2:
+        return 2 ** (k - 2) * (4 * g - 3 + k)
+    if n == 3 and k == 2:
+        return 72 * g * g - 36 * g + 5
+    if n == 3 and k == 3:
+        return 432 * g * g + 6
+    raise ValueError(f"no component count formula for n = {n}, k = {k}")
 
 
 def census_uses(groups) -> list[tuple[tuple, int]]:

@@ -159,11 +159,6 @@ def test_is_generic_matches_fraction_oracle_many_points():
     assert _oracle_outcomes(ModuliParams(2, 2, 11, 1), 3) == {True, False}
 
 
-def test_wall_jsonable_round_trip():
-    wall = Wall(nprime=2, subsets=((1, 3), (2, 3)), dprime=-1)
-    assert Wall.from_jsonable(wall.to_jsonable()) == wall
-
-
 @pytest.mark.parametrize(
     "p",
     [

@@ -247,6 +247,34 @@ def test_orbits_zero_gamma_is_usage_error(capsys):
     assert capsys.readouterr().err == "error: gamma must be nonzero\n"
 
 
+def _boundary_argvs():
+    """Invocations each subcommand must refuse as usage errors."""
+    for name in ("tms", "variant", "stringy", "walls", "section", "orbits"):
+        marked = [] if name == "orbits" else ["--marked", "1"]
+        for g in ("-1", "0", "1"):
+            yield [name, "--n", "3", "--g", g, *marked]
+        for n in ("1", "4"):
+            yield [name, "--n", n, "--g", "2", *marked]
+        if marked:
+            yield [name, "--n", "3", "--g", "2", "--marked", "0"]
+    for n in ("-1", "0", "11"):
+        yield ["lemma", "--n", n]
+    for name in ("tms", "variant", "walls"):
+        instance = [name, "--n", "3", "--g", "2", "--marked", "1"]
+        for scale in ("0", "2", "1/1000000000"):
+            yield instance + ["--scale", scale]
+        yield instance + ["--weights", "missing.json"]
+    yield ["sweep", "--config", "missing.ini"]
+
+
+@pytest.mark.parametrize("argv", list(_boundary_argvs()), ids=" ".join)
+def test_boundary_input_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_section_report(tmp_path):
     code, data = _run_json(
         tmp_path, "section", ["section", "--n", "5", "--g", "2", "--marked", "2"]

@@ -19,6 +19,7 @@ import pytest
 
 from oracles import (
     census_uses,
+    component_count_formula,
     component_variant_epoly,
     cyclotomic_discarded_term,
     descent_character_sum,
@@ -216,6 +217,22 @@ def test_enumerate_components_rejects_wall_weights():
     on_wall = WeightSystem.from_rows([[0, Fraction(1, 4)], [0, Fraction(1, 4)]])
     with pytest.raises(NonGenericWeightsError):
         enumerate_components(p, on_wall)
+
+
+# n -> (genera, marked-point counts) where the count formula is known
+COUNT_GRID = {2: (range(2, 5), range(1, 6)), 3: (range(2, 4), range(1, 4)), 5: (range(2, 4), (1,))}
+
+
+@pytest.mark.parametrize("n", sorted(COUNT_GRID))
+def test_component_count_matches_formula(n):
+    """The census size follows the fitted closed forms at every degree,
+    seed and scale of the grid (270, 108 and 36 instances)."""
+    genera, marked = COUNT_GRID[n]
+    scales = (Fraction(1, 1000), Fraction(1))
+    for g, k, d, seed, scale in product(genera, marked, range(3), (1, 2, 3), scales):
+        p = ModuliParams(n, g, k, d)
+        census = enumerate_components(p, sample_generic_weights(p, seed=seed, scale=scale))
+        assert len(census) == component_count_formula(p), (p, seed, scale)
 
 
 def test_component_variant_epoly_hand_cases():

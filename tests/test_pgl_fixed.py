@@ -15,10 +15,8 @@ from parmirror import pgl_fixed
 from parmirror.exactpoly import ONE, U, V, IdentityCheckError
 from parmirror.moduli import ModuliParams, dim_moduli
 from parmirror.pgl_fixed import (
-    FixedLocusInvariants,
     fermionic_shift,
     fixed_locus_dim,
-    fixed_locus_invariants,
     invariant_epoly,
     prym_epoly,
     rotate_word,
@@ -105,12 +103,10 @@ def test_invariant_epoly_hand_values():
 
 def test_fixed_locus_invariants_bundle():
     p = ModuliParams(3, 2, 2)
-    inv = fixed_locus_invariants(p)
-    assert isinstance(inv, FixedLocusInvariants)
-    assert inv.dim == 4
-    assert inv.fermionic_shift == fermionic_shift(p)
-    assert inv.orbit_count == 12
-    assert inv.invariant_epoly == invariant_epoly(p)
+    assert fixed_locus_dim(p.n, p.g) == 4
+    assert fermionic_shift(p) == 12
+    assert sn_quotient_count(p.n, p.k) == 12
+    assert invariant_epoly(p) == 12 * prym_epoly(p.n, p.g).shift(2, 2)
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -22,7 +22,10 @@ is perfbench's: ``CALIBRATION_REF_S`` over the mean of the calibrations on
 either side of it, so a run made while the machine was slow is scaled down
 to the reference speed, and absolute times of two BENCH files, or a goal
 such as "< 10 s", can be compared on the scaled medians. The two constants
-are read from perfbench/harness.py by a child that imports it.
+are read from perfbench/harness.py by a child that imports it. A run of a
+fraction of a second sits between calibrations that swing as much as it
+does, so each tree and rung also records its raw median scaled once by
+the reference over the median of all of the ladder's calibrations.
 
 A run fails on a non-zero exit, a timeout or a memory-cap kill. The sha256
 of each rung's output files must be the same on every run of every tree;
@@ -70,6 +73,7 @@ RUNGS = {
                     "--out", "{tmp}/report.json"],
     "variant 5 3 1 2 --csv": ["variant", "--n", "5", "--g", "3", "--marked", "1", "--deg", "2",
                               "--out", "{tmp}/report.json", "--csv", "{tmp}/census.csv"],
+    "sweep --csv": ["sweep", "--out", "{tmp}/report.json", "--csv", "{tmp}/summary.csv"],
 }
 
 RUNS = 3
@@ -212,12 +216,20 @@ def main(argv=None) -> int:
             entry["trees"][label] = {
                 "median_wall_s": median(ok, "wall_s", 4),
                 "median_scaled_wall_s": median(ok, "scaled_wall_s", 4),
+                # filled in once every calibration has run
+                "median_round_scaled_wall_s": None,
                 "median_peak_rss_mb": median(ok, "peak_rss_mb", 1),
                 "failed": len(rs) - len(ok),
                 "runs": rs,
             }
         failed += 0 if entry["outputs_equal"] else 1
         results[rung] = entry
+
+    round_scale = ref_s / statistics.median(calibrations)
+    for entry in results.values():
+        for tree in entry["trees"].values():
+            if tree["median_wall_s"] is not None:
+                tree["median_round_scaled_wall_s"] = round(tree["median_wall_s"] * round_scale, 4)
 
     out = {
         "python": sys.version.split()[0],

@@ -15,6 +15,8 @@ import json
 import time
 from fractions import Fraction
 from itertools import product
+from json.encoder import encode_basestring_ascii
+from math import inf
 from typing import NamedTuple
 
 from .chambers import (
@@ -194,13 +196,25 @@ def params_to_jsonable(p: ModuliParams) -> dict:
 
 
 def report_to_jsonable(r: TmsReport, include_timings: bool = False) -> dict:
+    return _report_jsonable(r, include_timings, {})
+
+
+def _report_jsonable(r: TmsReport, include_timings: bool, triples: dict) -> dict:
+    """The report's payload; triples maps each polynomial already written to
+    its coefficient list, so equal totals share one list object and
+    dumps_canonical renders it once."""
+    def coeffs(f: BivarPoly) -> list:
+        if f not in triples:
+            triples[f] = f.to_triples()
+        return triples[f]
+
     out = {
         "params": params_to_jsonable(r.params),
         "weights": r.weights.to_jsonable(),
-        "lhs_bruteforce": r.lhs_bruteforce.to_triples(),
-        "lhs_closed": r.lhs_closed.to_triples(),
-        "lhs_cyclotomic": r.lhs_cyclotomic.to_triples(),
-        "rhs": r.rhs.to_triples(),
+        "lhs_bruteforce": coeffs(r.lhs_bruteforce),
+        "lhs_closed": coeffs(r.lhs_closed),
+        "lhs_cyclotomic": coeffs(r.lhs_cyclotomic),
+        "rhs": coeffs(r.rhs),
         "equal": r.equal,
         "component_count": r.component_count,
         "wall_count": r.wall_count,
@@ -221,9 +235,10 @@ def failure_to_jsonable(f: SweepFailure) -> dict:
 
 def sweep_to_jsonable(results, include_timings: bool = False) -> dict:
     entries = []
+    triples: dict = {}
     for r in results:
         if isinstance(r, TmsReport):
-            entries.append(report_to_jsonable(r, include_timings))
+            entries.append(_report_jsonable(r, include_timings, triples))
         else:
             entries.append(failure_to_jsonable(r))
     equal_count = sum(1 for r in results if isinstance(r, TmsReport) and r.equal)
@@ -240,8 +255,51 @@ def sweep_to_jsonable(results, include_timings: bool = False) -> dict:
 
 
 def dumps_canonical(obj) -> str:
-    """Canonical JSON: sorted keys, fixed separators, trailing newline."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Canonical JSON: the text of json.dumps(obj, indent=2, sort_keys=True)
+    and a trailing newline, written without json's pure-Python encoder.
+    A list met again at the same depth is copied from its first rendering."""
+    return _render(obj, "\n", {}) + "\n"
+
+
+def _render(obj, indent: str, seen: dict) -> str:
+    """obj as json.dumps(indent=2, sort_keys=True) writes it; indent is the
+    newline and spaces before obj's closing bracket, and seen maps
+    (id, indent) of each list rendered so far to its text."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if obj != obj:
+            return "NaN"
+        if obj in (inf, -inf):
+            return "Infinity" if obj > 0 else "-Infinity"
+        return float.__repr__(obj)
+    inner = indent + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        key = (id(obj), indent)
+        if key not in seen:
+            items = [_render(x, inner, seen) for x in obj]
+            seen[key] = "[" + inner + ("," + inner).join(items) + indent + "]"
+        return seen[key]
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = []
+        for k, v in sorted(obj.items()):
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            items.append(encode_basestring_ascii(k) + ": " + _render(v, inner, seen))
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def sweep_to_csv_rows(results, include_timings: bool = False):

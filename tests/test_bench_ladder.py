@@ -3,11 +3,13 @@
 The script is imported from its file and run with one short rung, once per
 tree, so its whole loop (calibration, child runs, digests, the JSON file)
 runs here. A tree whose commit, dirty flag or diff against HEAD moves
-during a run makes it exit 1.
+during a run makes it exit 1. The speed scales are checked on stubbed
+runs and calibrations.
 """
 
 import importlib.util
 import json
+import statistics
 import subprocess
 from pathlib import Path
 
@@ -83,3 +85,26 @@ def test_describe_sees_a_dirty_tree_edited_again(ladder, tmp_path):
     assert clean["dirty"] is False and dirty["dirty"] is edited["dirty"] is True
     assert clean["commit"] == dirty["commit"] == edited["commit"] is not None
     assert len({clean["diff_sha256"], dirty["diff_sha256"], edited["diff_sha256"]}) == 3
+
+
+def test_ladder_scales_medians_by_the_median_calibration(ladder, monkeypatch, tmp_path):
+    # one rung, three runs per tree: raw walls 0.1, 0.3, 0.2 on tree a and
+    # twice that on tree b; seven calibrations, one of them slow
+    monkeypatch.setattr(ladder, "RUNS", 3)
+    calibrations = iter([0.3, 0.3, 0.9, 0.2, 0.3, 0.4, 0.3])
+    walls = iter([0.1, 0.2, 0.6, 0.3, 0.2, 0.4])  # a, b, then b, a, then a, b
+    monkeypatch.setattr(ladder, "calibration_load", lambda: ("", 0.6))
+    monkeypatch.setattr(ladder, "calibrate", lambda load: next(calibrations))
+    monkeypatch.setattr(ladder, "describe", lambda tree: {"commit": "abc", "dirty": False})
+    monkeypatch.setattr(ladder, "run_once", lambda tree, args: {
+        "wall_s": next(walls), "peak_rss_mb": 10.0, "exit": 0, "sha256": {}})
+    out = tmp_path / "bench.json"
+    assert ladder.main(["--tree", f"a={ROOT}", "--tree", f"b={ROOT}", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["calibration"]["median_s"] == 0.3
+    trees = data["rungs"]["lemma 3"]["trees"]
+    for label, raw in (("a", 0.2), ("b", 0.4)):
+        assert trees[label]["median_wall_s"] == raw
+        assert trees[label]["median_round_scaled_wall_s"] == pytest.approx(raw * 2)
+        scaled = [r["wall_s"] * 1.2 / sum(r["calibration_s"]) for r in trees[label]["runs"]]
+        assert trees[label]["median_scaled_wall_s"] == pytest.approx(statistics.median(scaled), abs=1e-4)

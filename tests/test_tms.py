@@ -5,7 +5,10 @@ from fractions import Fraction
 
 import jsonschema
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import parmirror.cli
 from parmirror import schemas, tms
 from parmirror.chambers import NonGenericWeightsError, WeightSystem, sample_generic_weights
 from parmirror.exactpoly import IdentityCheckError
@@ -137,6 +140,107 @@ def test_sweep_csv_rows():
 def test_dumps_canonical_is_sorted_and_stable():
     text = dumps_canonical({"b": 1, "a": [2, 3]})
     assert text == '{\n  "a": [\n    2,\n    3\n  ],\n  "b": 1\n}\n'
+
+
+def _json_dumps(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+JSON_TEXT = st.text() | st.text(alphabet='"\\/\x00\x08\x1f\x7f\n\t\u00e9\u2028\u20ac\U0001f600a ')
+JSON_LEAVES = (
+    st.none() | st.booleans() | JSON_TEXT
+    | st.integers() | st.integers(min_value=2**64) | st.integers(max_value=-2**64)
+    | st.floats() | st.sampled_from([-0.0, 1e300, float("nan"), float("inf"), float("-inf")])
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(JSON_TEXT, inner),
+    max_leaves=40,
+)
+
+
+@given(JSON_VALUES)
+def test_dumps_canonical_writes_the_bytes_of_json_dumps(obj):
+    assert dumps_canonical(obj) == _json_dumps(obj)
+
+
+def test_dumps_canonical_shared_and_empty_containers():
+    shared = [1, ["x", 2.5], {}]
+    cases = [
+        {"a": shared, "b": {"c": shared, "d": [shared]}},  # one list at several depths
+        {"a": shared, "b": shared, "c": [shared, shared]},  # twice at one depth
+        [shared, (shared, shared), [[shared]]],
+        [], {}, (), [[], {}, ()], {"": [], "e": {}},
+        "", 0, -1, None, True, 1e300, -0.0, float("nan"), float("-inf"),
+    ]
+    for obj in cases:
+        assert dumps_canonical(obj) == _json_dumps(obj)
+
+
+def test_dumps_canonical_renders_a_shared_list_once(monkeypatch):
+    render = tms._render
+    calls = []
+
+    def counted(obj, indent, seen):
+        calls.append(obj)
+        return render(obj, indent, seen)
+
+    monkeypatch.setattr(tms, "_render", counted)
+    shared = [1, 2, 3]
+    assert dumps_canonical({"a": shared, "b": shared}) == _json_dumps({"a": shared, "b": shared})
+    # the dict, the list and its three items, then the copy of the list
+    assert len(calls) == 6
+
+
+@pytest.mark.parametrize("obj", [Fraction(1, 2), {1, 2}, {"a": [Fraction(1)]}, {1: "key"}])
+def test_dumps_canonical_rejects_what_reports_never_hold(obj):
+    with pytest.raises(TypeError):
+        dumps_canonical(obj)
+
+
+SUBCOMMAND_RUNS = [
+    ["tms", "--n", "3", "--g", "2", "--marked", "2", "--deg", "1", "--seed", "2", "--timings"],
+    ["sweep", "--config", "{grid}"],
+    ["sweep", "--config", "{grid}", "--timings"],
+    ["variant", "--n", "3", "--g", "2", "--marked", "2", "--deg", "1", "--seed", "4"],
+    ["stringy", "--n", "3", "--g", "2", "--marked", "2"],
+    ["walls", "--n", "3", "--g", "2", "--marked", "2", "--deg", "1", "--seed", "2"],
+    ["lemma", "--n", "5"],
+    ["orbits", "--n", "3", "--g", "2", "--deg", "1"],
+    ["section", "--n", "5", "--g", "2", "--marked", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", SUBCOMMAND_RUNS, ids=lambda argv: " ".join(argv[:1] + argv[3:]))
+def test_every_subcommand_payload_writes_the_bytes_of_json_dumps(monkeypatch, tmp_path, argv):
+    grid = tmp_path / "grid.ini"
+    grid.write_text("[grid]\nn = 2 3\ng = 2\nk = 1 2\nd = 0 1\n"
+                    "[sampling]\nseeds = 1 2\nscales = 1/1000 1\n", encoding="utf-8")
+    payloads = []
+
+    def spy(obj):
+        payloads.append(obj)
+        return dumps_canonical(obj)
+
+    monkeypatch.setattr(parmirror.cli, "dumps_canonical", spy)
+    out = tmp_path / "report.json"
+    argv = [arg.format(grid=grid) for arg in argv] + ["--out", str(out)]
+    assert parmirror.cli.main(argv) == 0
+    assert len(payloads) == 1
+    assert out.read_text(encoding="utf-8") == _json_dumps(payloads[0])
+
+
+def test_payloads_share_one_list_per_distinct_total():
+    results = sweep(SMALL)
+    totals = [getattr(r, name) for r in results
+              for name in ("lhs_bruteforce", "lhs_closed", "lhs_cyclotomic", "rhs")]
+    payload = sweep_to_jsonable(results)
+    lists = [entry[name] for entry in payload["results"]
+             for name in ("lhs_bruteforce", "lhs_closed", "lhs_cyclotomic", "rhs")]
+    assert len({id(x) for x in lists}) == len(set(totals)) < len(totals)
+    assert all(x == f.to_triples() for x, f in zip(lists, totals))
+    report = report_to_jsonable(results[0])
+    assert report["lhs_closed"] is report["rhs"] is report["lhs_bruteforce"]
 
 
 def test_load_weights_json(tmp_path):

@@ -3,8 +3,10 @@
 perfbench/tracing.py wraps the census kernel, enumerate_components and
 the CSV export, takes len() of the censuses, iterates the checked census
 twice and replays every census call on each backend. A small `variant`
-with its CSV and a small `tms` run go through its Probe here, so a result
-type or signature that breaks those hooks fails these tests. The module is imported from its file and left unchanged.
+with its CSV, a small `tms` run and a small `sweep` with its CSV go
+through its Probe here, so a result type or signature that breaks those
+hooks, or a counter identity the traced run checks, fails these tests.
+The module is imported from its file and left unchanged.
 
 The traced child imports parmirror.cli and then looks up every module it
 wraps in sys.modules, so importing the CLI must load them all; it must
@@ -44,13 +46,19 @@ def tracing():
     return module
 
 
+SWEEP_GRID = "[grid]\nn = 2 3\ng = 2\nk = 1\nd = 0 1\n[sampling]\nseeds = 1 2\nscales = 1\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["variant", "--n", "3", "--g", "2", "--marked", "2", "--deg", "1", "--seed", "4",
      "--csv", "{tmp}/rows.csv"],
     ["tms", "--n", "5", "--g", "2", "--marked", "1", "--deg", "0", "--seed", "1"],
-], ids=["variant", "tms"])
+    ["sweep", "--config", "{tmp}/grid.ini", "--csv", "{tmp}/rows.csv"],
+], ids=["variant", "tms", "sweep"])
 def test_traced_run_counters_agree(tracing, tmp_path, argv):
+    # the identities perfbench's check_identities asserts on a traced run
     out = tmp_path / "report.json"
+    (tmp_path / "grid.ini").write_text(SWEEP_GRID, encoding="utf-8")
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     rec = tracing.Recorder("contract")
     probe = tracing.Probe(rec)
@@ -61,15 +69,23 @@ def test_traced_run_counters_agree(tracing, tmp_path, argv):
     assert rc == 0
     assert parmirror.cli.enumerate_components is cstar_fixed.enumerate_components
     report = json.loads(out.read_text())
-    n, k = report["params"]["n"], report["params"]["k"]
+    entries = report["results"] if "results" in report else [report]
     stats = probe.component_stats()
-    assert rec.counts["kernels.rows"] == stats["components"] == report["component_count"] > 0
-    assert rec.counts["kernels.tuples"] == factorial(n) ** k
+    components = sum(e["component_count"] for e in entries)
+    assert rec.counts["kernels.rows"] == stats["components"] == components > 0
+    assert rec.counts["kernels.tuples"] == sum(
+        factorial(e["params"]["n"]) ** e["params"]["k"] for e in entries)
+    for e in entries:
+        if "wall_count" in e:
+            p = e["params"]
+            assert probe.walls_by_params[p["n"], p["g"], p["k"], p["d"]] == e["wall_count"]
     assert 0 < stats["distinct_m"] <= stats["components"]
     assert 0 < stats["supported"] <= stats["components"]
-    assert len(probe.census_calls) == 1
+    assert len(probe.census_calls) == len(entries)
     assert set(probe.backend_parity(kernels)) == set(kernels.backends())
-    assert rec.counts["cstar_fixed.components_to_csv"] == ("--csv" in argv)
+    assert rec.counts["cstar_fixed.components_to_csv"] == (argv[0] == "variant")
+    assert rec.counts["tms.dumps_canonical"] == 1
+    assert rec.counts["tms.json_bytes"] == out.stat().st_size
 
 
 def test_cli_import_loads_the_traced_modules_and_nothing_sweep_only(tracing):

@@ -16,7 +16,6 @@ import time
 from fractions import Fraction
 from itertools import product
 from json.encoder import encode_basestring_ascii
-from math import inf
 from typing import NamedTuple
 
 from .chambers import (
@@ -200,9 +199,8 @@ def report_to_jsonable(r: TmsReport, include_timings: bool = False) -> dict:
 
 
 def _report_jsonable(r: TmsReport, include_timings: bool, triples: dict) -> dict:
-    """The report's payload; triples maps each polynomial already written to
-    its coefficient list, so equal totals share one list object and
-    dumps_canonical renders it once."""
+    """The report's payload; triples maps each polynomial of the payload to
+    one coefficient list, so dumps_canonical renders equal totals once."""
     def coeffs(f: BivarPoly) -> list:
         if f not in triples:
             triples[f] = f.to_triples()
@@ -255,36 +253,29 @@ def sweep_to_jsonable(results, include_timings: bool = False) -> dict:
 
 
 def dumps_canonical(obj) -> str:
-    """Canonical JSON: the text of json.dumps(obj, indent=2, sort_keys=True)
-    and a trailing newline, written without json's pure-Python encoder.
-    A list met again at the same depth is copied from its first rendering."""
+    """Canonical JSON: json.dumps(obj, indent=2, sort_keys=True) and a newline,
+    written without json's pure-Python encoder. A list of containers met
+    again at the same depth is copied from its first rendering."""
     return _render(obj, "\n", {}) + "\n"
+
+
+# exact types written without a call to _render (not bool, a subclass of int)
+_LEAVES = {str: encode_basestring_ascii, int: int.__repr__}
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _render(obj, indent: str, seen: dict) -> str:
     """obj as json.dumps(indent=2, sort_keys=True) writes it; indent is the
     newline and spaces before obj's closing bracket, and seen maps
-    (id, indent) of each list rendered so far to its text."""
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        if obj != obj:
-            return "NaN"
-        if obj in (inf, -inf):
-            return "Infinity" if obj > 0 else "-Infinity"
-        return float.__repr__(obj)
-    inner = indent + "  "
+    (id, indent) of each list of containers rendered so far to its text."""
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        inner = indent + "  "
+        # a row of numbers and strings is cheaper to write than to look up
+        if all(type(x) in _LEAVES for x in obj):
+            items = [_LEAVES[type(x)](x) for x in obj]
+            return "[" + inner + ("," + inner).join(items) + indent + "]"
         key = (id(obj), indent)
         if key not in seen:
             items = [_render(x, inner, seen) for x in obj]
@@ -293,12 +284,22 @@ def _render(obj, indent: str, seen: dict) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
+        inner = indent + "  "
         items = []
         for k, v in sorted(obj.items()):
             if not isinstance(k, str):
                 raise TypeError(f"keys must be str, not {type(k).__name__}")
             items.append(encode_basestring_ascii(k) + ": " + _render(v, inner, seen))
         return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        return _NONFINITE.get(text, text)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 

@@ -88,16 +88,16 @@ def test_describe_sees_a_dirty_tree_edited_again(ladder, tmp_path):
 
 
 def test_ladder_scales_medians_by_the_median_calibration(ladder, monkeypatch, tmp_path):
-    # one rung, three runs per tree: raw walls 0.1, 0.3, 0.2 on tree a and
+    # one rung, three runs per tree: raw wall times 0.1, 0.3, 0.2 on tree a and
     # twice that on tree b; seven calibrations, one of them slow
     monkeypatch.setattr(ladder, "RUNS", 3)
     calibrations = iter([0.3, 0.3, 0.9, 0.2, 0.3, 0.4, 0.3])
-    walls = iter([0.1, 0.2, 0.6, 0.3, 0.2, 0.4])  # a, b, then b, a, then a, b
+    wall_times = iter([0.1, 0.2, 0.6, 0.3, 0.2, 0.4])  # a, b, then b, a, then a, b
     monkeypatch.setattr(ladder, "calibration_load", lambda: ("", 0.6))
     monkeypatch.setattr(ladder, "calibrate", lambda load: next(calibrations))
     monkeypatch.setattr(ladder, "describe", lambda tree: {"commit": "abc", "dirty": False})
     monkeypatch.setattr(ladder, "run_once", lambda tree, args: {
-        "wall_s": next(walls), "peak_rss_mb": 10.0, "exit": 0, "sha256": {}})
+        "wall_s": next(wall_times), "peak_rss_mb": 10.0, "exit": 0, "sha256": {}})
     out = tmp_path / "bench.json"
     assert ladder.main(["--tree", f"a={ROOT}", "--tree", f"b={ROOT}", "--out", str(out)]) == 0
     data = json.loads(out.read_text())

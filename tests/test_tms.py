@@ -186,10 +186,10 @@ def test_dumps_canonical_renders_a_shared_list_once(monkeypatch):
         return render(obj, indent, seen)
 
     monkeypatch.setattr(tms, "_render", counted)
-    shared = [1, 2, 3]
+    shared = [[1, "a"], [2, "b"]]
     assert dumps_canonical({"a": shared, "b": shared}) == _json_dumps({"a": shared, "b": shared})
-    # the dict, the list and its three items, then the copy of the list
-    assert len(calls) == 6
+    # the dict, the list and its two rows, then the copy of the list
+    assert len(calls) == 5
 
 
 @pytest.mark.parametrize("obj", [Fraction(1, 2), {1, 2}, {"a": [Fraction(1)]}, {1: "key"}])
@@ -211,7 +211,7 @@ SUBCOMMAND_RUNS = [
 ]
 
 
-@pytest.mark.parametrize("argv", SUBCOMMAND_RUNS, ids=lambda argv: " ".join(argv[:1] + argv[3:]))
+@pytest.mark.parametrize("argv", SUBCOMMAND_RUNS, ids=" ".join)
 def test_every_subcommand_payload_writes_the_bytes_of_json_dumps(monkeypatch, tmp_path, argv):
     grid = tmp_path / "grid.ini"
     grid.write_text("[grid]\nn = 2 3\ng = 2\nk = 1 2\nd = 0 1\n"

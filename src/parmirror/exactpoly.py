@@ -5,6 +5,9 @@ rationals serialized as "num/den" strings, and cyclotomic integers Z[xi]
 for xi a primitive n-th root of unity, n prime, which only the tests and
 the benchmark's counters use. Everything here is exact; there is no
 floating point and no machine-integer fast path.
+
+Each class is closed under its own arithmetic: polynomials meet only
+polynomials in ==, + and -, and an int enters only as a factor of *.
 """
 
 from __future__ import annotations
@@ -66,6 +69,8 @@ class BivarPoly:
     Terms are kept in a dict (i, j) -> nonzero int with i, j >= 0. Instances
     are treated as immutable; arithmetic returns new objects. Equality and
     serialization use the sorted term list, so representation is canonical.
+    ==, + and - take another BivarPoly only; an int is accepted as a factor
+    of * on either side, never as a constant to compare with or add.
     """
 
     __slots__ = ("_terms",)
@@ -101,31 +106,20 @@ class BivarPoly:
 
     def shift(self, du: int, dv: int) -> BivarPoly:
         """Multiply by the monomial u^du v^dv."""
-        if du == 0 and dv == 0:
-            return self
         return BivarPoly({(i + du, j + dv): c for (i, j), c in self._terms.items()})
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = BivarPoly.constant(other)
         if not isinstance(other, BivarPoly):
             return NotImplemented
         return self._terms == other._terms
 
     def __hash__(self):
-        # constants compare equal to ints, so they must hash alike
-        if not self._terms:
-            return hash(0)
-        if len(self._terms) == 1 and (0, 0) in self._terms:
-            return hash(self._terms[0, 0])
         return hash(self.terms())
 
     def __neg__(self) -> BivarPoly:
         return BivarPoly({k: -c for k, c in self._terms.items()})
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = BivarPoly.constant(other)
         if not isinstance(other, BivarPoly):
             return NotImplemented
         acc = dict(self._terms)
@@ -133,17 +127,10 @@ class BivarPoly:
             acc[k] = acc.get(k, 0) + c
         return BivarPoly(acc)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = BivarPoly.constant(other)
         if not isinstance(other, BivarPoly):
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -220,7 +207,9 @@ class CycInt:
 
     Coordinates live on the power basis 1, xi, ..., xi^(n-2); the relation
     1 + xi + ... + xi^(n-1) = 0 reduces xi^(n-1). The basis is a Z-basis, so
-    representation (and the rationality test) is canonical.
+    representation (and the rationality test) is canonical. == and + take
+    another CycInt of the same n; an int enters only as the right factor
+    of *.
     """
 
     __slots__ = ("n", "coords")
@@ -268,44 +257,18 @@ class CycInt:
             raise NonIntegralCoefficientError(f"{self!r} is not divisible by {m}")
         return CycInt(self.n, tuple(c // m for c in self.coords))
 
-    def _coerce(self, other):
-        if isinstance(other, int):
-            return CycInt.from_int(self.n, other)
-        if isinstance(other, CycInt) and other.n == self.n:
-            return other
-        return None
-
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, CycInt) or other.n != self.n:
             return NotImplemented
         return self.coords == other.coords
-
-    def __hash__(self):
-        # rational values compare equal to ints, so they must hash alike
-        if self.is_rational():
-            return hash(self.coords[0] if self.coords else 0)
-        return hash((self.n, self.coords))
 
     def __neg__(self) -> CycInt:
         return CycInt(self.n, tuple(-c for c in self.coords))
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, CycInt) or other.n != self.n:
             return NotImplemented
         return CycInt(self.n, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -332,14 +295,16 @@ class CycInt:
                     acc[e] += c
         return CycInt(n, tuple(acc))
 
-    __rmul__ = __mul__
-
     def __repr__(self) -> str:
         return f"CycInt(n={self.n}, {self.coords})"
 
 
 class CycBivarPoly:
-    """Sparse polynomial in u, v with CycInt coefficients, fixed prime n."""
+    """Sparse polynomial in u, v with CycInt coefficients, fixed prime n.
+
+    Polynomials meet only polynomials of the same n in ==, +, - and *; a
+    CycInt factor enters only through scale.
+    """
 
     __slots__ = ("n", "_terms")
 
@@ -350,8 +315,6 @@ class CycBivarPoly:
         for (i, j), c in (terms or {}).items():
             if i < 0 or j < 0:
                 raise ValueError(f"negative exponent pair ({i}, {j})")
-            if isinstance(c, int):
-                c = CycInt.from_int(n, c)
             if not isinstance(c, CycInt) or c.n != n:
                 raise TypeError(f"coefficient {c!r} does not live in Z[xi_{n}]")
             if not c.is_zero():
@@ -371,15 +334,7 @@ class CycBivarPoly:
     def monomial(cls, n: int, i: int, j: int, c) -> CycBivarPoly:
         return cls(n, {(i, j): c})
 
-    def terms(self):
-        return tuple(sorted(self._terms.items()))
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def scale(self, c) -> CycBivarPoly:
-        if isinstance(c, int):
-            c = CycInt.from_int(self.n, c)
+    def scale(self, c: CycInt) -> CycBivarPoly:
         return CycBivarPoly(self.n, {k: e * c for k, e in self._terms.items()})
 
     def exact_div(self, m: int) -> CycBivarPoly:
@@ -407,8 +362,6 @@ class CycBivarPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, CycInt)):
-            return self.scale(other)
         if not isinstance(other, CycBivarPoly) or other.n != self.n:
             return NotImplemented
         acc: dict[tuple[int, int], CycInt] = {}
@@ -419,13 +372,11 @@ class CycBivarPoly:
                 acc[k] = acc[k] + prod if k in acc else prod
         return CycBivarPoly(self.n, acc)
 
-    __rmul__ = __mul__
-
     def __pow__(self, e: int) -> CycBivarPoly:
         return _power(self, e, CycBivarPoly.one(self.n))
 
     def __repr__(self) -> str:
-        return f"CycBivarPoly(n={self.n}, {dict(self.terms())})"
+        return f"CycBivarPoly(n={self.n}, {dict(sorted(self._terms.items()))})"
 
 
 def cyc_project(p: CycBivarPoly) -> BivarPoly:

@@ -42,6 +42,13 @@ def test_weight_system_validation():
         WeightSystem.from_rows([[Fraction(0), Fraction(1, 2)], [Fraction(0)]])
     w = WeightSystem.from_rows([["0", "1/4"], ["1/8", "1/3"]])
     assert w.n == 2 and w.k == 2
+    with pytest.raises(ValueError, match="at least one marked point"):
+        WeightSystem(())
+    with pytest.raises(TypeError, match="not a Fraction"):
+        WeightSystem(((0, Fraction(1, 2)),))
+    with pytest.raises(ValueError, match="not strictly increasing"):
+        w._replace(alpha=((Fraction(1, 2), Fraction(1, 4)),))
+    assert w._replace(alpha=w.alpha[:1]).k == 1
 
 
 def test_weight_system_jsonable_round_trip():
@@ -193,6 +200,17 @@ def test_sampler_genericity_frequency():
 def test_sampler_exhaustion_on_tiny_scale():
     with pytest.raises(SamplingExhaustedError):
         sample_generic_weights(ModuliParams(3, 2, 1), seed=1, scale=Fraction(2, WEIGHT_DENOMINATOR))
+
+
+def test_sampler_gives_up_after_64_draws(monkeypatch, capsys):
+    """A sampler that never draws a generic system stops after its 64
+    tries, and tms exits 2 with one error line."""
+    draws = []
+    monkeypatch.setattr(chambers, "is_generic", lambda w, p: draws.append(w) and False)
+    assert cli.main(["tms", "--n", "3", "--g", "2", "--marked", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: no generic weights below 1 after 64 draws\n", err
+    assert len(draws) == 64
 
 
 def test_small_weight_margin_value_and_certificate():

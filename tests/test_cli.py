@@ -317,6 +317,24 @@ def test_sweep_csv(tmp_path):
     assert len(lines) == 2
 
 
+@pytest.mark.parametrize("timings", [False, True])
+def test_sweep_csv_failure_row(tmp_path, timings):
+    """A parameter set that cannot be built fails the sweep (exit 1) and
+    gets a row with empty outcome columns, its error last (before an empty
+    total_ms under --timings)."""
+    config = tmp_path / "grid.ini"
+    config.write_text(
+        "[grid]\nn = 2 4\ng = 2\nk = 1\nd = 0\n[sampling]\nseeds = 1\nscales = 1\n",
+        encoding="utf-8",
+    )
+    csv_path = tmp_path / "sweep.csv"
+    argv = ["sweep", "--config", str(config), "--csv", str(csv_path)]
+    assert main(argv + ["--timings"] * timings) == 1
+    lines = csv_path.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 3 and lines[1].startswith("2,2,1,0,True,")
+    assert lines[2] == "4,2,1,0,,,,ValueError: rank 4 is not prime" + "," * timings
+
+
 def test_sweep_missing_config_is_usage_error(tmp_path):
     assert main(["sweep", "--config", str(tmp_path / "nope.ini")]) == 2
 

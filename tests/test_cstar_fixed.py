@@ -6,10 +6,7 @@ and the closed-form totals for three small parameter sets.
 """
 
 import csv
-import gc
 import io
-import os
-import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
@@ -530,25 +527,35 @@ def test_components_csv_matches_csv_module(n, g, k, d):
     assert buf.getvalue() == _csv_module_text(n, census)
 
 
-def test_census_memory_does_not_grow_with_rows():
+ROWS_PEAK = """
+import gc, json, os, tracemalloc
+from parmirror.chambers import sample_generic_weights, small_weight_margin
+from parmirror.cstar_fixed import components_to_csv, enumerate_components, variant_total_bruteforce
+from parmirror.moduli import ModuliParams
+
+p = ModuliParams(5, 3, 1, 2)
+w = sample_generic_weights(p, seed=1, scale=small_weight_margin(p))
+with open(os.devnull, "w", newline="") as sink:
+    gc.collect()
+    tracemalloc.start()
+    census = enumerate_components(p, w)
+    variant_total_bruteforce(p, census)
+    components_to_csv(p, census, sink)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+print(json.dumps([len(census), peak]))
+"""
+
+
+def test_census_memory_does_not_grow_with_rows(run_fresh):
     """The census, its sum and its CSV export of the 78,125 components at
     (5, 3, 1, 2) allocate at most 1,670,699 bytes at peak: the census keeps
     a word-tuple count for each of its 16 distinct lattices, which share
     10,500 lattice points, and walks the 120 word tuples again to write the
     CSV. A census that listed every row as a tuple and as a component
-    object peaked at 15.7 MB on this instance (Python 3.11). Free lists are
-    cleared first, so every tuple is traced whatever ran before."""
-    p = ModuliParams(5, 3, 1, 2)
-    w = sample_generic_weights(p, seed=1, scale=small_weight_margin(p))
-    with open(os.devnull, "w", newline="") as sink:
-        gc.collect()
-        tracemalloc.start()
-        try:
-            census = enumerate_components(p, w)
-            variant_total_bruteforce(p, census)
-            components_to_csv(p, census, sink)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-    assert len(census) == 78_125
+    object peaked at 15.7 MB on this instance (Python 3.11). It is measured
+    in a fresh interpreter after the weights are sampled, with free lists
+    cleared first, and read 1,654,979 bytes there."""
+    rows, peak = run_fresh(ROWS_PEAK)
+    assert rows == 78_125
     assert peak <= 1_670_699, peak

@@ -121,6 +121,23 @@ def test_poly_zero_is_dropped():
     assert BivarPoly({(1, 1): 0}) == ZERO
 
 
+def test_polys_meet_only_polys():
+    """==, + and - take a polynomial; an int enters only as a factor."""
+    assert BivarPoly.constant(3) != 3
+    with pytest.raises(TypeError):
+        0 + U
+    with pytest.raises(TypeError):
+        1 - U
+    assert 3 * U == U * 3 == BivarPoly({(1, 0): 3})
+
+
+def test_poly_str():
+    assert str(ZERO) == "0"
+    p = BivarPoly({(0, 0): -2, (1, 0): 1, (0, 1): -1, (2, 3): 5})
+    assert str(p) == "-2 - v + u + 5*u^2*v^3"
+    assert repr(U - ONE) == "BivarPoly(-1 + u)"
+
+
 coeffs = st.integers(min_value=-BIG, max_value=BIG)
 exps = st.integers(min_value=0, max_value=6)
 polys = st.dictionaries(st.tuples(exps, exps), coeffs, max_size=6).map(BivarPoly)

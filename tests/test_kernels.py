@@ -6,9 +6,7 @@ tests every value of the last coordinate at the leaf. The grouped Census
 must behave as the row list it stands for.
 """
 
-import gc
 import math
-import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
@@ -391,22 +389,35 @@ def test_census_uses_match_its_word_tuples(p, scale, seed):
     assert all(a is b for (a, _), (b, _) in zip(census.uses, expected))
 
 
-def test_census_memory_does_not_grow_with_word_tuples():
+CENSUS_PEAK = """
+import gc, json, tracemalloc
+from fractions import Fraction
+from parmirror import kernels
+from parmirror.chambers import sample_generic_weights, weight_denominator
+from parmirror.moduli import ModuliParams
+
+p = ModuliParams(2, 2, 11, 1)
+w = sample_generic_weights(p, seed=1, scale=Fraction(1))
+den = weight_denominator(w)
+wnum = tuple(tuple(int(a * den) for a in row) for row in w.alpha)
+kernels._word_tables(p.n)
+gc.collect()
+tracemalloc.start()
+census = kernels.enumerate_census(p.n, p.g, p.k, p.d, wnum, den)
+_, peak = tracemalloc.get_traced_memory()
+tracemalloc.stop()
+print(json.dumps([sum(count for _, count in census.uses), len(census), peak]))
+"""
+
+
+def test_census_memory_does_not_grow_with_word_tuples(run_fresh):
     """The kernel counts the word tuples per key and keeps no record of any
     of them: the census walks them again where rows are read. At
     (2, 2, 11, 1), 2,048 word tuples and 8,192 rows, its tracemalloc peak
-    is 15,672 bytes after the other kernel tests and 21,947 when run alone;
-    the kernel that kept one record per word tuple peaked at 460,456
-    (Python 3.11, free lists cleared first so every tuple is traced)."""
-    p = ModuliParams(2, 2, 11, 1)
-    args = _census_args(p, 1, Fraction(1))
-    kernels._word_tables(p.n)
-    gc.collect()
-    tracemalloc.start()
-    try:
-        census = kernels.enumerate_census(*args)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert sum(count for _, count in census.uses) == 2048 and len(census) == 8192
+    is 19,392 bytes, measured in a fresh interpreter after the weights and
+    word tables are built; the kernel that kept one record per word tuple
+    peaked at 460,456 (Python 3.11, free lists cleared first so every
+    tuple is traced)."""
+    tuples, rows, peak = run_fresh(CENSUS_PEAK)
+    assert tuples == 2048 and rows == 8192
     assert peak <= 30_000, peak

@@ -79,6 +79,10 @@ def test_params_validation():
         ModuliParams(n=2, g=1, k=1)
     with pytest.raises(ValueError):
         ModuliParams(n=2, g=2, k=0)
+    p = ModuliParams(n=3, g=2, k=1, d=1)
+    assert p._replace(d=2) == ModuliParams(3, 2, 1, 2)
+    with pytest.raises(ValueError, match="genus 1"):
+        p._replace(g=1)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 7])

@@ -50,6 +50,13 @@ def test_vector_validation_and_arithmetic():
     assert (v - w).coords == (2, 0, 2, 0)
     assert (2 * v).coords == (2, 1, 2, 1)
     assert v.g == 2
+    with pytest.raises(AttributeError, match="cannot assign"):
+        v.n = 5
+    with pytest.raises(AttributeError, match="cannot delete"):
+        del v.coords
+    same = TorsionVector(n=3, coords=(1, 2, 1, 2))
+    assert v == same and hash(v) == hash(same)
+    assert len({v, same, TorsionVector(n=3, coords=(0, 0, 0, 1))}) == 2
 
 
 def test_standard_form_pairing_table():
@@ -75,6 +82,12 @@ def test_form_validation():
     degenerate = ((0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 0), (0, -1, 0, 0))
     with pytest.raises(ValueError, match="degenerate"):
         SymplecticForm(n=3, g=2, matrix=degenerate)
+    form = SymplecticForm.standard(3, 2)
+    assert form._replace(matrix=form.matrix) == form
+    with pytest.raises(ValueError, match="not antisymmetric"):
+        form._replace(n=5)
+    with pytest.raises(ValueError, match="degenerate"):
+        form._replace(matrix=degenerate)
 
 
 def _span(rows, n):
@@ -252,6 +265,9 @@ def test_model_validation():
         NormFiberModel(n=3, d=0, gamma=gamma, l_gamma=3)
     model = NormFiberModel(n=3, d=2, gamma=gamma)
     assert model.galois_shift() == 2
+    assert model._replace(d=4).galois_shift() == 1
+    with pytest.raises(ValueError, match="nonzero"):
+        model._replace(gamma=zero)
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -51,7 +51,6 @@ from .tms import (
     params_to_jsonable,
     report_to_jsonable,
     sweep,
-    sweep_all_equal,
     sweep_to_csv_rows,
     sweep_to_jsonable,
     verify_identity,
@@ -144,7 +143,7 @@ def _cmd_sweep(args) -> int:
     summary = payload["summary"]
     print(f"instances={summary['instances']} equal={summary['equal']} "
           f"failed={summary['failed']} all_equal={str(summary['all_equal']).lower()}")
-    return 0 if sweep_all_equal(results) and results else 1
+    return 0 if summary["all_equal"] else 1
 
 
 def _cmd_variant(args) -> int:

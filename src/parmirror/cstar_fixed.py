@@ -98,9 +98,8 @@ def enumerate_components(p: ModuliParams, w: WeightSystem) -> kernels.Census:
     (word tuple, m) order.
 
     The length and signs of m are checked once per shared lattice point,
-    which covers every row; s is not stored, but derived from the words
-    where it is read. A failure is a fault of the kernel and raises
-    IdentityCheckError.
+    which covers every row; s comes with each word tuple's group. A
+    failure is a fault of the kernel and raises IdentityCheckError.
     """
     if not is_generic(w, p):
         raise NonGenericWeightsError(f"weights sit on a wall for {p}")
@@ -237,16 +236,14 @@ def components_to_csv(p: ModuliParams, census: kernels.Census, fh) -> None:
     comma, a quote or a line break, so none is quoted and each line is
     formatted directly and streamed to fh, an open text file. A word
     tuple's lines differ only in the text after its words field, and that
-    text depends only on its (lattice, s, floor of d_n) block, with s
-    derived from its words: each block's lines are rendered once, and each
+    text depends only on its (lattice, s, floor of d_n) block, with s as
+    its group carries it: each block's lines are rendered once, and each
     word tuple writes them behind its own words field.
     """
     fh.write("words,m,s,d_n,degree\r\n")
     blocks: dict[tuple, list[str]] = {}
     texts = _word_texts(p.n)
-    words = kernels.words_lex(p.n)
-    for t_idx, dn_floor, lattice in census.groups():
-        s = kernels.descent_counts(map(words.__getitem__, t_idx))
+    for t_idx, s, dn_floor, lattice in census.groups():
         key = (id(lattice), s, dn_floor)
         block = blocks.get(key)
         if block is None:

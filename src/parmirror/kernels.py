@@ -7,8 +7,8 @@ unbounded ints.
 
 Row format: CensusRow(word index tuple, m tuple, s tuple, d_n). Rows come
 out in lexicographic order of (word indices, m). The descent counts s are a
-function of the words alone; the census does not store them, and
-`descent_counts` derives them where a row or a CSV block is read.
+function of the words alone; the census does not store them, and the group
+walk derives them once per word tuple as it yields the tuple's CensusGroup.
 
 At scale 2*wden the stability inequality for index l reads C[l].m < R[l],
 and every coefficient is C[l][j] = 2*wden*coef[l][j] with a positive
@@ -120,12 +120,12 @@ def _word_tables(n: int):
 
 class CensusGroup(NamedTuple):
     """The rows of one word tuple: (t_idx, m, s, dn_floor + q) for each pair
-    (m, q) of lattice, in increasing m order, where s, the descent counts
-    of the words of t_idx, is not stored but derived where it is read. The
-    lattice tuple is shared by every word tuple with the same budgets and
-    degree offset mod n."""
+    (m, q) of lattice, in increasing m order, where s holds the descent
+    counts of the words of t_idx. The lattice tuple is shared by every word
+    tuple with the same budgets and degree offset mod n."""
 
     t_idx: tuple[int, ...]
+    s: tuple[int, ...]
     dn_floor: int
     lattice: tuple
 
@@ -145,18 +145,17 @@ class Census:
     """Census rows grouped by word tuple.
 
     A sized, re-iterable sequence of CensusRow in canonical (t_idx, m)
-    order; the rows themselves, and each group's s, are built only while
-    iterating. n is the rank, whose words t_idx indexes. uses pairs each
-    distinct lattice with the number of word tuples sharing it, in order of
-    first use; the row count, points() and box_counts() read it. groups is
-    a zero-argument callable that walks the word tuples again and yields
-    each one's CensusGroup in lexicographic order; iteration reads it.
+    order; the rows themselves are built only while iterating. uses pairs
+    each distinct lattice with the number of word tuples sharing it, in
+    order of first use; the row count, points() and box_counts() read it.
+    groups is a zero-argument callable that walks the word tuples again and
+    yields each one's CensusGroup, s included, in lexicographic order;
+    iteration reads it.
     """
 
-    __slots__ = ("n", "uses", "groups")
+    __slots__ = ("uses", "groups")
 
-    def __init__(self, n: int, uses: list[tuple[tuple, int]], groups):
-        self.n = n
+    def __init__(self, uses: list[tuple[tuple, int]], groups):
         self.uses = uses
         self.groups = groups
 
@@ -164,9 +163,7 @@ class Census:
         return sum(len(lattice) * count for lattice, count in self.uses)
 
     def __iter__(self):
-        words = words_lex(self.n)
-        for t_idx, dn_floor, lattice in self.groups():
-            s = descent_counts(map(words.__getitem__, t_idx))
+        for t_idx, s, dn_floor, lattice in self.groups():
             for m, q in lattice:
                 yield CensusRow(t_idx, m, s, dn_floor + q)
 
@@ -274,12 +271,15 @@ def enumerate_census(n, g, k, d, wnum, wden, t0_lo=0, t0_hi=None, backend=None) 
             uses.setdefault(id(lattices[key]), [lattices[key], 0])[1] += tuples
 
     def groups():
-        """The word tuples walked again, each with its nonempty lattice."""
+        """The word tuples walked again, each with its descent counts and
+        its nonempty lattice."""
+        words = words_lex(n)
         for t, dn_floor, key in walk(0, (), root, dn_base):
             if lattices[key]:
-                yield CensusGroup(t, dn_floor, lattices[key])
+                s = descent_counts(map(words.__getitem__, t))
+                yield CensusGroup(t, s, dn_floor, lattices[key])
 
-    return Census(n, [(lattice, tuples) for lattice, tuples in uses.values()], groups)
+    return Census([(lattice, tuples) for lattice, tuples in uses.values()], groups)
 
 
 def _lattice(n, coef, Q, residue):

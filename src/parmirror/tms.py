@@ -186,11 +186,7 @@ def sweep(config: SweepConfig):
     return [_run_instance(spec, totals) for spec in config.instances()]
 
 
-def sweep_all_equal(results) -> bool:
-    return all(isinstance(r, TmsReport) and r.equal for r in results)
-
-
-def params_to_jsonable(p: ModuliParams) -> dict:
+def params_to_jsonable(p: ModuliParams | SweepFailure) -> dict:
     return {"n": p.n, "g": p.g, "k": p.k, "d": p.d}
 
 
@@ -224,7 +220,7 @@ def _report_jsonable(r: TmsReport, include_timings: bool, triples: dict) -> dict
 
 def failure_to_jsonable(f: SweepFailure) -> dict:
     return {
-        "params": {"n": f.n, "g": f.g, "k": f.k, "d": f.d},
+        "params": params_to_jsonable(f),
         "seed": f.seed,
         "scale": format_rat(f.scale),
         "error": f.error,
@@ -234,20 +230,21 @@ def failure_to_jsonable(f: SweepFailure) -> dict:
 def sweep_to_jsonable(results, include_timings: bool = False) -> dict:
     entries = []
     triples: dict = {}
+    equal = failed = 0
     for r in results:
         if isinstance(r, TmsReport):
             entries.append(_report_jsonable(r, include_timings, triples))
+            equal += r.equal
         else:
             entries.append(failure_to_jsonable(r))
-    equal_count = sum(1 for r in results if isinstance(r, TmsReport) and r.equal)
-    failed = sum(1 for r in results if isinstance(r, SweepFailure))
+            failed += 1
     return {
         "results": entries,
         "summary": {
-            "instances": len(results),
-            "equal": equal_count,
+            "instances": len(entries),
+            "equal": equal,
             "failed": failed,
-            "all_equal": sweep_all_equal(results) and bool(results),
+            "all_equal": 0 < equal == len(entries),
         },
     }
 
@@ -340,7 +337,6 @@ __all__ = [
     "SweepConfig",
     "verify_identity",
     "sweep",
-    "sweep_all_equal",
     "report_to_jsonable",
     "sweep_to_jsonable",
     "dumps_canonical",

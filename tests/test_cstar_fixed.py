@@ -142,16 +142,16 @@ def test_enumerate_components_parity_flip():
     assert len(census) == len(enumerate_components(P221, ALPHA))
 
 
-def _census(n, groups):
-    """A rank-n census of the given CensusGroup list, its uses derived by
-    the oracle."""
-    return Census(n, census_uses(groups), groups.__iter__)
+def _census(groups):
+    """A census of the given CensusGroup list, its uses derived by the
+    oracle."""
+    return Census(census_uses(groups), groups.__iter__)
 
 
 def _patch_census(monkeypatch, *groups):
-    """Make the kernel return a rank-2 census of the given (t_idx, dn_floor,
+    """Make the kernel return a census of the given (t_idx, s, dn_floor,
     lattice) groups."""
-    census = _census(2, [CensusGroup(*group) for group in groups])
+    census = _census([CensusGroup(*group) for group in groups])
     monkeypatch.setattr(cstar_fixed.kernels, "enumerate_census", lambda *args: census)
 
 
@@ -159,15 +159,15 @@ def test_enumerate_components_rejects_negative_twist(monkeypatch):
     # the bad point is the last one of a lattice that a good word tuple shares
     _patch_census(
         monkeypatch,
-        ((1,), -1, (((0,), 0),)),
-        ((1,), -1, (((0,), 0), ((-2,), -1))),
+        ((1,), (1,), -1, (((0,), 0),)),
+        ((1,), (1,), -1, (((0,), 0), ((-2,), -1))),
     )
     with pytest.raises(IdentityCheckError, match="negative twist jump"):
         enumerate_components(P221, ALPHA)
 
 
 def test_enumerate_components_rejects_wrong_twist_length(monkeypatch):
-    _patch_census(monkeypatch, ((1,), -1, (((0,), 0), ((1, 1), 1))))
+    _patch_census(monkeypatch, ((1,), (1,), -1, (((0,), 0), ((1, 1), 1))))
     with pytest.raises(IdentityCheckError, match="length n-1"):
         enumerate_components(P221, ALPHA)
 
@@ -176,7 +176,7 @@ def test_census_faults_exit_one(monkeypatch, capsys):
     """A census with a negative twist jump is a fault of the program, not
     of the invocation: variant and tms exit 1, not 2."""
     lattice = (((1,), 0), ((-1,), 0))
-    _patch_census(monkeypatch, ((0,), -1, (((1,), 0),)), ((1,), -1, lattice))
+    _patch_census(monkeypatch, ((0,), (0,), -1, (((1,), 0),)), ((1,), (1,), -1, lattice))
     for sub in ("variant", "tms"):
         assert cli.main([sub, "--n", "2", "--g", "2", "--marked", "1", "--deg", "0"]) == 1, sub
         err = capsys.readouterr().err
@@ -341,7 +341,7 @@ def _move_one_row(census, old, new):
             if m == old:
                 points[j] = (new, q)
                 groups[i] = group._replace(lattice=tuple(points))
-                return _census(census.n, groups)
+                return _census(groups)
     raise LookupError(f"no row has m = {old}")
 
 
@@ -516,11 +516,8 @@ def test_components_csv_matches_csv_module(n, g, k, d):
     p = ModuliParams(n, g, k, d)
     census = enumerate_components(p, sample_generic_weights(p, seed=1, scale=Fraction(1, 8)))
     assert any(c.d_n < 0 for c in census)
-    words = kernels.words_lex(n)
     groups = list(census.groups())
-    blocks = {
-        (id(g.lattice), descent_counts(words[i] for i in g.t_idx), g.dn_floor) for g in groups
-    }
+    blocks = {(id(g.lattice), g.s, g.dn_floor) for g in groups}
     assert len(blocks) < len(groups)
     buf = io.StringIO()
     components_to_csv(p, census, buf)

@@ -101,6 +101,23 @@ def test_census_answers_from_its_lattice_uses():
     assert census.box_counts(2) == Counter(m for _, m, _, _ in rows if max(m) <= 2)
 
 
+@pytest.mark.parametrize("p,seed,scale", [
+    (ModuliParams(2, 2, 11, 1), 1, Fraction(1)),
+    (ModuliParams(3, 2, 2, 1), 4, Fraction(1, 8)),
+    (ModuliParams(5, 3, 1, 2), 1, None),
+], ids=["2-2-11-1", "3-2-2-1", "5-3-1-2"])
+def test_census_groups_carry_their_descent_counts(p, seed, scale):
+    """Each group's s is the descent counts of its words, and every row of
+    the group carries that same s."""
+    census = kernels.enumerate_census(*_census_args(p, seed, scale or small_weight_margin(p)))
+    words = kernels.words_lex(p.n)
+    expected = []
+    for group in census.groups():
+        assert group.s == descent_counts(words[i] for i in group.t_idx)
+        expected.extend([(group.t_idx, group.s)] * len(group.lattice))
+    assert [(row.t_idx, row.s) for row in census] == expected
+
+
 def test_unknown_backend_rejected():
     p = ModuliParams(2, 2, 1, 0)
     args = _census_args(p, seed=1)

@@ -22,7 +22,6 @@ from parmirror.tms import (
     load_weights_json,
     report_to_jsonable,
     sweep,
-    sweep_all_equal,
     sweep_to_csv_rows,
     sweep_to_jsonable,
     verify_identity,
@@ -69,7 +68,7 @@ def test_report_jsonable_shape_and_schema():
 def test_sweep_small_grid_all_equal():
     results = sweep(SMALL)
     assert len(results) == 8
-    assert sweep_all_equal(results)
+    assert all(r.equal for r in results)
     payload = sweep_to_jsonable(results)
     assert payload["summary"] == {
         "instances": 8, "equal": 8, "failed": 0, "all_equal": True,
@@ -87,10 +86,11 @@ def test_sweep_records_failures_without_aborting():
     assert isinstance(results[0], SweepFailure)
     assert "SamplingExhaustedError" in results[0].error
     assert isinstance(results[1], TmsReport) and results[1].equal
-    assert not sweep_all_equal(results)
     payload = sweep_to_jsonable(results)
-    assert payload["summary"]["failed"] == 1
-    assert not payload["summary"]["all_equal"]
+    assert payload["summary"] == {
+        "instances": 2, "equal": 1, "failed": 1, "all_equal": False,
+    }
+    assert sweep_to_jsonable([])["summary"]["all_equal"] is False
     jsonschema.validate(payload, schemas.load("sweep"))
     failure = failure_to_jsonable(results[0])
     assert failure["params"] == {"n": 2, "g": 2, "k": 1, "d": 0}
@@ -264,7 +264,7 @@ def test_sweep_computes_weight_free_totals_once_per_params(monkeypatch):
 
         monkeypatch.setattr(tms, name, spy)
     config = SweepConfig.default()
-    assert sweep_all_equal(sweep(config))
+    assert sweep_to_jsonable(sweep(config))["summary"]["all_equal"]
     assert calls == {name: 16 for name in WEIGHT_FREE}
     sweep(config)
     assert calls == {name: 32 for name in WEIGHT_FREE}

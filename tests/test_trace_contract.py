@@ -3,9 +3,10 @@
 perfbench/tracing.py wraps the census kernel, enumerate_components and
 the CSV export, takes len() of the censuses, iterates the checked census
 twice and replays every census call on each backend. A small `variant`
-with its CSV, a small `tms` run and a small `sweep` with its CSV go
-through its Probe here, so a result type or signature that breaks those
-hooks, or a counter identity the traced run checks, fails these tests.
+with its CSV, two `tms` runs (one of them perfbench's marked_points
+workload, 11 marked points) and a small `sweep` with its CSV go through
+its Probe here, so a result type or signature that breaks those hooks,
+or a counter identity the traced run checks, fails these tests.
 The module is imported from its file and left unchanged.
 
 The traced child imports parmirror.cli and then looks up every module it
@@ -53,8 +54,9 @@ SWEEP_GRID = "[grid]\nn = 2 3\ng = 2\nk = 1\nd = 0 1\n[sampling]\nseeds = 1 2\ns
     ["variant", "--n", "3", "--g", "2", "--marked", "2", "--deg", "1", "--seed", "4",
      "--csv", "{tmp}/rows.csv"],
     ["tms", "--n", "5", "--g", "2", "--marked", "1", "--deg", "0", "--seed", "1"],
+    ["tms", "--n", "2", "--g", "2", "--marked", "11", "--deg", "1"],
     ["sweep", "--config", "{tmp}/grid.ini", "--csv", "{tmp}/rows.csv"],
-], ids=["variant", "tms", "sweep"])
+], ids=["variant", "tms", "marked_points", "sweep"])
 def test_traced_run_counters_agree(tracing, tmp_path, argv):
     # the identities perfbench's check_identities asserts on a traced run
     out = tmp_path / "report.json"

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import permutations, product
 from math import factorial
 
 from . import kernels
@@ -151,10 +151,10 @@ def variant_closed_form(p: ModuliParams) -> BivarPoly:
 
 @cache
 def _sigma_residue_counts(n: int) -> tuple[int, ...]:
-    """How many words of S_n have each value of sigma mod n, read from the
-    kernel's sigma table; computed once per n."""
+    """How many words of S_n have each value of sigma mod n, counted over a
+    stream of its words that holds no table; computed once per n."""
     single = [0] * n
-    for value in kernels.sigma_table(n):
+    for value in map(kernels.sigma, permutations(range(1, n + 1))):
         single[value % n] += 1
     return tuple(single)
 

@@ -8,7 +8,8 @@ unbounded ints.
 Row format: CensusRow(word index tuple, m tuple, s tuple, d_n). Rows come
 out in lexicographic order of (word indices, m). The descent counts s are a
 function of the words alone; the census does not store them, and the group
-walk derives them once per word tuple as it yields the tuple's CensusGroup.
+walk sums its words' kept descent vectors as it yields each word tuple's
+CensusGroup.
 
 At scale 2*wden the stability inequality for index l reads C[l].m < R[l],
 and every coefficient is C[l][j] = 2*wden*coef[l][j] with a positive
@@ -31,8 +32,9 @@ the word tuples depth first, in lexicographic order, carrying the prefix
 sums of R - 1 and of sigma(w) = sum_j j desc(w)_j (whose total fixes the
 degree offset), so the last point costs one vector add per tuple. The
 bound reads each word's descents only through its share coef.desc(w),
-never through s. The weight-free tables (sigma, coef and each word's
-coef.desc products) are built once per n.
+never through s. The weight-free tables come from one pass over S_n per n:
+coef and, for each word, its descent vector (one shared object per distinct
+vector), its sigma and its share coef.desc(w).
 
 A key is searched only when no searched lattice already holds its points.
 For the lattice L(Q) of budgets Q, let reach[l] be the largest coef[l].m
@@ -63,6 +65,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import cache
 from itertools import compress, count, permutations
+from operator import mul
 from typing import NamedTuple
 
 
@@ -98,24 +101,23 @@ def descent_counts(words) -> tuple[int, ...]:
 
 
 @cache
-def sigma_table(n: int) -> tuple[int, ...]:
-    """sigma of each word of S_n, in lexicographic order; built once per n,
-    streaming the words rather than holding S_n."""
-    return tuple(sigma(w) for w in permutations(range(1, n + 1)))
-
-
-@cache
 def _word_tables(n: int):
-    """The weight-free tables of S_n, words in lexicographic order: each
-    word's sigma, the stability coefficient rows coef, and each word's
-    descent share coef[l].desc(w); built once per n."""
-    desc = tuple(descent_vector(w) for w in words_lex(n))
+    """The weight-free tables of S_n, from its one pass over the words in
+    lexicographic order: each word's descent vector desc(w), its sigma, and
+    its descent share coef[l].desc(w), with the stability coefficient rows
+    coef; built once per n. S_n has only 2^(n-1) distinct descent vectors,
+    so each is interned and its sigma and share are derived once."""
     coef = tuple(
         tuple((n - l + 1) * j if j <= l - 1 else (l - 1) * (n - j) for j in range(1, n))
         for l in range(2, n + 1)
     )
-    share = tuple(tuple(sum(c * x for c, x in zip(row, dv)) for row in coef) for dv in desc)
-    return sigma_table(n), coef, share
+    desc = [descent_vector(w) for w in words_lex(n)]
+    derived = {  # each distinct descent vector -> (itself, its sigma, its share)
+        dv: (dv, sum(compress(count(1), dv)), tuple([sum(map(mul, row, dv)) for row in coef]))
+        for dv in dict.fromkeys(desc)
+    }
+    desc, sig, share = zip(*map(derived.__getitem__, desc))
+    return desc, sig, coef, share
 
 
 class CensusGroup(NamedTuple):
@@ -195,7 +197,7 @@ def enumerate_census(n, g, k, d, wnum, wden, t0_lo=0, t0_hi=None, backend=None) 
     """
     if backend not in (None, "python"):
         raise ValueError(f"unknown backend {backend!r}; have {sorted(backends())}")
-    sig, coef, share = _word_tables(n)
+    desc, sig, coef, share = _word_tables(n)
     nw = len(sig)
     if t0_hi is None:
         t0_hi = nw
@@ -271,12 +273,11 @@ def enumerate_census(n, g, k, d, wnum, wden, t0_lo=0, t0_hi=None, backend=None) 
             uses.setdefault(id(lattices[key]), [lattices[key], 0])[1] += tuples
 
     def groups():
-        """The word tuples walked again, each with its descent counts and
-        its nonempty lattice."""
-        words = words_lex(n)
+        """The word tuples walked again, each with its nonempty lattice and
+        its descent counts, the sum of its words' kept descent vectors."""
         for t, dn_floor, key in walk(0, (), root, dn_base):
             if lattices[key]:
-                s = descent_counts(map(words.__getitem__, t))
+                s = tuple([*map(sum, zip(*map(desc.__getitem__, t)))])
                 yield CensusGroup(t, s, dn_floor, lattices[key])
 
     return Census([(lattice, tuples) for lattice, tuples in uses.values()], groups)

@@ -86,11 +86,9 @@ def sn_quotient_count_bruteforce(n: int, k: int) -> int:
         seen: set[tuple[int, ...]] = set()
         orbits = 0
         for t in product(range(len(words)), repeat=k):
-            if t in seen:
-                continue
-            orbits += 1
-            for r in range(n):
-                seen.add(tuple(rot[r][i] for i in t))
+            if t not in seen:
+                orbits += 1
+                seen.update(tuple(map(r.__getitem__, t)) for r in rot)
         if orbits != average:
             raise IdentityCheckError(f"orbit marking {orbits} disagrees with average {average}")
     return average

@@ -45,7 +45,7 @@ from parmirror.cstar_fixed import (
     variant_total_cyclotomic,
 )
 from parmirror.exactpoly import ONE, U, V, ZERO, CycInt, binom_deg_slice
-from parmirror.kernels import Census, CensusGroup, CensusRow, descent_counts, sigma
+from parmirror.kernels import Census, CensusGroup, CensusRow, descent_counts, descent_vector, sigma
 from parmirror.moduli import ModuliParams, dim_hitchin_base
 
 W21 = ((2, 1),)
@@ -404,10 +404,44 @@ def _scan_sigma_sum_residues(n, k, sig):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_filter_counts_match_tuple_scan(n, k):
     sig = [sigma(w) for w in kernels.words_lex(n)]
-    assert kernels.sigma_table(n) == tuple(sig)
     single = cstar_fixed._sigma_residue_counts(n)
     assert single == tuple(sum(1 for s in sig if s % n == r) for r in range(n))
     assert cstar_fixed._sigma_sum_residues(n, k, single) == _scan_sigma_sum_residues(n, k, sig)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_word_tables_keep_interned_descent_vectors(n):
+    """The kernel's descent and sigma columns are each word's descent vector
+    and sigma, and the descent column holds one object per distinct vector:
+    at most 2^(n-1) of them."""
+    desc, sig, _, _ = kernels._word_tables(n)
+    words = kernels.words_lex(n)
+    assert desc == tuple(descent_vector(w) for w in words)
+    assert sig == tuple(sigma(w) for w in words)
+    assert len({id(dv) for dv in desc}) <= 2 ** (n - 1)
+
+
+COUNT_S_PEAK = """
+import gc, json, tracemalloc
+from parmirror import cstar_fixed
+
+gc.collect()
+tracemalloc.start()
+counts = [cstar_fixed.count_S(8, r) for r in range(8)]
+_, peak = tracemalloc.get_traced_memory()
+tracemalloc.stop()
+print(json.dumps([counts, peak]))
+"""
+
+
+def test_sigma_residue_counts_hold_no_table(run_fresh):
+    """count_S streams S_8 through sigma and keeps only the 8 residue
+    counts: its tracemalloc peak in a fresh interpreter read 2,000 bytes,
+    where counting from a table of all 40,320 sigma values peaked at
+    382,304 (Python 3.11)."""
+    counts, peak = run_fresh(COUNT_S_PEAK)
+    assert counts == [5040] * 8
+    assert peak < 50_000, peak
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 7])

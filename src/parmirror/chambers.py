@@ -346,6 +346,8 @@ def weight_denominator(w: WeightSystem) -> int:
 
 def integer_weights(w: WeightSystem) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """The weights over their common denominator: (den, wnum) with
-    wnum[p][i] = alpha[p][i] * den, all integers."""
+    wnum[p][i] = alpha[p][i] * den, all integers, in int arithmetic: each
+    denominator divides den, so alpha * den = numerator * (den // denominator)
+    exactly."""
     den = weight_denominator(w)
-    return den, tuple(tuple(int(a * den) for a in row) for row in w.alpha)
+    return den, tuple([tuple([a.numerator * (den // a.denominator) for a in row]) for row in w.alpha])

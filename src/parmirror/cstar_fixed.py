@@ -92,10 +92,11 @@ def _word_texts(n: int) -> list[str]:
     return [sep.join(map(str, letters)) for letters in kernels.words_lex(n)]
 
 
-def enumerate_components(p: ModuliParams, w: WeightSystem) -> kernels.Census:
+def enumerate_components(p: ModuliParams, w: WeightSystem, memo=None) -> kernels.Census:
     """The kernel's census of all type-(1,...,1) fixed components for
     generic weights, checked: iterating it yields CensusRow in canonical
-    (word tuple, m) order.
+    (word tuple, m) order. memo, when a dict, is handed to the kernel,
+    which keeps its lattice searches there for later censuses.
 
     The length and signs of m are checked once per shared lattice point,
     which covers every row; s comes with each word tuple's group. A
@@ -104,7 +105,8 @@ def enumerate_components(p: ModuliParams, w: WeightSystem) -> kernels.Census:
     if not is_generic(w, p):
         raise NonGenericWeightsError(f"weights sit on a wall for {p}")
     den, wnum = integer_weights(w)
-    census = kernels.enumerate_census(p.n, p.g, p.k, p.d, wnum, den)
+    # all positional: perfbench's census hook takes no keywords
+    census = kernels.enumerate_census(p.n, p.g, p.k, p.d, wnum, den, 0, None, memo)
     for m, _ in census.points():
         if len(m) != p.n - 1:
             raise IdentityCheckError("m must have length n-1")
@@ -113,7 +115,7 @@ def enumerate_components(p: ModuliParams, w: WeightSystem) -> kernels.Census:
     return census
 
 
-def variant_total_bruteforce(p: ModuliParams, census: kernels.Census) -> BivarPoly:
+def variant_total_bruteforce(p: ModuliParams, census: kernels.Census, memo=None) -> BivarPoly:
     """Sum of the census contributions, shifted by (uv)^(dim/2).
 
     A contribution is (n^2g - 1) times the product of the slices of its
@@ -125,7 +127,9 @@ def variant_total_bruteforce(p: ModuliParams, census: kernels.Census) -> BivarPo
     of exactly (n!)^k / n rows: the whole box is stable for every word
     tuple, and each degree residue mod n holds (n!)^k / n word tuples.
     Past that check the box sum is one power of the summed slices: the
-    closed form by algebra, with the slice expansion its own content.
+    closed form by algebra, with the slice expansion its own content. That
+    power depends on p alone; when memo is a dict it is kept there under
+    ("bruteforce", p), and the check still runs on every census.
     """
     counts = census.box_counts(2 * p.g - 2)
     flat = factorial(p.n) ** p.k // p.n
@@ -134,7 +138,14 @@ def variant_total_bruteforce(p: ModuliParams, census: kernels.Census) -> BivarPo
             raise IdentityCheckError(
                 f"twist vector {m} has {counts[m]} census rows, not {flat}, for {p}"
             )
+    return kernels.memoized(memo, ("bruteforce", p), _box_power, p)
+
+
+def _box_power(p: ModuliParams) -> BivarPoly:
+    """The census total of a flat box: (n!)^k / n (n^2g - 1) times the
+    (n-1)-th power of the summed slices, shifted by (uv)^(dim/2)."""
     slices = sum((binom_deg_slice(p.g - 1, a) for a in range(2 * p.g - 1)), ZERO)
+    flat = factorial(p.n) ** p.k // p.n
     h = dim_hitchin_base(p)
     return (slices ** (p.n - 1) * (flat * (p.n ** (2 * p.g) - 1))).shift(h, h)
 

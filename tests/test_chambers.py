@@ -14,6 +14,7 @@ from parmirror.chambers import (
     Wall,
     WeightSystem,
     enumerate_walls,
+    integer_weights,
     is_generic,
     sample_generic_weights,
     small_weight_margin,
@@ -160,6 +161,18 @@ def test_is_generic_matches_fraction_oracle():
         if walls <= 20_000:
             outcomes |= _oracle_outcomes(p, 8 if walls <= 1_000 else 1)
     assert outcomes == {True, False}
+
+
+def test_integer_weights_equal_the_fraction_form():
+    # the denominators of the genericity oracle, reduced per weight, so one
+    # system mixes denominators; and the sampler's own 10^6
+    rng = random.Random("integer-weights")
+    systems = [_small_denominator_weights(rng, n, k)
+               for n, k in product((2, 3, 5), (1, 2, 3)) for _ in range(8)]
+    systems.append(sample_generic_weights(ModuliParams(3, 2, 2, 0), seed=1))
+    for w in systems:
+        den = weight_denominator(w)
+        assert integer_weights(w) == (den, tuple(tuple(int(a * den) for a in row) for row in w.alpha))
 
 
 def test_is_generic_matches_fraction_oracle_many_points():

@@ -338,6 +338,33 @@ def test_census_searches_each_distinct_lattice_once(monkeypatch):
     assert len(shared) == 47
 
 
+def test_census_with_a_shared_memo_equals_a_fresh_census(monkeypatch):
+    """Censuses of a small grid share one memo, as a sweep's do: each reads
+    the lattices kept by earlier ones and searches only keys not yet kept,
+    and every one lists the rows of a fresh census run without the memo."""
+    memo = {}
+    searches = []
+    real = kernels._lattice
+
+    def spy(*args):
+        searches.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "_lattice", spy)
+    alone = 0
+    for n, g, k, d, seed, scale in product((2, 3), (2, 3), (1, 2), (0, 1), (1, 2),
+                                           (Fraction(1, 8), Fraction(1))):
+        args = _census_args(ModuliParams(n, g, k, d), seed, scale)
+        shared = kernels.enumerate_census(*args, 0, None, memo)
+        searches.clear()
+        fresh = kernels.enumerate_census(*args)
+        alone += len(searches)
+        assert list(shared) == list(fresh)
+        assert shared.uses == fresh.uses
+    kept = [key for key in memo if key[0] == "lattice"]
+    assert len(kept) == len(memo) < alone
+
+
 def _coefficients(n):
     """coef[l-2][j-1]: the coefficient of m_j + s_j in the l-th stability
     inequality."""

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import parmirror.cli
-from parmirror import schemas, tms
+from parmirror import cstar_fixed, kernels, schemas, tms
 from parmirror.chambers import NonGenericWeightsError, WeightSystem, sample_generic_weights
 from parmirror.exactpoly import IdentityCheckError
 from parmirror.moduli import ModuliParams
@@ -270,9 +270,39 @@ def test_sweep_computes_weight_free_totals_once_per_params(monkeypatch):
     assert calls == {name: 32 for name in WEIGHT_FREE}
 
 
+def test_sweep_searches_each_lattice_key_once(monkeypatch):
+    """Run alone, the default grid's 160 instances make 722 lattice searches
+    for 84 distinct (n, Q, residue) keys and build the census total's box
+    power 160 times for 16 parameter sets. One sweep searches each key once
+    and builds each power once."""
+    searches, powers = [], []
+    real_lattice, real_power = kernels._lattice, cstar_fixed._box_power
+
+    def lattice(n, coef, Q, residue):
+        searches.append((n, tuple(Q), residue))
+        return real_lattice(n, coef, Q, residue)
+
+    def power(p):
+        powers.append(p)
+        return real_power(p)
+
+    monkeypatch.setattr(kernels, "_lattice", lattice)
+    monkeypatch.setattr(cstar_fixed, "_box_power", power)
+    config = SweepConfig.default()
+    for spec in config.instances():
+        tms._run_instance(spec)
+    alone = set(searches)
+    assert (len(searches), len(alone), len(powers), len(set(powers))) == (722, 84, 160, 16)
+    searches.clear()
+    powers.clear()
+    assert sweep_to_jsonable(sweep(config))["summary"]["all_equal"]
+    assert len(searches) == 84 and set(searches) == alone
+    assert len(powers) == len(set(powers)) == 16
+
+
 def test_sweep_json_equals_per_instance_reports():
     config = SweepConfig.default()
-    # without a totals dict, each instance computes every total itself
+    # without a memo dict, each instance computes everything itself
     direct = [tms._run_instance(spec) for spec in config.instances()]
     assert dumps_canonical(sweep_to_jsonable(sweep(config))) == (
         dumps_canonical(sweep_to_jsonable(direct))
@@ -280,19 +310,30 @@ def test_sweep_json_equals_per_instance_reports():
 
 
 def test_failing_weight_free_total_fails_each_instance(monkeypatch):
+    _check_failure_is_not_kept(monkeypatch, tms, "variant_closed_form")
+
+
+def test_failing_box_power_fails_each_instance(monkeypatch):
+    _check_failure_is_not_kept(monkeypatch, cstar_fixed, "_box_power")
+
+
+def _check_failure_is_not_kept(monkeypatch, module, name):
+    """A memoized value that raises is not kept: every instance of its
+    parameter set computes it again and fails alike, and the others keep
+    their bytes."""
     config = SweepConfig.default()
     before = sweep_to_jsonable(sweep(config))["results"]
     broken = ModuliParams(3, 2, 2, 1)
-    real = tms.variant_closed_form
+    real = getattr(module, name)
     calls = []
 
-    def closed(p):
+    def failing(p):
         if p == broken:
             calls.append(p)
             raise IdentityCheckError(f"injected failure for {p}")
         return real(p)
 
-    monkeypatch.setattr(tms, "variant_closed_form", closed)
+    monkeypatch.setattr(module, name, failing)
     results = sweep(config)
     after = sweep_to_jsonable(results)["results"]
     failed = [r for r in results if isinstance(r, SweepFailure)]

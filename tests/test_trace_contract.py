@@ -16,6 +16,7 @@ generation or for what only `sweep` uses.
 """
 
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -88,6 +89,35 @@ def test_traced_run_counters_agree(tracing, tmp_path, argv):
     assert rec.counts["cstar_fixed.components_to_csv"] == (argv[0] == "variant")
     assert rec.counts["tms.dumps_canonical"] == 1
     assert rec.counts["tms.json_bytes"] == out.stat().st_size
+
+
+def test_program_passes_the_census_kernel_no_keyword(tracing, tmp_path, monkeypatch):
+    """perfbench's census hook, Probe._on_census(self, rows, *args), takes
+    no keyword arguments and reads the first-word range from positions 6
+    and 7. A build that handed the kernel its memo as memo= made the traced
+    sweep_default run exit 1: every one of its 160 instances failed on the
+    hook's TypeError. So every program path passes every argument to
+    kernels.enumerate_census positionally, with t0_lo and t0_hi in place."""
+    kinds = {param.kind for param in inspect.signature(tracing.Probe._on_census).parameters.values()}
+    assert inspect.Parameter.VAR_KEYWORD not in kinds
+    calls = []
+    real = kernels.enumerate_census
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "enumerate_census", spy)
+    (tmp_path / "grid.ini").write_text(SWEEP_GRID, encoding="utf-8")
+    for argv in (["tms", "--n", "3", "--g", "2", "--marked", "2", "--deg", "1"],
+                 ["variant", "--n", "3", "--g", "2", "--marked", "1", "--csv", f"{tmp_path}/rows.csv"],
+                 ["sweep", "--config", f"{tmp_path}/grid.ini"]):
+        calls.clear()
+        assert parmirror.cli.main([*argv, "--out", str(tmp_path / "report.json")]) == 0
+        assert calls, argv
+        for args, kwargs in calls:
+            assert not kwargs and args[6:8] == (0, None), (argv, kwargs)
+            assert isinstance(args[8], dict) == (argv[0] == "sweep"), argv
 
 
 def test_cli_import_loads_the_traced_modules_and_nothing_sweep_only(tracing):

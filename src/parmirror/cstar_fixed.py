@@ -96,7 +96,7 @@ def enumerate_components(p: ModuliParams, w: WeightSystem, memo=None) -> kernels
     """The kernel's census of all type-(1,...,1) fixed components for
     generic weights, checked: iterating it yields CensusRow in canonical
     (word tuple, m) order. memo, when a dict, is handed to the kernel,
-    which keeps its lattice searches there for later censuses.
+    which keeps each key's lattice there for later censuses.
 
     The length and signs of m are checked once per shared lattice point,
     which covers every row; s comes with each word tuple's group. A
@@ -248,20 +248,21 @@ def components_to_csv(p: ModuliParams, census: kernels.Census, fh) -> None:
     formatted directly and streamed to fh, an open text file. A word
     tuple's lines differ only in the text after its words field, and that
     text depends only on its (lattice, s, floor of d_n) block, with s as
-    its group carries it: each block's lines are rendered once, and each
-    word tuple writes them behind its own words field.
+    its group carries it: each block is rendered once, as one string with
+    every line led by its CRLF, and each word tuple writes it with its own
+    words field put behind each CRLF.
     """
     fh.write("words,m,s,d_n,degree\r\n")
-    blocks: dict[tuple, list[str]] = {}
+    blocks: dict[tuple, str] = {}
     texts = _word_texts(p.n)
     for t_idx, s, dn_floor, lattice in census.groups():
         key = (id(lattice), s, dn_floor)
         block = blocks.get(key)
         if block is None:
             s_text = " ".join(map(str, s))
-            block = blocks[key] = [
-                f"{' '.join(map(str, m))},{s_text},{dn_floor + q},{sum(m)}\r\n"
+            block = blocks[key] = "".join([
+                f"\r\n{' '.join(map(str, m))},{s_text},{dn_floor + q},{sum(m)}"
                 for m, q in lattice
-            ]
+            ])
         prefix = "|".join(map(texts.__getitem__, t_idx)) + ","
-        fh.write(prefix + prefix.join(block))
+        fh.write(block.replace("\r\n", "\r\n" + prefix)[2:] + "\r\n")

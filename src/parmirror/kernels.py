@@ -36,15 +36,16 @@ never through s. The weight-free tables come from one pass over S_n per n:
 coef and, for each word, its descent vector (one shared object per distinct
 vector), its sigma and its share coef.desc(w).
 
-A key is searched only when no searched lattice already holds its points.
-For the lattice L(Q) of budgets Q, let reach[l] be the largest coef[l].m
-over its points (0 when it is empty). If a key (Q', r) has the residue r of
-a searched (Q, r) and reach <= Q' <= Q componentwise, then L(Q') = L(Q):
-Q' <= Q gives L(Q') within L(Q), and every point of L(Q) has
-coef.m <= reach <= Q', so it lies in L(Q'). Keys are visited in decreasing
-order of sum(Q), so a key meets the wider budgets before its own. The
-search returns reach with the points: coef is positive, so within one call
-on the last coordinate its largest value leaves the least slack for every l.
+A key is searched only when no earlier key of its residue dominates it.
+For budgets Q' <= Q componentwise and one residue r,
+L(Q', r) = {(m, q) in L(Q, r) : coef.m <= Q'}: the congruence is the same,
+and coef.m <= Q' implies coef.m <= Q. Keys are visited in decreasing order
+of sum(Q), so a key meets every key that dominates it before its own. The
+search records each point's load coef.m, and every other key's lattice is
+filtered from the smallest dominating lattice held, by those loads. Let
+reach[l] be the largest load over a lattice's points (0 when it is empty):
+when reach <= Q', the filter would keep every point, so the key takes the
+held lattice object itself.
 
 Neither the rows nor the word tuples are listed. The walk runs once to
 count the word tuples of each key; a `Census` keeps each distinct lattice
@@ -55,10 +56,9 @@ number of word tuples or rows.
 
 A lattice depends on (n, Q, residue) alone, not on g, k, d or the
 weights, so a caller that runs many censuses may pass memo, a dict that
-lives as long as its calls: each search is then kept there under
-("lattice", n, Q, residue), as its interned points and reach, and every
-later census with that key reads it instead of searching. The reuse by
-dominance inside one census is unchanged.
+lives as long as its calls: every key's lattice, searched or filtered, is
+then kept there under ("lattice", n, Q, residue), with its loads and reach,
+and every later census with that key reads it instead of deriving it.
 
 `enumerate_census` is the one entry point. `backends()` names this kernel
 "python", and `backend=` accepts only that name; t0_lo/t0_hi restrict the
@@ -73,7 +73,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import cache
 from itertools import compress, count, permutations
-from operator import mul
+from operator import floordiv, itemgetter, le, mul, sub
 from typing import NamedTuple
 
 
@@ -201,7 +201,7 @@ def enumerate_census(n, g, k, d, wnum, wden, t0_lo=0, t0_hi=None, memo=None, *,
     wnum[p][i] is the numerator of weight alpha_{i+1} at point p over the
     common denominator wden. Stability is evaluated at scale 2*wden and
     reduced to integer budgets Q (see the module docstring). memo: None, or
-    a dict that keeps each lattice search for later censuses (see the
+    a dict that keeps each key's lattice for later censuses (see the
     module docstring). backend: None or "python"; any other name raises
     ValueError, as does a first-word range outside 0 <= t0_lo <= t0_hi <= n!.
     """
@@ -259,29 +259,32 @@ def enumerate_census(n, g, k, d, wnum, wden, t0_lo=0, t0_hi=None, memo=None, *,
     # phase one: how many word tuples share each (Q, offset mod n) key, in
     # order of first use
     keys = Counter(key for _, _, key in walk(0, (), root, dn_base))
-    # phase two: one lattice per key, searched only when no searched
-    # lattice with wider budgets holds its points (see the module docstring)
+    # phase two: one lattice per key, searched only when no earlier key of
+    # its residue dominates it, else filtered from a held lattice (see the
+    # module docstring)
     lattices: dict[tuple, tuple] = {}
-    searched: dict[int, list] = {}  # residue -> [(Q, reach, lattice)]
+    held: dict[int, list] = {}  # residue -> [(Q, (lattice, loads, reach))]
     distinct: dict[tuple, tuple] = {}
     points: dict[tuple, tuple] = {}
 
-    def search(Q, residue):
-        """_lattice's points, interned within this census, and its reach."""
-        found, reach = _lattice(n, coef, Q, residue)
-        return tuple(points.setdefault(pt, pt) for pt in found), reach
+    def derive(Q, residue):
+        """The key's (lattice, loads, reach): the smallest held lattice whose
+        budgets dominate Q, filtered, or else _lattice's points, interned
+        within this census."""
+        source = None
+        for wide, value in held.get(residue, ()):
+            if all(map(le, Q, wide)) and (source is None or len(value[0]) < len(source[0])):
+                source = value
+        if source is not None:
+            return _filtered(*source, Q)
+        found, loads = _lattice(n, coef, Q, residue)
+        return tuple([points.setdefault(pt, pt) for pt in found]), loads, _reach(loads, nm)
 
     for key in sorted(keys, key=lambda item: -sum(item[0])):
         Q, residue = key
-        candidates = searched.setdefault(residue, [])
-        for wide, reach, lattice in candidates:
-            if all(a <= b <= c for a, b, c in zip(reach, Q, wide)):
-                break
-        else:
-            found, reach = memoized(memo, ("lattice", n, Q, residue), search, Q, residue)
-            lattice = distinct.setdefault(found, found)
-            candidates.append((Q, reach, lattice))
-        lattices[key] = lattice
+        value = memoized(memo, ("lattice", n, Q, residue), derive, Q, residue)
+        held.setdefault(residue, []).append((Q, value))
+        lattices[key] = distinct.setdefault(value[0], value[0])
     uses: dict[int, list] = {}
     for key, tuples in keys.items():
         if lattices[key]:
@@ -310,42 +313,58 @@ def memoized(memo, key, fn, *args):
     return value
 
 
+def _reach(loads, nm) -> tuple:
+    """The largest load for each of the nm indices l, 0 over no points."""
+    return tuple([max(map(itemgetter(l), loads), default=0) for l in range(nm)])
+
+
+def _filtered(lattice, loads, reach, Q):
+    """(lattice, loads, reach) of the points of lattice whose loads are at
+    most Q: the lattice of budgets Q when lattice's budgets dominate Q and
+    its residue is the same. The arguments themselves when reach <= Q. The
+    kept loads are the same objects, so filtered lattices share them."""
+    if all(map(le, reach, Q)):
+        return lattice, loads, reach
+    # only the indices whose loads can exceed Q decide; zip reuses its tuple
+    fits = [map(q.__ge__, map(itemgetter(l), loads)) for l, (q, top) in enumerate(zip(Q, reach))
+            if q < top]
+    keep = [*map(all, zip(*fits))]
+    loads = [*compress(loads, keep)]
+    return tuple([*compress(lattice, keep)]), loads, _reach(loads, len(Q))
+
+
 def _lattice(n, coef, Q, residue):
     """Every m >= 0 with coef[l].m <= Q[l] for all l whose degree offset
     sum_j (j+1) m_j is congruent to -residue mod n, in increasing m order,
-    as pairs (m, (residue + offset) // n); and reach, the largest coef[l].m
-    over those points for each l (0 when there are none)."""
+    as pairs (m, (residue + offset) // n); and their loads, the list
+    [coef[l].m for each l] of each point, in the same order."""
     out: list = []
-    slack = list(Q)
-    _dfs(n, n - 1, coef, Q, residue, 0, [0] * (n - 1), out, slack)
-    return out, tuple(q - left for q, left in zip(Q, slack))
+    loads: list = []
+    _dfs(n, n - 1, [*zip(*coef)], Q, residue, 0, [0] * (n - 1), [0] * (n - 1), out, loads)
+    return out, loads
 
 
-def _dfs(n, nm, coef, Q, num, j, m, out, slack):
+def _dfs(n, nm, cols, Q, num, j, m, spent, out, loads):
     """Append the lattice points below the prefix m[:j], in increasing m
-    order; num is residue plus the prefix's degree offset, and slack[l]
-    falls to the least Q[l] - coef[l].m any appended point leaves.
+    order, and their loads; cols[j] is the column (coef[l][j] for each l),
+    num is residue plus the prefix's degree offset, and spent[l] is the
+    prefix's coef[l].m.
 
     The last coordinate m_{n-1} enters the congruence with coefficient
     n - 1, a unit mod n, so exactly one residue class of its values passes:
     it is stepped from num mod n in strides of n, with no leaf filter.
     """
-    cap = min(Q[li] // coef[li][j] for li in range(nm))
+    col = cols[j]
+    cap = min(map(floordiv, map(sub, Q, spent), col))
     if j == nm - 1:
-        last = None
         for val in range(num % n, cap + 1, n):
             m[j] = val
             out.append((tuple(m), (num + nm * val) // n))
-            last = val
+            loads.append([x + c * val for x, c in zip(spent, col)])
         m[j] = 0
-        if last is not None:
-            for li in range(nm):
-                left = Q[li] - coef[li][j] * last
-                if left < slack[li]:
-                    slack[li] = left
         return
     for val in range(cap + 1):
         m[j] = val
-        nxt = Q if val == 0 else [Q[li] - coef[li][j] * val for li in range(nm)]
-        _dfs(n, nm, coef, nxt, num + (j + 1) * val, j + 1, m, out, slack)
+        nxt = spent if val == 0 else [x + c * val for x, c in zip(spent, col)]
+        _dfs(n, nm, cols, Q, num + (j + 1) * val, j + 1, m, nxt, out, loads)
     m[j] = 0

@@ -70,7 +70,7 @@ def verify_identity(p: ModuliParams, w: WeightSystem, *, memo=None) -> TmsReport
     memo, when a dict, keeps for later calls what depends on no weights:
     the closed form, the filtered sum and the stringy total under
     (label, p), the census total's box power under ("bruteforce", p) and
-    each lattice search under ("lattice", n, Q, residue). A kept total is
+    each key's lattice under ("lattice", n, Q, residue). A kept total is
     timed as the lookup, and what raises is not kept. The genericity
     check, the census and its flat-box check run on every call.
     """
@@ -178,7 +178,7 @@ def sweep(config: SweepConfig):
     not raised. One memo dict lives for the length of the call, so what
     depends on no weights is computed once and shared by every instance:
     the weight-free totals and the census total's box power once per
-    parameter set, and each lattice search once per (n, Q, residue)."""
+    parameter set, and each key's lattice once per (n, Q, residue)."""
     memo: dict = {}
     return [_run_instance(spec, memo) for spec in config.instances()]
 
@@ -193,11 +193,18 @@ def report_to_jsonable(r: TmsReport, include_timings: bool = False) -> dict:
 
 def _report_jsonable(r: TmsReport, include_timings: bool, triples: dict) -> dict:
     """The report's payload; triples maps each polynomial of the payload to
-    one coefficient list, so dumps_canonical renders equal totals once."""
+    one coefficient list, so dumps_canonical renders equal totals once. A
+    total is looked up by its id first, which triples maps to the total and
+    its list, and is hashed once, the first time that object is met: a
+    sweep's instances share the totals of their parameter set."""
     def coeffs(f: BivarPoly) -> list:
-        if f not in triples:
-            triples[f] = f.to_triples()
-        return triples[f]
+        kept = triples.get(id(f))
+        if kept is None:
+            listed = triples.setdefault(f, [])
+            if not listed:  # a new total, or zero, whose list stays empty
+                listed += f.to_triples()
+            kept = triples[id(f)] = (f, listed)
+        return kept[1]
 
     out = {
         "params": params_to_jsonable(r.params),

@@ -581,12 +581,13 @@ print(json.dumps([len(census), peak]))
 def test_census_memory_does_not_grow_with_rows(run_fresh):
     """The census, its sum and its CSV export of the 78,125 components at
     (5, 3, 1, 2) allocate at most 1,670,699 bytes at peak: the census keeps
-    a word-tuple count for each of its 16 distinct lattices, which share
-    10,500 lattice points, and walks the 120 word tuples again to write the
-    CSV. A census that listed every row as a tuple and as a component
-    object peaked at 15.7 MB on this instance (Python 3.11). It is measured
-    in a fresh interpreter after the weights are sampled, with free lists
-    cleared first, and read 1,654,979 bytes there."""
+    a word-tuple count for each of its 16 distinct lattices, 10,500 entries
+    over 4,095 distinct lattice points, and walks the 120 word tuples again to write the
+    CSV, rendering each block as one string. A census that listed every row
+    as a tuple and as a component object peaked at 15.7 MB on this instance
+    (Python 3.11). It is measured in a fresh interpreter after the weights
+    are sampled, with free lists cleared first, and read 1,203,824 bytes
+    there (1,654,979 when each block was a list of line strings)."""
     rows, peak = run_fresh(ROWS_PEAK)
     assert rows == 78_125
     assert peak <= 1_670_699, peak

@@ -10,9 +10,10 @@ import math
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
+from operator import le
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oracles import census_uses
@@ -295,47 +296,129 @@ def test_scaled_floor_identity(a, b, c, x):
 def test_reduced_lattice_matches_scaled_search(n, scale, num, data):
     """The lattice searched on the budgets Q = (R - 1) // scale holds the
     same m vectors, in the same order, as the leaf-filter search on the
-    scaled coefficients scale * coef and bounds R; its reach is the largest
-    coef[l].m over its points."""
+    scaled coefficients scale * coef and bounds R, and it lists each point's
+    loads coef[l].m, from which the kernel takes reach."""
     nm = n - 1
     coef = [data.draw(st.lists(st.integers(1, 4), min_size=nm, max_size=nm)) for _ in range(nm)]
     R = data.draw(st.lists(st.integers(1, 12 * scale), min_size=nm, max_size=nm))
     C = [[scale * c for c in row] for row in coef]
     expected = []
     _leaf_filter_dfs(n, nm, C, R, num, 0, [0] * nm, (), (), expected)
-    lattice, reach = kernels._lattice(n, coef, [(r - 1) // scale for r in R], num % n)
+    lattice, loads = kernels._lattice(n, coef, [(r - 1) // scale for r in R], num % n)
     assert [(m, num // n + q) for m, q in lattice] == [(m, dn) for _, m, _, dn in expected]
-    assert reach == tuple(
-        max((sum(c * x for c, x in zip(row, m)) for m, _ in lattice), default=0) for row in coef
-    )
+    assert loads == [[sum(c * x for c, x in zip(row, m)) for row in coef] for m, _ in lattice]
 
 
 def test_census_searches_each_distinct_lattice_once(monkeypatch):
     """At (5, 3, 1, 2) the 120 word tuples have 47 distinct (Q, offset mod n)
-    keys but 16 distinct lattices. Each lattice is searched once; every other
-    key reuses a searched lattice whose budgets dominate its own. Word tuples
-    with equal keys, recomputed here from the Fraction form of the stability
-    bound, share one lattice tuple."""
+    keys and 16 distinct lattices, but only 5 keys that no other key of
+    their residue dominates. Exactly those 5 are searched, listing 4,095
+    points, each once; every other key's lattice is filtered from a
+    dominating one. Word tuples with equal keys, recomputed here from the
+    Fraction form of the stability bound, share one lattice tuple."""
     p = ModuliParams(5, 3, 1, 2)
     w = sample_generic_weights(p, seed=1, scale=small_weight_margin(p))
     n, g, k, d, wnum, den = _census_args(p, 1, small_weight_margin(p))
-    found = []
+    searched = {}
     real = kernels._lattice
 
-    def spy(*args):
-        out = real(*args)
-        found.append(tuple(out[0]))
+    def spy(n, coef, Q, residue):
+        out = real(n, coef, Q, residue)
+        searched[tuple(Q), residue] = out[0]
         return out
 
     monkeypatch.setattr(kernels, "_lattice", spy)
     census = kernels.enumerate_census(n, g, k, d, wnum, den)
-    assert len(found) == len(set(found)) == len(census.uses) == 16
+    assert len(census.uses) == 16
     words = kernels.words_lex(n)
+    keys = {_lattice_key(p, w, t) for t in product(words, repeat=k)}
+    assert len(keys) == 47
+    assert set(searched) == _undominated(keys)
+    assert len(searched) == 5 and sum(map(len, searched.values())) == 4_095
     shared = {}
     for group in census.groups():
         key = _lattice_key(p, w, tuple(words[i] for i in group.t_idx))
         assert shared.setdefault(key, group.lattice) is group.lattice
     assert len(shared) == 47
+
+
+def _undominated(keys):
+    """The keys (Q, residue) that no other key of their residue dominates
+    componentwise."""
+    return {
+        (Q, r) for Q, r in keys
+        if not any(o != Q and s == r and all(map(le, Q, o)) for o, s in keys)
+    }
+
+
+P5312 = ModuliParams(5, 3, 1, 2)
+KEY_ORACLE_CASES = [(P5312, small_weight_margin(P5312), 1)] + [
+    (p, scale, seed) for p in ORACLE_GRID for scale, seed in ORACLE_WEIGHTS
+]
+
+
+def test_every_key_gets_the_lattice_of_its_own_search(monkeypatch):
+    """Every key of (5, 3, 1, 2) and of the oracle grid, searched, filtered
+    or taken whole from a dominating key, gets the lattice, loads and reach
+    that _lattice finds for that key alone; the memo keeps every key of the
+    census, recomputed here from the Fraction form of the stability bound.
+    Across the cases the kernel searches keys, takes some lattices whole
+    and filters others."""
+    seen = Counter()
+    real_lattice, real_filtered = kernels._lattice, kernels._filtered
+
+    def lattice(*args):
+        seen["searched"] += 1
+        return real_lattice(*args)
+
+    def filtered(lattice, loads, reach, Q):
+        out = real_filtered(lattice, loads, reach, Q)
+        seen["whole" if out[0] is lattice else "filtered"] += 1
+        return out
+
+    monkeypatch.setattr(kernels, "_lattice", lattice)
+    monkeypatch.setattr(kernels, "_filtered", filtered)
+    for p, scale, seed in KEY_ORACLE_CASES:
+        w = sample_generic_weights(p, seed=seed, scale=scale)
+        memo = {}
+        kernels.enumerate_census(*_census_args(p, seed, scale), 0, None, memo)
+        keys = {_lattice_key(p, w, t) for t in product(kernels.words_lex(p.n), repeat=p.k)}
+        assert {(Q, r) for _, _, Q, r in memo} == {(Q, r) for Q, r in keys if min(Q) >= 0}
+        coef = _coefficients(p.n)
+        for (_, n, Q, r), (found, loads, reach) in memo.items():
+            alone, alone_loads = real_lattice(n, coef, Q, r)
+            assert found == tuple(alone) and loads == alone_loads
+            assert reach == tuple(max((ld[l] for ld in alone_loads), default=0) for l in range(n - 1))
+    assert min(seen[kind] for kind in ("searched", "whole", "filtered")) > 0, seen
+
+
+# budgets cut to zero at residue 1: the filter keeps none of the points
+@example(n=3, residue=1, coef=[1] * 16, budgets=[5] * 4, cuts=[5] * 4)
+@given(
+    n=st.integers(2, 5),
+    residue=st.integers(0, 4),
+    coef=st.lists(st.integers(1, 5), min_size=16, max_size=16),
+    budgets=st.lists(st.integers(0, 20), min_size=4, max_size=4),
+    cuts=st.lists(st.integers(0, 20), min_size=4, max_size=4),
+)
+def test_filtering_a_lattice_gives_the_lattice_of_smaller_budgets(n, residue, coef, budgets, cuts):
+    """For positive coef, budgets Q' <= Q and one residue, the points of L(Q)
+    whose loads are at most Q' are L(Q'), in the same order with the same
+    q, and so are their loads and reach; when L(Q)'s reach is within Q',
+    the filter returns L(Q) itself."""
+    nm, residue = n - 1, residue % n
+    coef = [coef[nm * i:nm * (i + 1)] for i in range(nm)]
+    Q = budgets[:nm]
+    small = [max(q - cut, 0) for q, cut in zip(Q, cuts)]
+    wide, wide_loads = kernels._lattice(n, coef, Q, residue)
+    wide = tuple(wide)
+    reach = kernels._reach(wide_loads, nm)
+    lattice, loads, small_reach = kernels._filtered(wide, wide_loads, reach, small)
+    alone, alone_loads = kernels._lattice(n, coef, small, residue)
+    assert lattice == tuple(alone) and loads == alone_loads
+    assert small_reach == kernels._reach(alone_loads, nm)
+    if all(map(le, reach, small)):
+        assert lattice is wide
 
 
 def test_census_with_a_shared_memo_equals_a_fresh_census(monkeypatch):
@@ -458,8 +541,9 @@ def test_census_memory_does_not_grow_with_word_tuples(run_fresh):
     """The kernel counts the word tuples per key and keeps no record of any
     of them: the census walks them again where rows are read. At
     (2, 2, 11, 1), 2,048 word tuples and 8,192 rows, its tracemalloc peak
-    is 19,392 bytes, measured in a fresh interpreter after the weights and
-    word tables are built; the kernel that kept one record per word tuple
+    is 21,528 bytes (19,392 before the kernel kept each lattice's loads),
+    measured in a fresh interpreter after the weights and word tables are
+    built; the kernel that kept one record per word tuple
     peaked at 460,456 (Python 3.11, free lists cleared first so every
     tuple is traced)."""
     tuples, rows, peak = run_fresh(CENSUS_PEAK)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import parmirror.cli
 from parmirror import cstar_fixed, kernels, schemas, tms
 from parmirror.chambers import NonGenericWeightsError, WeightSystem, sample_generic_weights
-from parmirror.exactpoly import IdentityCheckError
+from parmirror.exactpoly import BivarPoly, IdentityCheckError
 from parmirror.moduli import ModuliParams
 from parmirror.tms import (
     SweepConfig,
@@ -271,10 +271,12 @@ def test_sweep_computes_weight_free_totals_once_per_params(monkeypatch):
 
 
 def test_sweep_searches_each_lattice_key_once(monkeypatch):
-    """Run alone, the default grid's 160 instances make 722 lattice searches
-    for 84 distinct (n, Q, residue) keys and build the census total's box
-    power 160 times for 16 parameter sets. One sweep searches each key once
-    and builds each power once."""
+    """Run alone, the default grid's 160 instances make 416 lattice searches
+    for 60 distinct (n, Q, residue) keys and build the census total's box
+    power 160 times for 16 parameter sets. One sweep searches no key twice
+    and builds each power once. It searches 52 of those keys: a key that
+    one census filters from a wider key is kept and read by every later
+    census, even one in which no other key dominates it."""
     searches, powers = [], []
     real_lattice, real_power = kernels._lattice, cstar_fixed._box_power
 
@@ -292,11 +294,11 @@ def test_sweep_searches_each_lattice_key_once(monkeypatch):
     for spec in config.instances():
         tms._run_instance(spec)
     alone = set(searches)
-    assert (len(searches), len(alone), len(powers), len(set(powers))) == (722, 84, 160, 16)
+    assert (len(searches), len(alone), len(powers), len(set(powers))) == (416, 60, 160, 16)
     searches.clear()
     powers.clear()
     assert sweep_to_jsonable(sweep(config))["summary"]["all_equal"]
-    assert len(searches) == 84 and set(searches) == alone
+    assert len(searches) == len(set(searches)) == 52 and set(searches) < alone
     assert len(powers) == len(set(powers)) == 16
 
 
@@ -307,6 +309,30 @@ def test_sweep_json_equals_per_instance_reports():
     assert dumps_canonical(sweep_to_jsonable(sweep(config))) == (
         dumps_canonical(sweep_to_jsonable(direct))
     )
+
+
+def test_sweep_json_hashes_each_total_object_once(monkeypatch):
+    """The payload looks a total up by identity before it hashes it, so each
+    distinct total object of a sweep is hashed once: the instances of one
+    parameter set share their weight-free totals, and equal totals held in
+    different objects still share one coefficient list."""
+    results = sweep(SweepConfig.default())
+    expected = dumps_canonical(sweep_to_jsonable(results))
+    totals = {
+        id(f) for r in results
+        for f in (r.lhs_bruteforce, r.lhs_closed, r.lhs_cyclotomic, r.rhs)
+    }
+    hashed = []
+    real = BivarPoly.__hash__
+
+    def spy(self):
+        hashed.append(id(self))
+        return real(self)
+
+    monkeypatch.setattr(BivarPoly, "__hash__", spy)
+    payload = sweep_to_jsonable(results)
+    assert sorted(hashed) == sorted(totals) and len(totals) < 4 * len(results)
+    assert dumps_canonical(payload) == expected
 
 
 def test_failing_weight_free_total_fails_each_instance(monkeypatch):

@@ -18,6 +18,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .exactpoly import IdentityCheckError, format_rat, parse_rat
+from .kernels import stability_coefficients
 from .moduli import ModuliParams
 
 WEIGHT_DENOMINATOR = 10**6
@@ -248,36 +249,23 @@ def small_weight_margin(p: ModuliParams) -> Fraction:
     is generic and gives the same chamber: all stability inequalities hold
     with the integer terms at their worst corners.
 
-    Certified per destabilizing index l by two exact checks. First, over the
-    corners m_j in {0, 2g-2} and s_j in {0, k} of the integer box, the
-    left side max equals the weight-free right side with the descent term at
-    its own corner max (so the inequality is tight there before weights).
-    Second, the descent corner max k*M_l is attained per point only by the
-    strictly decreasing word, whose weight summand is a positive sum of
-    weight gaps, while any other word drops at least one integer from the
-    descent term and loses at most n(n-l+1)*eps in weights; the returned eps
-    keeps that loss below 1.
+    Certified per destabilizing index l from the stability coefficient rows
+    coef[l]. Every coefficient is positive, so over the integer box
+    m_j in [0, 2g-2], s_j in [0, k] the left side is largest at the top
+    corner, (2g-2+k) sum(coef[l]); 2 sum(coef[l]) = n(n-l+1)(l-1) makes that
+    corner equal the weight-free right side (tight before weights). The
+    descent corner k sum(coef[l]) is attained per point only by the strictly
+    decreasing word, whose weight summand is a positive sum of weight gaps,
+    while any other word drops at least one integer from the descent term
+    and loses at most n(n-l+1)*eps in weights; eps keeps that loss below 1.
     """
-    n, g, k = p.n, p.g, p.k
+    n = p.n
     eps = Fraction(1, 2 * n * (n - 1))
-    for l in range(2, n + 1):
-        coef = [(n - l + 1) * j if j <= l - 1 else (l - 1) * (n - j) for j in range(1, n)]
+    for l, coef in enumerate(stability_coefficients(n), start=2):
         if min(coef) < 1:
             raise IdentityCheckError(f"stability coefficients {coef} not positive at l = {l}")
-        lhs_max = max(
-            sum(c * m for c, m in zip(coef, corner))
-            for corner in product((0, 2 * g - 2), repeat=n - 1)
-        )
-        s_max = max(
-            sum(c * s for c, s in zip(coef, corner))
-            for corner in product((0, k), repeat=n - 1)
-        )
-        point_load = Fraction(n * (n - l + 1) * (l - 1), 2)
-        if point_load.denominator != 1 or s_max != k * point_load:
-            raise IdentityCheckError(f"descent corner mismatch at l = {l}")
-        weight_free_rhs = Fraction(n * (n - l + 1) * (l - 1) * (2 * g - 2 + k), 2)
-        if lhs_max != weight_free_rhs - k * point_load:
-            raise IdentityCheckError(f"tight corner identity fails at l = {l}")
+        if 2 * sum(coef) != n * (n - l + 1) * (l - 1):
+            raise IdentityCheckError(f"row sum of {coef} is not n(n-l+1)(l-1)/2 at l = {l}")
         if not n * (n - l + 1) * eps < 1:
             raise IdentityCheckError(f"weight slack too large at l = {l}")
     return eps

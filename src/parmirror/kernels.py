@@ -19,12 +19,12 @@ holds exactly when coef[l].m <= Q[l] = (R[l] - 1) // (2*wden): the search
 runs on the small integer budgets Q with no loss. A word tuple's stable m
 vectors then depend only on Q and, through the congruence, on its degree
 offset mod n. Every word tuple with the same (Q, offset mod n) key shares
-one lattice; lattices of different keys with the same points share one
-tuple, and equal points one (m, q) pair.
+one lattice, and lattices of different keys with the same points share one
+tuple.
 
 The bound is separable over the marked points: each point adds its own
 weight term and its word's descents, so R[l](t) = C_l + sum_p a_p(t_p)[l]
-with C_l = (n-l+1)(l-1) n chi wden and
+with C_l = 2*wden*chi*sum_j coef[l][j] = (n-l+1)(l-1) n chi wden and
 a_p(w)[l] = 2((n-l+1) tot_p - n tail_p(w)[l]) - 2*wden*coef[l].desc(w),
 where tail_p(w)[l] is the weight numerator sum of the letters of w in
 slots l..n. The kernel builds each a_p(w) vector once per word and walks
@@ -32,9 +32,10 @@ the word tuples depth first, in lexicographic order, carrying the prefix
 sums of R - 1 and of sigma(w) = sum_j j desc(w)_j (whose total fixes the
 degree offset), so the last point costs one vector add per tuple. The
 bound reads each word's descents only through its share coef.desc(w),
-never through s. The weight-free tables come from one pass over S_n per n:
-coef and, for each word, its descent vector (one shared object per distinct
-vector), its sigma and its share coef.desc(w).
+never through s. coef comes from `stability_coefficients`, which reads no
+words, and the other weight-free tables from one pass over S_n per n: for
+each word, its descent vector (one shared object per distinct vector), its
+sigma and its share coef.desc(w).
 
 A key is searched only when no earlier key of its residue dominates it.
 For budgets Q' <= Q componentwise and one residue r,
@@ -108,6 +109,16 @@ def descent_counts(words) -> tuple[int, ...]:
     return tuple(map(sum, zip(*map(descent_vector, words))))
 
 
+def stability_coefficients(n: int) -> tuple[tuple[int, ...], ...]:
+    """The stability coefficient rows coef[l-2] for l = 2..n: coef[l-2][j-1]
+    multiplies m_j + s_j in the l-th inequality, and is (n-l+1) j for j < l
+    and (l-1)(n-j) for j >= l. Each row sums to n(n-l+1)(l-1)/2."""
+    return tuple(
+        tuple((n - l + 1) * j if j < l else (l - 1) * (n - j) for j in range(1, n))
+        for l in range(2, n + 1)
+    )
+
+
 @cache
 def _word_tables(n: int):
     """The weight-free tables of S_n, from its one pass over the words in
@@ -115,10 +126,7 @@ def _word_tables(n: int):
     its descent share coef[l].desc(w), with the stability coefficient rows
     coef; built once per n. S_n has only 2^(n-1) distinct descent vectors,
     so each is interned and its sigma and share are derived once."""
-    coef = tuple(
-        tuple((n - l + 1) * j if j <= l - 1 else (l - 1) * (n - j) for j in range(1, n))
-        for l in range(2, n + 1)
-    )
+    coef = stability_coefficients(n)
     desc = [descent_vector(w) for w in words_lex(n)]
     derived = {  # each distinct descent vector -> (itself, its sigma, its share)
         dv: (dv, sum(compress(count(1), dv)), tuple([sum(map(mul, row, dv)) for row in coef]))
@@ -234,9 +242,9 @@ def enumerate_census(n, g, k, d, wnum, wden, t0_lo=0, t0_hi=None, memo=None, *,
                 a[l - 2] = 2 * ((n - l + 1) * tot - n * tail) - scale * sh[l - 2]
             rows.append(a)
         vecs.append(rows)
-    # C_l - 1: r carries R - 1, so Q = r // scale, and Q < 0 exactly when
-    # R <= 0, an unstable word tuple
-    root = [(n - l + 1) * (l - 1) * n * chi * wden - 1 for l in range(2, n + 1)]
+    # C_l - 1 with C_l = scale * chi * sum(coef[l]): r carries R - 1, so
+    # Q = r // scale, and Q < 0 exactly when R <= 0, an unstable word tuple
+    root = [scale * chi * sum(row) - 1 for row in coef]
     dn_base = d - n * (n - 1) * chi // 2
     last = k - 1
 
@@ -265,12 +273,10 @@ def enumerate_census(n, g, k, d, wnum, wden, t0_lo=0, t0_hi=None, memo=None, *,
     lattices: dict[tuple, tuple] = {}
     held: dict[int, list] = {}  # residue -> [(Q, (lattice, loads, reach))]
     distinct: dict[tuple, tuple] = {}
-    points: dict[tuple, tuple] = {}
 
     def derive(Q, residue):
         """The key's (lattice, loads, reach): the smallest held lattice whose
-        budgets dominate Q, filtered, or else _lattice's points, interned
-        within this census."""
+        budgets dominate Q, filtered, or else _lattice's points."""
         source = None
         for wide, value in held.get(residue, ()):
             if all(map(le, Q, wide)) and (source is None or len(value[0]) < len(source[0])):
@@ -278,7 +284,7 @@ def enumerate_census(n, g, k, d, wnum, wden, t0_lo=0, t0_hi=None, memo=None, *,
         if source is not None:
             return _filtered(*source, Q)
         found, loads = _lattice(n, coef, Q, residue)
-        return tuple([points.setdefault(pt, pt) for pt in found]), loads, _reach(loads, nm)
+        return tuple(found), loads, _reach(loads, nm)
 
     for key in sorted(keys, key=lambda item: -sum(item[0])):
         Q, residue = key

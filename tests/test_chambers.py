@@ -227,26 +227,52 @@ def test_sampler_gives_up_after_64_draws(monkeypatch, capsys):
 
 
 def test_small_weight_margin_value_and_certificate():
-    for n, g, k in [(2, 2, 1), (2, 3, 2), (3, 2, 1), (3, 3, 2), (5, 2, 1), (7, 2, 1)]:
+    for n, g, k in [(2, 2, 1), (2, 3, 2), (3, 2, 1), (3, 3, 2), (5, 2, 1), (7, 2, 1), (17, 2, 1), (19, 2, 1)]:
         p = ModuliParams(n, g, k)
         assert small_weight_margin(p) == Fraction(1, 2 * n * (n - 1))
 
 
-_real_product = product
+def _corner_max(coef, top):
+    """The largest coef.x over the corners x_j in {0, top}."""
+    return max(sum(c * x for c, x in zip(coef, corner)) for corner in product((0, top), repeat=len(coef)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 7, 11, 13])
+def test_corner_maxima_are_row_sums(n):
+    """Corner oracle for the certificate: over the corners m_j in {0, 2g-2}
+    and s_j in {0, k} of the box, the largest coef.m and coef.s are (2g-2)
+    and k times the row sum, and twice the row sum is n(n-l+1)(l-1), so the
+    top corner meets the weight-free right side."""
+    for l, coef in enumerate(chambers.stability_coefficients(n), start=2):
+        assert 2 * sum(coef) == n * (n - l + 1) * (l - 1)
+        for g, k in product((2, 3), (1, 3)):
+            lhs_max, s_max = _corner_max(coef, 2 * g - 2), _corner_max(coef, k)
+            assert (lhs_max, s_max) == ((2 * g - 2) * sum(coef), k * sum(coef))
+            assert lhs_max + s_max == Fraction(n * (n - l + 1) * (l - 1) * (2 * g - 2 + k), 2)
+
+
 _real_fraction = Fraction
+
+
+def _faulty_rows(l, row):
+    """stability_coefficients with the row of index l replaced."""
+    real = chambers.stability_coefficients
+
+    def fake(n):
+        rows = list(real(n))
+        rows[l - 2] = row
+        return tuple(rows)
+
+    return fake
 
 
 @pytest.mark.parametrize(
     "name,fake,message",
     [
-        # only the zero corner: the descent corner max drops to 0
-        ("product", lambda vals, repeat: [(0,) * repeat], "descent corner mismatch"),
-        # m corners at 2g - 1 = 3 instead of 2g - 2: the left side overshoots
-        (
-            "product",
-            lambda vals, repeat: _real_product((0, 3) if vals == (0, 2) else vals, repeat=repeat),
-            "tight corner identity fails",
-        ),
+        # a zero coefficient: the top corner need not be the worst
+        ("stability_coefficients", _faulty_rows(2, (0, 1)), "not positive at l = 2"),
+        # positive, but the row sums to 4 instead of n(n-l+1)(l-1)/2 = 3
+        ("stability_coefficients", _faulty_rows(3, (1, 3)), "row sum of \\(1, 3\\)"),
         # eps comes out as 1 instead of 1/(2n(n-1))
         (
             "Fraction",
@@ -254,7 +280,7 @@ _real_fraction = Fraction
             "weight slack too large",
         ),
     ],
-    ids=["descent-corner", "tight-corner", "weight-slack"],
+    ids=["zero-coefficient", "wrong-row-sum", "weight-slack"],
 )
 def test_small_weight_margin_failed_identity_raises(monkeypatch, name, fake, message):
     monkeypatch.setattr(chambers, name, fake)
@@ -264,9 +290,9 @@ def test_small_weight_margin_failed_identity_raises(monkeypatch, name, fake, mes
 
 def test_small_weight_margin_failure_exits_1(monkeypatch, capsys):
     # rank five samples below the certified margin, so the CLI runs the check
-    monkeypatch.setattr(chambers, "product", lambda vals, repeat: [(0,) * repeat])
+    monkeypatch.setattr(chambers, "stability_coefficients", _faulty_rows(5, (1, 2, 3, 5)))
     assert cli.main(["tms", "--n", "5", "--g", "2", "--marked", "1"]) == 1
-    assert "descent corner mismatch" in capsys.readouterr().err
+    assert "row sum of (1, 2, 3, 5) is not n(n-l+1)(l-1)/2 at l = 5" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

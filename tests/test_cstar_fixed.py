@@ -586,8 +586,9 @@ def test_census_memory_does_not_grow_with_rows(run_fresh):
     CSV, rendering each block as one string. A census that listed every row
     as a tuple and as a component object peaked at 15.7 MB on this instance
     (Python 3.11). It is measured in a fresh interpreter after the weights
-    are sampled, with free lists cleared first, and read 1,203,824 bytes
-    there (1,654,979 when each block was a list of line strings)."""
+    are sampled, with free lists cleared first, and read 1,140,240 bytes
+    there (1,287,792 while the kernel interned each census's points in a
+    dict, 1,654,979 when each block was a list of line strings)."""
     rows, peak = run_fresh(ROWS_PEAK)
     assert rows == 78_125
     assert peak <= 1_670_699, peak

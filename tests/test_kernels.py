@@ -17,7 +17,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oracles import census_uses
-from parmirror import kernels
+from parmirror import chambers, kernels
 from parmirror.chambers import sample_generic_weights, small_weight_margin, weight_denominator
 from parmirror.cstar_fixed import component_dn, degree_constraint, stability_check
 from parmirror.kernels import descent_counts
@@ -457,6 +457,18 @@ def _coefficients(n):
     ]
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 7])
+def test_kernel_and_certificate_read_one_coefficient_table(monkeypatch, n):
+    """The rows in the kernel's word tables are the rows the small-weight
+    certificate checks, and both equal the formula above."""
+    read = []
+    real = chambers.stability_coefficients
+    monkeypatch.setattr(chambers, "stability_coefficients", lambda n: read.append(real(n)) or read[-1])
+    small_weight_margin(ModuliParams(n, 2, 1))
+    assert read == [kernels._word_tables(n)[2]]
+    assert read[0] == tuple(map(tuple, _coefficients(n)))
+
+
 def _lattice_key(p, w, t):
     """(Q, offset mod n) of the word tuple t, one letter tuple per point,
     with Q[l] the largest integer below the l-th stability bound minus its
@@ -541,11 +553,11 @@ def test_census_memory_does_not_grow_with_word_tuples(run_fresh):
     """The kernel counts the word tuples per key and keeps no record of any
     of them: the census walks them again where rows are read. At
     (2, 2, 11, 1), 2,048 word tuples and 8,192 rows, its tracemalloc peak
-    is 21,528 bytes (19,392 before the kernel kept each lattice's loads),
-    measured in a fresh interpreter after the weights and word tables are
-    built; the kernel that kept one record per word tuple
-    peaked at 460,456 (Python 3.11, free lists cleared first so every
-    tuple is traced)."""
+    is 21,136 bytes (21,856 while it interned its points in a dict, 19,392
+    before it kept each lattice's loads), measured in a fresh interpreter
+    after the weights and word tables are built; the kernel that kept one
+    record per word tuple peaked at 460,456 (Python 3.11, free lists
+    cleared first so every tuple is traced)."""
     tuples, rows, peak = run_fresh(CENSUS_PEAK)
     assert tuples == 2048 and rows == 8192
     assert peak <= 30_000, peak

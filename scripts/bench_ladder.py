@@ -4,7 +4,11 @@ write the medians to a BENCH JSON file.
     python3 scripts/bench_ladder.py --tree parent=../parent --tree change=. \\
         --out BENCH_14.json
 
-Each rung is one CLI invocation (see RUNGS), run RUNS times per tree.
+Each rung is one CLI invocation (see RUNGS), run for RUNS rounds per tree,
+or for SHORT_RUNS rounds when every run of its first round took under
+SHORT_S seconds: a sub-second run sits within the machine's own swings,
+so three of them cannot tell two trees apart. Each rung records its
+rounds.
 Every run starts a fresh interpreter that runs ``parmirror.cli`` from
 ``<tree>/src`` as ``python -m parmirror.cli`` does, under a 2 GiB
 address-space cap, with its outputs written to a temporary directory. The runs go one child at a time,
@@ -77,6 +81,8 @@ RUNGS = {
 }
 
 RUNS = 3
+SHORT_RUNS = 12
+SHORT_S = 1.0
 AS_LIMIT = 2 << 30
 TIMEOUT_S = 600.0
 
@@ -194,7 +200,9 @@ def main(argv=None) -> int:
     calibrations = [calibrate(load)]
     for rung, rung_argv in RUNGS.items():
         runs = {label: [] for label in trees}
-        for i in range(RUNS):
+        rounds = RUNS
+        i = 0
+        while i < rounds:
             order = list(trees) if i % 2 == 0 else list(reversed(trees))
             for label in order:
                 run = run_once(trees[label], rung_argv)
@@ -208,8 +216,12 @@ def main(argv=None) -> int:
                 print(f"{rung} [{label}] run {i + 1}: {run['wall_s']:.3f} s "
                       f"(scaled {run['scaled_wall_s']:.3f} s) "
                       f"{run['peak_rss_mb']} MB exit {run['exit']}", file=sys.stderr)
+            if i == 0 and max(rs[0]["wall_s"] for rs in runs.values()) < SHORT_S:
+                rounds = SHORT_RUNS
+            i += 1
         digests = {json.dumps(r["sha256"], sort_keys=True) for rs in runs.values() for r in rs}
-        entry = {"argv": rung_argv, "outputs_equal": len(digests) == 1, "trees": {}}
+        entry = {"argv": rung_argv, "rounds": rounds, "outputs_equal": len(digests) == 1,
+                 "trees": {}}
         for label, rs in runs.items():
             ok = [r for r in rs if r["exit"] == 0]
             failed += len(rs) - len(ok)
@@ -235,7 +247,7 @@ def main(argv=None) -> int:
         "python": sys.version.split()[0],
         "machine": platform.machine(),
         "nproc": os.cpu_count(),
-        "runs_per_rung": RUNS,
+        "rounds": {"default": RUNS, "short": SHORT_RUNS, "short_below_s": SHORT_S},
         "as_limit_bytes": AS_LIMIT,
         "pythondontwritebytecode": os.environ.get("PYTHONDONTWRITEBYTECODE"),
         "calibration": {"ref_s": ref_s,

@@ -194,11 +194,9 @@ def _cmd_stringy(args) -> int:
 def _cmd_walls(args) -> int:
     p = _params(args)
     walls = enumerate_walls(p)
-    payload = {
-        "params": params_to_jsonable(p),
-        "walls": [wall.to_jsonable() for wall in walls],
-        "count": len(walls),
-    }
+    payload = {"params": params_to_jsonable(p), "count": len(walls)}
+    if args.out:  # the wall list is read only by the report
+        payload["walls"] = [wall.to_jsonable() for wall in walls]
     line = f"n={p.n} g={p.g} k={p.k} d={p.d}: {len(walls)} wall(s)"
     if args.weights is not None or args.seed is not None or args.scale is not None:
         w = _resolve_weights(args, p)

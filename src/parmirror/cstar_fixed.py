@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from math import factorial
+from operator import add, itemgetter
 
 from . import kernels
 from .chambers import (
@@ -98,20 +99,25 @@ def enumerate_components(p: ModuliParams, w: WeightSystem, memo=None) -> kernels
     (word tuple, m) order. memo, when a dict, is handed to the kernel,
     which keeps each key's lattice there for later censuses.
 
-    The length and signs of m are checked once per shared lattice point,
-    which covers every row; s comes with each word tuple's group. A
-    failure is a fault of the kernel and raises IdentityCheckError.
+    The length and signs of m are checked once per distinct lattice point,
+    which covers every row: the points of all lattices are collected by
+    identity, as lattices filtered from one search share their point
+    objects, and checked at C level. s comes with each word tuple's group.
+    A failure is a fault of the kernel and raises IdentityCheckError.
     """
     if not is_generic(w, p):
         raise NonGenericWeightsError(f"weights sit on a wall for {p}")
     den, wnum = integer_weights(w)
     # all positional: perfbench's census hook takes no keywords
     census = kernels.enumerate_census(p.n, p.g, p.k, p.d, wnum, den, 0, None, memo)
-    for m, _ in census.points():
-        if len(m) != p.n - 1:
-            raise IdentityCheckError("m must have length n-1")
-        if min(m, default=0) < 0:
-            raise IdentityCheckError(f"negative twist jump in {m}")
+    points: dict[int, tuple] = {}
+    for lattice, _ in census.uses:
+        points.update(zip(map(id, lattice), lattice))
+    ms = [*map(itemgetter(0), points.values())]
+    if any(map((p.n - 1).__ne__, map(len, ms))):
+        raise IdentityCheckError("m must have length n-1")
+    if min(map(min, ms), default=0) < 0:
+        raise IdentityCheckError(f"negative twist jump in {next(m for m in ms if min(m) < 0)}")
     return census
 
 
@@ -248,21 +254,24 @@ def components_to_csv(p: ModuliParams, census: kernels.Census, fh) -> None:
     formatted directly and streamed to fh, an open text file. A word
     tuple's lines differ only in the text after its words field, and that
     text depends only on its (lattice, s, floor of d_n) block, with s as
-    its group carries it: each block is rendered once, as one string with
-    every line led by its CRLF, and each word tuple writes it with its own
-    words field put behind each CRLF.
+    its group carries it: each block is rendered once, by one % format
+    over its values, as one string with every line led by its CRLF, and
+    each word tuple writes it with its own words field put behind each
+    CRLF.
     """
     fh.write("words,m,s,d_n,degree\r\n")
     blocks: dict[tuple, str] = {}
     texts = _word_texts(p.n)
+    # a block's line: m's entries, its s text, d_n and the degree
+    line = "\r\n" + " ".join(["%%d"] * (p.n - 1)) + ",%s,%%d,%%d"
     for t_idx, s, dn_floor, lattice in census.groups():
         key = (id(lattice), s, dn_floor)
         block = blocks.get(key)
         if block is None:
-            s_text = " ".join(map(str, s))
-            block = blocks[key] = "".join([
-                f"\r\n{' '.join(map(str, m))},{s_text},{dn_floor + q},{sum(m)}"
-                for m, q in lattice
-            ])
+            ms = [*map(itemgetter(0), lattice)]
+            values = map(add, ms, zip(map(dn_floor.__add__, map(itemgetter(1), lattice)),
+                                      map(sum, ms)))
+            text = line % " ".join(map(str, s))
+            block = blocks[key] = text * len(ms) % tuple(chain.from_iterable(values))
         prefix = "|".join(map(texts.__getitem__, t_idx)) + ","
         fh.write(block.replace("\r\n", "\r\n" + prefix)[2:] + "\r\n")

@@ -37,16 +37,27 @@ words, and the other weight-free tables from one pass over S_n per n: for
 each word, its descent vector (one shared object per distinct vector), its
 sigma and its share coef.desc(w).
 
-A key is searched only when no earlier key of its residue dominates it.
-For budgets Q' <= Q componentwise and one residue r,
-L(Q', r) = {(m, q) in L(Q, r) : coef.m <= Q'}: the congruence is the same,
-and coef.m <= Q' implies coef.m <= Q. Keys are visited in decreasing order
+One search serves the whole census. For budgets Q' <= Q componentwise
+and one residue r, L(Q', r) = {(m, q) in L(Q, r) : coef.m <= Q'}: the
+congruence is the same, and coef.m <= Q' implies coef.m <= Q. The kernel
+searches once, with no residue, at the componentwise largest budgets top
+of the keys the memo does not hold, and files each point under the
+residue its degree offset fixes, which gives L(top, r) for every r. The
+keys are visited one residue at a time, each residue's in decreasing order
 of sum(Q), so a key meets every key that dominates it before its own. The
-search records each point's load coef.m, and every other key's lattice is
-filtered from the smallest dominating lattice held, by those loads. Let
-reach[l] be the largest load over a lattice's points (0 when it is empty):
-when reach <= Q', the filter would keep every point, so the key takes the
-held lattice object itself.
+search records each point's load coef.m, and every key's lattice is
+filtered, by those loads, from the smallest dominating lattice held of
+its residue: the search's own or an earlier key's. Let reach[l] be the
+largest load over a lattice's points (0 when it is empty): when
+reach <= Q', the filter would keep every point, so the key takes the held
+lattice object itself. A residue's held lattices, the search's among
+them, are dropped once its keys are done, and only the lattices the keys
+took are kept.
+
+The points of L(Q, r) fit within its reach, and reach <= Q, so
+L(Q, r) = L(reach, r): two keys of one residue have the same points
+exactly when their reaches are equal, and lattices are told apart by
+(residue, reach), not by hashing their points.
 
 Neither the rows nor the word tuples are listed. The walk runs once to
 count the word tuples of each key; a `Census` keeps each distinct lattice
@@ -71,9 +82,10 @@ replays each call with those eight arguments and `backend=`, no memo.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from functools import cache
-from itertools import compress, count, permutations
+from itertools import compress, count, groupby, permutations
 from operator import floordiv, itemgetter, le, mul, sub
 from typing import NamedTuple
 
@@ -165,7 +177,7 @@ class Census:
     A sized, re-iterable sequence of CensusRow in canonical (t_idx, m)
     order; the rows themselves are built only while iterating. uses pairs
     each distinct lattice with the number of word tuples sharing it, in
-    order of first use; the row count, points() and box_counts() read it.
+    order of first use; the row count and box_counts() read it.
     groups is a zero-argument callable that walks the word tuples again and
     yields each one's CensusGroup, s included, in lexicographic order;
     iteration reads it.
@@ -185,19 +197,19 @@ class Census:
             for m, q in lattice:
                 yield CensusRow(t_idx, m, s, dn_floor + q)
 
-    def points(self):
-        """Each lattice point (m, q), once per distinct lattice."""
-        for lattice, _ in self.uses:
-            yield from lattice
-
     def box_counts(self, top: int) -> Counter:
         """Row count per twist vector m with every entry at most top: each
-        such lattice point counted once per word tuple sharing its lattice."""
+        such lattice point counted once per word tuple sharing its lattice.
+
+        A lattice lists its points in increasing m order, so those with
+        m_1 <= top are a prefix of it, found by bisection. The box points
+        are selected from that prefix at C level, and only they are stepped
+        over."""
         counts: Counter = Counter()
         for lattice, uses in self.uses:
-            for m, _ in lattice:
-                if max(m) <= top:
-                    counts[m] += uses
+            ms = [*map(itemgetter(0), lattice[:bisect_left(lattice, ((top + 1,),))])]
+            for m in compress(ms, map(top.__ge__, map(max, ms))):
+                counts[m] += uses
         return counts
 
 
@@ -267,30 +279,27 @@ def enumerate_census(n, g, k, d, wnum, wden, t0_lo=0, t0_hi=None, memo=None, *,
     # phase one: how many word tuples share each (Q, offset mod n) key, in
     # order of first use
     keys = Counter(key for _, _, key in walk(0, (), root, dn_base))
-    # phase two: one lattice per key, searched only when no earlier key of
-    # its residue dominates it, else filtered from a held lattice (see the
-    # module docstring)
+    # phase two: one search for the census, at the componentwise largest
+    # budgets of the keys the memo does not hold; every such key's lattice is
+    # filtered from the smallest held lattice of its residue that dominates
+    # it, one residue at a time (see the module docstring)
+    order = sorted(keys, key=lambda item: (item[1], -sum(item[0])))
+    missing = [key for key in order if memo is None or ("lattice", n, *key) not in memo]
+    pool: dict[int, list] = {}  # residue -> [(top, (lattice, loads, reach))]
+    if missing:
+        top = tuple(map(max, zip(*[Q for Q, _ in missing])))
+        found, loads = _lattice(n, coef, top)
+        for residue in {residue for _, residue in missing}:
+            pool[residue] = [(top, (tuple(found[residue]), loads[residue], _reach(loads[residue], nm)))]
+        del found, loads  # the residues no key needs
     lattices: dict[tuple, tuple] = {}
-    held: dict[int, list] = {}  # residue -> [(Q, (lattice, loads, reach))]
     distinct: dict[tuple, tuple] = {}
-
-    def derive(Q, residue):
-        """The key's (lattice, loads, reach): the smallest held lattice whose
-        budgets dominate Q, filtered, or else _lattice's points."""
-        source = None
-        for wide, value in held.get(residue, ()):
-            if all(map(le, Q, wide)) and (source is None or len(value[0]) < len(source[0])):
-                source = value
-        if source is not None:
-            return _filtered(*source, Q)
-        found, loads = _lattice(n, coef, Q, residue)
-        return tuple(found), loads, _reach(loads, nm)
-
-    for key in sorted(keys, key=lambda item: -sum(item[0])):
-        Q, residue = key
-        value = memoized(memo, ("lattice", n, Q, residue), derive, Q, residue)
-        held.setdefault(residue, []).append((Q, value))
-        lattices[key] = distinct.setdefault(value[0], value[0])
+    for residue, group in groupby(order, key=itemgetter(1)):
+        held = pool.pop(residue, [])  # [(Q, (lattice, loads, reach))], dropped with the residue
+        for Q, _ in group:
+            value = memoized(memo, ("lattice", n, Q, residue), _derived, held, Q)
+            held.append((Q, value))
+            lattices[Q, residue] = distinct.setdefault((residue, value[2]), value[0])
     uses: dict[int, list] = {}
     for key, tuples in keys.items():
         if lattices[key]:
@@ -319,6 +328,15 @@ def memoized(memo, key, fn, *args):
     return value
 
 
+def _derived(held, Q):
+    """(lattice, loads, reach) of the budgets Q: the smallest lattice of
+    held, a list of (budgets, (lattice, loads, reach)) of one residue, whose
+    budgets dominate Q, filtered."""
+    source = min((value for wide, value in held if all(map(le, Q, wide))),
+                 key=lambda value: len(value[0]))
+    return _filtered(*source, Q)
+
+
 def _reach(loads, nm) -> tuple:
     """The largest load for each of the nm indices l, 0 over no points."""
     return tuple([max(map(itemgetter(l), loads), default=0) for l in range(nm)])
@@ -339,38 +357,36 @@ def _filtered(lattice, loads, reach, Q):
     return tuple([*compress(lattice, keep)]), loads, _reach(loads, len(Q))
 
 
-def _lattice(n, coef, Q, residue):
-    """Every m >= 0 with coef[l].m <= Q[l] for all l whose degree offset
-    sum_j (j+1) m_j is congruent to -residue mod n, in increasing m order,
-    as pairs (m, (residue + offset) // n); and their loads, the list
-    [coef[l].m for each l] of each point, in the same order."""
-    out: list = []
-    loads: list = []
-    _dfs(n, n - 1, [*zip(*coef)], Q, residue, 0, [0] * (n - 1), [0] * (n - 1), out, loads)
-    return out, loads
+def _lattice(n, coef, Q):
+    """Every m >= 0 with coef[l].m <= Q[l] for all l, in increasing m order,
+    filed under the residue that its degree offset fixes: lattices[r] holds
+    the pairs (m, (r + offset) // n) of the points whose offset
+    sum_j (j+1) m_j is congruent to -r mod n, and loads[r] their loads, the
+    list [coef[l].m for each l] of each point, in the same order."""
+    lattices: list = [[] for _ in range(n)]
+    loads: list = [[] for _ in range(n)]
+    _dfs(n, n - 1, [*zip(*coef)], Q, 0, 0, [0] * (n - 1), [0] * (n - 1), lattices, loads)
+    return lattices, loads
 
 
-def _dfs(n, nm, cols, Q, num, j, m, spent, out, loads):
-    """Append the lattice points below the prefix m[:j], in increasing m
-    order, and their loads; cols[j] is the column (coef[l][j] for each l),
-    num is residue plus the prefix's degree offset, and spent[l] is the
-    prefix's coef[l].m.
-
-    The last coordinate m_{n-1} enters the congruence with coefficient
-    n - 1, a unit mod n, so exactly one residue class of its values passes:
-    it is stepped from num mod n in strides of n, with no leaf filter.
-    """
+def _dfs(n, nm, cols, Q, offset, j, m, spent, out, loads):
+    """File the lattice points below the prefix m[:j], in increasing m order,
+    and their loads under their residues; cols[j] is the column (coef[l][j]
+    for each l), offset is the prefix's degree offset, and spent[l] is the
+    prefix's coef[l].m."""
     col = cols[j]
     cap = min(map(floordiv, map(sub, Q, spent), col))
     if j == nm - 1:
-        for val in range(num % n, cap + 1, n):
+        for val in range(cap + 1):
             m[j] = val
-            out.append((tuple(m), (num + nm * val) // n))
-            loads.append([x + c * val for x, c in zip(spent, col)])
+            # divmod(-offset, n) = (-q, r): r is the point's residue, r + offset = n q
+            neg, residue = divmod(-offset - nm * val, n)
+            out[residue].append((tuple(m), -neg))
+            loads[residue].append([x + c * val for x, c in zip(spent, col)])
         m[j] = 0
         return
     for val in range(cap + 1):
         m[j] = val
         nxt = spent if val == 0 else [x + c * val for x, c in zip(spent, col)]
-        _dfs(n, nm, cols, Q, num + (j + 1) * val, j + 1, m, nxt, out, loads)
+        _dfs(n, nm, cols, Q, offset + (j + 1) * val, j + 1, m, nxt, out, loads)
     m[j] = 0

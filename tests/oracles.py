@@ -2,17 +2,20 @@
 
 Each is either a reference the library's faster path is checked against
 (one component's variant E-polynomial, a census's lattice uses counted
-over its word tuples, the character sum over S_n, the discarded filter
-terms, the filtered total in the cyclotomic ring, the root-of-unity filter,
-coordinates in a basis)
+over its word tuples, one residue's lattice searched on its own, the
+twist-vector check and box counts walked entry by entry, the character sum
+over S_n, the discarded filter terms, the filtered total in the cyclotomic
+ring, the root-of-unity filter, coordinates in a basis)
 or a textbook invariant the moduli tests check by hand (spectral fibre
 degree, cover genus, parabolic slope), or an observed closed form the
 census is compared against (its component count). None of them runs on a
 CLI path.
 """
 
+from collections import Counter
 from fractions import Fraction
 from math import factorial
+from operator import floordiv, sub
 from typing import NamedTuple
 
 from parmirror import cstar_fixed, kernels
@@ -24,6 +27,7 @@ from parmirror.exactpoly import (
     BivarPoly,
     CycBivarPoly,
     CycInt,
+    IdentityCheckError,
     binom_deg_slice,
     cyc_project,
     is_prime,
@@ -72,6 +76,63 @@ def census_uses(groups) -> list[tuple[tuple, int]]:
         else:
             entry[1] += 1
     return [(lattice, count) for lattice, count in uses.values()]
+
+
+def residue_lattice(n, coef, Q, residue):
+    """The lattice of one residue, searched on its own: every m >= 0 with
+    coef[l].m <= Q[l] for all l whose degree offset sum_j (j+1) m_j is
+    congruent to -residue mod n, in increasing m order, as pairs
+    (m, (residue + offset) // n); and their loads, the list [coef[l].m for
+    each l] of each point, in the same order."""
+    out: list = []
+    loads: list = []
+    _residue_dfs(n, n - 1, [*zip(*coef)], Q, residue, 0, [0] * (n - 1), [0] * (n - 1), out, loads)
+    return out, loads
+
+
+def _residue_dfs(n, nm, cols, Q, num, j, m, spent, out, loads):
+    """Append the points below the prefix m[:j] and their loads; num is the
+    residue plus the prefix's degree offset. The last coordinate enters the
+    congruence with coefficient n - 1, a unit mod n, so exactly one residue
+    class of its values passes: it is stepped from num mod n in strides of
+    n."""
+    col = cols[j]
+    cap = min(map(floordiv, map(sub, Q, spent), col))
+    if j == nm - 1:
+        for val in range(num % n, cap + 1, n):
+            m[j] = val
+            out.append((tuple(m), (num + nm * val) // n))
+            loads.append([x + c * val for x, c in zip(spent, col)])
+        m[j] = 0
+        return
+    for val in range(cap + 1):
+        m[j] = val
+        nxt = spent if val == 0 else [x + c * val for x, c in zip(spent, col)]
+        _residue_dfs(n, nm, cols, Q, num + (j + 1) * val, j + 1, m, nxt, out, loads)
+    m[j] = 0
+
+
+def check_every_entry(n: int, census) -> None:
+    """The twist-vector check walked over every entry of every lattice of
+    the census: IdentityCheckError unless each m has n - 1 entries, none
+    negative."""
+    for lattice, _ in census.uses:
+        for m, _ in lattice:
+            if len(m) != n - 1:
+                raise IdentityCheckError("m must have length n-1")
+            if min(m, default=0) < 0:
+                raise IdentityCheckError(f"negative twist jump in {m}")
+
+
+def entry_box_counts(census, top: int) -> Counter:
+    """Census.box_counts walked over every entry: the row count per twist
+    vector m with every entry at most top."""
+    counts: Counter = Counter()
+    for lattice, uses in census.uses:
+        for m, _ in lattice:
+            if max(m) <= top:
+                counts[m] += uses
+    return counts
 
 
 def descent_character_sum(n: int, l: int) -> CycInt:

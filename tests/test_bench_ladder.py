@@ -25,6 +25,7 @@ def ladder(monkeypatch):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     monkeypatch.setattr(module, "RUNS", 1)
+    monkeypatch.setattr(module, "SHORT_RUNS", 1)
     monkeypatch.setattr(module, "RUNGS", {
         "lemma 3": ["lemma", "--n", "3", "--out", "{tmp}/report.json"],
     })
@@ -91,6 +92,7 @@ def test_ladder_scales_medians_by_the_median_calibration(ladder, monkeypatch, tm
     # one rung, three runs per tree: raw wall times 0.1, 0.3, 0.2 on tree a and
     # twice that on tree b; seven calibrations, one of them slow
     monkeypatch.setattr(ladder, "RUNS", 3)
+    monkeypatch.setattr(ladder, "SHORT_RUNS", 3)
     calibrations = iter([0.3, 0.3, 0.9, 0.2, 0.3, 0.4, 0.3])
     wall_times = iter([0.1, 0.2, 0.6, 0.3, 0.2, 0.4])  # a, b, then b, a, then a, b
     monkeypatch.setattr(ladder, "calibration_load", lambda: ("", 0.6))
@@ -108,3 +110,28 @@ def test_ladder_scales_medians_by_the_median_calibration(ladder, monkeypatch, tm
         assert trees[label]["median_round_scaled_wall_s"] == pytest.approx(raw * 2)
         scaled = [r["wall_s"] * 1.2 / sum(r["calibration_s"]) for r in trees[label]["runs"]]
         assert trees[label]["median_scaled_wall_s"] == pytest.approx(statistics.median(scaled), abs=1e-4)
+
+
+def test_ladder_runs_sub_second_rungs_for_more_rounds(ladder, monkeypatch, tmp_path):
+    """A rung whose first round ran under SHORT_S on every tree runs
+    SHORT_RUNS rounds, and one with a slower run in its first round runs
+    RUNS; each rung records its rounds."""
+    monkeypatch.setattr(ladder, "RUNS", 3)
+    monkeypatch.setattr(ladder, "SHORT_RUNS", 12)
+    monkeypatch.setattr(ladder, "RUNGS", {"short": ["short"], "long": ["long"], "mixed": ["mixed"]})
+    # mixed: tree a under SHORT_S and tree b over it in the first round
+    walls = {"short": iter([0.5] * 24), "long": iter([1.5] * 6), "mixed": iter([0.9, 1.1] * 3)}
+    monkeypatch.setattr(ladder, "calibration_load", lambda: ("", 0.3))
+    monkeypatch.setattr(ladder, "calibrate", lambda load: 0.3)
+    monkeypatch.setattr(ladder, "describe", lambda tree: {"commit": "abc", "dirty": False})
+    monkeypatch.setattr(ladder, "run_once", lambda tree, args: {
+        "wall_s": next(walls[args[0]]), "peak_rss_mb": 10.0, "exit": 0, "sha256": {}})
+    out = tmp_path / "bench.json"
+    assert ladder.main(["--tree", f"a={ROOT}", "--tree", f"b={ROOT}", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["rounds"] == {"default": 3, "short": 12, "short_below_s": ladder.SHORT_S}
+    for rung, rounds in (("short", 12), ("long", 3), ("mixed", 3)):
+        entry = data["rungs"][rung]
+        assert entry["rounds"] == rounds
+        assert [len(tree["runs"]) for tree in entry["trees"].values()] == [rounds, rounds]
+    assert all(next(it, None) is None for it in walls.values())

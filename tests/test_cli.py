@@ -12,7 +12,7 @@ import pytest
 
 import parmirror
 from parmirror import kernels, moduli, schemas
-from parmirror.chambers import sample_generic_weights
+from parmirror.chambers import Wall, enumerate_walls, sample_generic_weights
 from parmirror.cli import SUBCOMMANDS, build_parser, main
 from parmirror.exactpoly import NonIntegralCoefficientError
 from parmirror.moduli import ModuliParams
@@ -227,6 +227,23 @@ def test_walls_report_with_and_without_weights(tmp_path):
     assert code == 0
     jsonschema.validate(with_w, schemas.load("walls"))
     assert with_w["generic"] is True
+
+
+def test_walls_builds_its_wall_list_only_for_a_report(monkeypatch, tmp_path, capsys):
+    """walls turns each wall into JSON only when --out asks for the report:
+    no call without it, one per wall with it, and the same stdout both
+    ways."""
+    calls = []
+    real = Wall.to_jsonable
+    monkeypatch.setattr(Wall, "to_jsonable", lambda wall: calls.append(wall) or real(wall))
+    argv = ["walls", "--n", "3", "--g", "2", "--marked", "2", "--seed", "1"]
+    assert main(argv) == 0
+    bare = capsys.readouterr().out
+    assert calls == []
+    code, data = _run_json(tmp_path, "walls", argv)
+    assert code == 0 and capsys.readouterr().out == bare
+    assert len(calls) == data["count"] == len(data["walls"]) > 0
+    assert calls == list(enumerate_walls(ModuliParams(3, 2, 2)))
 
 
 def test_orbits_report(tmp_path):

@@ -7,6 +7,7 @@ and the closed-form totals for three small parameter sets.
 
 import csv
 import io
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
@@ -16,17 +17,21 @@ import pytest
 
 from oracles import (
     census_uses,
+    check_every_entry,
     component_count_formula,
     component_variant_epoly,
     cyclotomic_discarded_term,
     descent_character_sum,
+    entry_box_counts,
     ring_filtered_total,
 )
 from parmirror import cli, cstar_fixed, kernels
 from parmirror.chambers import (
     NonGenericWeightsError,
     WeightSystem,
+    integer_weights,
     sample_generic_weights,
+    sampler_scale,
     small_weight_margin,
 )
 from parmirror.cstar_fixed import (
@@ -183,6 +188,125 @@ def test_census_faults_exit_one(monkeypatch, capsys):
         assert err.startswith("error: negative twist jump in (-1,)"), err
 
 
+@pytest.mark.parametrize("lattice", [
+    (((0, 0), 0), ((0, 1), 0)),
+    (((0, -1), 0), ((0, 1), 0)),
+    (((0, 0), 0), ((-1, 1), 0)),
+    (((0,), 0), ((0, 1), 0)),
+    (((0, 0), 0), ((0, 1, 0), 0)),
+    (((-1, 0), 0), ((0, 1, 0), 0)),
+    (((), 0),),
+], ids=["good", "negative-first", "negative-last", "short", "long", "negative-and-long", "empty"])
+def test_twist_check_matches_the_per_entry_walk(monkeypatch, lattice):
+    """The check on distinct points raises exactly when the walk over every
+    entry of every lattice does, whichever entry is at fault."""
+    p = ModuliParams(3, 2, 1, 0)
+    groups = [((0,), (0, 0), 0, (((0, 0), 0),)), ((1,), (0, 1), 0, lattice), ((2,), (1, 0), 0, lattice)]
+    census = _census([CensusGroup(*group) for group in groups])
+    _patch_census(monkeypatch, *groups)
+    try:
+        check_every_entry(p.n, census)
+    except IdentityCheckError:
+        with pytest.raises(IdentityCheckError):
+            enumerate_components(p, sample_generic_weights(p, seed=1, scale=Fraction(1)))
+    else:
+        enumerate_components(p, sample_generic_weights(p, seed=1, scale=Fraction(1)))
+
+
+# the census shares the first point of residue 0, m = 0, among every lattice
+# of that residue; (3, 2, 2, 1) has several
+SHARED = ModuliParams(3, 2, 2, 1)
+SHARED_ARGV = ["variant", "--n", "3", "--g", "2", "--marked", "2", "--deg", "1"]
+POINT_FAULTS = [
+    pytest.param(lambda m: m[:-1] + (-1,), r"negative twist jump in \(0, -1\)", id="negative"),
+    pytest.param(lambda m: m[:-1], "m must have length n-1", id="short"),
+]
+
+
+def _fault_search(monkeypatch, fault):
+    """Make the census's one search file fault(m) in place of m = 0, the
+    first point of residue 0, with its q and loads kept; returns the list
+    of the faulty point objects it makes."""
+    real = kernels._lattice
+    made = []
+
+    def search(n, coef, Q):
+        lattices, loads = real(n, coef, Q)
+        m, q = lattices[0][0]
+        assert m == (0,) * (n - 1)
+        lattices[0][0] = (fault(m), q)
+        made.append(lattices[0][0])
+        return lattices, loads
+
+    monkeypatch.setattr(kernels, "_lattice", search)
+    return made
+
+
+def _shared_census_args():
+    w = sample_generic_weights(SHARED, seed=1, scale=sampler_scale(SHARED))
+    den, wnum = integer_weights(w)
+    return w, (SHARED.n, SHARED.g, SHARED.k, SHARED.d, wnum, den)
+
+
+@pytest.mark.parametrize("fault,message", POINT_FAULTS)
+def test_faulty_point_shared_by_searched_and_filtered_lattices(monkeypatch, capsys, fault, message):
+    """A faulty twist vector in a point of the census's search, which the
+    lattices filtered from it share, raises IdentityCheckError, and variant
+    exits 1."""
+    w, args = _shared_census_args()
+    made = _fault_search(monkeypatch, fault)
+    census = kernels.enumerate_census(*args)
+    assert sum(made[0] in lattice for lattice, _ in census.uses) >= 2
+    with pytest.raises(IdentityCheckError, match=message):
+        enumerate_components(SHARED, w)
+    assert cli.main(SHARED_ARGV) == 1
+    assert re.match("error: " + message, capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("fault,message", POINT_FAULTS)
+def test_faulty_point_read_from_the_memo(monkeypatch, fault, message):
+    """A faulty twist vector in lattices that an earlier census kept in the
+    memo raises IdentityCheckError in a census that reads them there and
+    searches nothing."""
+    w, args = _shared_census_args()
+    memo = {}
+    made = _fault_search(monkeypatch, fault)
+    kernels.enumerate_census(*args, 0, None, memo)
+    assert any(made[0] in lattice for lattice, _, _ in memo.values())
+
+    def no_search(*args):
+        raise AssertionError("the census searched")
+
+    monkeypatch.setattr(kernels, "_lattice", no_search)
+    with pytest.raises(IdentityCheckError, match=message):
+        enumerate_components(SHARED, w, memo)
+
+
+def test_box_point_dropped_from_one_lattice_fails_the_flat_box_check(monkeypatch, capsys):
+    """The first lattice filtered from the census's search loses one box
+    point: the flat-box check sees its count fall, and variant exits 1."""
+    real = kernels._filtered
+    dropped = []
+
+    def filtered(lattice, loads, reach, Q):
+        lattice, loads, reach = real(lattice, loads, reach, Q)
+        if not dropped:
+            i = next(i for i, (m, _) in enumerate(lattice) if 0 < max(m) <= 2 * SHARED.g - 2)
+            dropped.append(lattice[i][0])
+            lattice, loads = lattice[:i] + lattice[i + 1:], loads[:i] + loads[i + 1:]
+        return lattice, loads, reach
+
+    monkeypatch.setattr(kernels, "_filtered", filtered)
+    w, _ = _shared_census_args()
+    census = enumerate_components(SHARED, w)
+    message = rf"twist vector {re.escape(str(dropped[0]))} has \d+ census rows, not 12"
+    with pytest.raises(IdentityCheckError, match=message):
+        variant_total_bruteforce(SHARED, census)
+    dropped.clear()
+    assert cli.main(SHARED_ARGV) == 1
+    assert re.match("error: " + message, capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("n,g,k,d", [(2, 2, 1, 0), (3, 2, 2, 1), (5, 2, 1, 0)])
 def test_sign_flipped_slices_exit_one(monkeypatch, capsys, n, g, k, d):
     """Past the flat box check, the census total's own content is the slice
@@ -306,8 +430,10 @@ def test_grouped_census_matches_its_rows(p, w):
     census = enumerate_components(p, w)
     rows = list(census)
     assert len(census) == len(rows)
-    for top in (2 * p.g - 2, max(max(c.m) for c in rows)):
+    for top in (0, 1, 2 * p.g - 2, max(max(c.m) for c in rows)):
         assert census.box_counts(top) == Counter(c.m for c in rows if max(c.m) <= top)
+        assert census.box_counts(top) == entry_box_counts(census, top)
+    check_every_entry(p.n, census)
     assert list(census) == rows
     words = kernels.words_lex(p.n)
     for c in rows:
@@ -586,9 +712,11 @@ def test_census_memory_does_not_grow_with_rows(run_fresh):
     CSV, rendering each block as one string. A census that listed every row
     as a tuple and as a component object peaked at 15.7 MB on this instance
     (Python 3.11). It is measured in a fresh interpreter after the weights
-    are sampled, with free lists cleared first, and read 1,140,240 bytes
-    there (1,287,792 while the kernel interned each census's points in a
-    dict, 1,654,979 when each block was a list of line strings)."""
+    are sampled, with free lists cleared first, and read 1,178,736 bytes
+    there, its peak set while the kernel's one search of 4,611 points is
+    held (1,140,240 when each undominated key had its own search, 1,287,792
+    while the kernel interned each census's points in a dict, 1,654,979
+    when each block was a list of line strings)."""
     rows, peak = run_fresh(ROWS_PEAK)
     assert rows == 78_125
     assert peak <= 1_670_699, peak

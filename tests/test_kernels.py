@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from oracles import census_uses
+from oracles import census_uses, entry_box_counts, residue_lattice
 from parmirror import chambers, kernels
 from parmirror.chambers import sample_generic_weights, small_weight_margin, weight_denominator
 from parmirror.cstar_fixed import component_dn, degree_constraint, stability_check
@@ -98,8 +98,9 @@ def test_census_answers_from_its_lattice_uses():
     assert len({lattice for lattice, _ in uses}) == len(uses)
     census.groups = _unreadable
     assert len(census) == len(rows) > 0
-    assert {m for m, _ in census.points()} == {m for _, m, _, _ in rows}
+    assert {m for lattice, _ in uses for m, _ in lattice} == {m for _, m, _, _ in rows}
     assert census.box_counts(2) == Counter(m for _, m, _, _ in rows if max(m) <= 2)
+    assert census.box_counts(2) == entry_box_counts(census, 2)
 
 
 @pytest.mark.parametrize("p,seed,scale", [
@@ -294,37 +295,43 @@ def test_scaled_floor_identity(a, b, c, x):
     data=st.data(),
 )
 def test_reduced_lattice_matches_scaled_search(n, scale, num, data):
-    """The lattice searched on the budgets Q = (R - 1) // scale holds the
-    same m vectors, in the same order, as the leaf-filter search on the
-    scaled coefficients scale * coef and bounds R, and it lists each point's
-    loads coef[l].m, from which the kernel takes reach."""
+    """The one search on the budgets Q = (R - 1) // scale files under the
+    residue of num the same m vectors, in the same order, as the
+    leaf-filter search on the scaled coefficients scale * coef and bounds R,
+    and it lists each point's loads coef[l].m, from which the kernel takes
+    reach. Under every residue it files what that residue's own search
+    finds."""
     nm = n - 1
     coef = [data.draw(st.lists(st.integers(1, 4), min_size=nm, max_size=nm)) for _ in range(nm)]
     R = data.draw(st.lists(st.integers(1, 12 * scale), min_size=nm, max_size=nm))
     C = [[scale * c for c in row] for row in coef]
     expected = []
     _leaf_filter_dfs(n, nm, C, R, num, 0, [0] * nm, (), (), expected)
-    lattice, loads = kernels._lattice(n, coef, [(r - 1) // scale for r in R], num % n)
+    Q = [(r - 1) // scale for r in R]
+    lattices, loads = kernels._lattice(n, coef, Q)
+    lattice = lattices[num % n]
     assert [(m, num // n + q) for m, q in lattice] == [(m, dn) for _, m, _, dn in expected]
-    assert loads == [[sum(c * x for c, x in zip(row, m)) for row in coef] for m, _ in lattice]
+    assert loads[num % n] == [[sum(c * x for c, x in zip(row, m)) for row in coef] for m, _ in lattice]
+    assert [*zip(lattices, loads)] == [residue_lattice(n, coef, Q, r) for r in range(n)]
 
 
-def test_census_searches_each_distinct_lattice_once(monkeypatch):
+def test_census_searches_once_at_the_largest_budgets(monkeypatch):
     """At (5, 3, 1, 2) the 120 word tuples have 47 distinct (Q, offset mod n)
-    keys and 16 distinct lattices, but only 5 keys that no other key of
-    their residue dominates. Exactly those 5 are searched, listing 4,095
-    points, each once; every other key's lattice is filtered from a
-    dominating one. Word tuples with equal keys, recomputed here from the
+    keys and 16 distinct lattices; 5 keys are dominated by no other key of
+    their residue, and their own searches list 4,095 points. The census
+    searches once, with no residue, at the componentwise largest budgets of
+    the 47 keys, and lists 4,611 points; every key's lattice is filtered
+    from that search. Word tuples with equal keys, recomputed here from the
     Fraction form of the stability bound, share one lattice tuple."""
     p = ModuliParams(5, 3, 1, 2)
     w = sample_generic_weights(p, seed=1, scale=small_weight_margin(p))
     n, g, k, d, wnum, den = _census_args(p, 1, small_weight_margin(p))
-    searched = {}
+    searched = []
     real = kernels._lattice
 
-    def spy(n, coef, Q, residue):
-        out = real(n, coef, Q, residue)
-        searched[tuple(Q), residue] = out[0]
+    def spy(n, coef, Q):
+        out = real(n, coef, Q)
+        searched.append((tuple(Q), sum(map(len, out[0]))))
         return out
 
     monkeypatch.setattr(kernels, "_lattice", spy)
@@ -332,9 +339,11 @@ def test_census_searches_each_distinct_lattice_once(monkeypatch):
     assert len(census.uses) == 16
     words = kernels.words_lex(n)
     keys = {_lattice_key(p, w, t) for t in product(words, repeat=k)}
-    assert len(keys) == 47
-    assert set(searched) == _undominated(keys)
-    assert len(searched) == 5 and sum(map(len, searched.values())) == 4_095
+    assert len(keys) == 47 and min(min(Q) for Q, _ in keys) >= 0
+    assert searched == [(tuple(map(max, zip(*(Q for Q, _ in keys)))), 4_611)]
+    coef = _coefficients(n)
+    alone = [residue_lattice(n, coef, Q, r)[0] for Q, r in _undominated(keys)]
+    assert len(alone) == 5 and sum(map(len, alone)) == 4_095
     shared = {}
     for group in census.groups():
         key = _lattice_key(p, w, tuple(words[i] for i in group.t_idx))
@@ -358,12 +367,13 @@ KEY_ORACLE_CASES = [(P5312, small_weight_margin(P5312), 1)] + [
 
 
 def test_every_key_gets_the_lattice_of_its_own_search(monkeypatch):
-    """Every key of (5, 3, 1, 2) and of the oracle grid, searched, filtered
-    or taken whole from a dominating key, gets the lattice, loads and reach
-    that _lattice finds for that key alone; the memo keeps every key of the
-    census, recomputed here from the Fraction form of the stability bound.
-    Across the cases the kernel searches keys, takes some lattices whole
-    and filters others."""
+    """Every key of (5, 3, 1, 2) and of the oracle grid, filtered from the
+    census's one search or from a dominating key, or taken whole, gets the
+    lattice, loads and reach that its own residue's search finds for that
+    key alone; the memo keeps every key of the census, recomputed here from
+    the Fraction form of the stability bound. Each census searches once,
+    and across the cases the kernel takes some lattices whole and filters
+    others."""
     seen = Counter()
     real_lattice, real_filtered = kernels._lattice, kernels._filtered
 
@@ -381,15 +391,17 @@ def test_every_key_gets_the_lattice_of_its_own_search(monkeypatch):
     for p, scale, seed in KEY_ORACLE_CASES:
         w = sample_generic_weights(p, seed=seed, scale=scale)
         memo = {}
+        seen["searched"] = 0
         kernels.enumerate_census(*_census_args(p, seed, scale), 0, None, memo)
+        assert seen["searched"] == 1
         keys = {_lattice_key(p, w, t) for t in product(kernels.words_lex(p.n), repeat=p.k)}
         assert {(Q, r) for _, _, Q, r in memo} == {(Q, r) for Q, r in keys if min(Q) >= 0}
         coef = _coefficients(p.n)
         for (_, n, Q, r), (found, loads, reach) in memo.items():
-            alone, alone_loads = real_lattice(n, coef, Q, r)
+            alone, alone_loads = residue_lattice(n, coef, Q, r)
             assert found == tuple(alone) and loads == alone_loads
             assert reach == tuple(max((ld[l] for ld in alone_loads), default=0) for l in range(n - 1))
-    assert min(seen[kind] for kind in ("searched", "whole", "filtered")) > 0, seen
+    assert min(seen[kind] for kind in ("whole", "filtered")) > 0, seen
 
 
 # budgets cut to zero at residue 1: the filter keeps none of the points
@@ -402,19 +414,21 @@ def test_every_key_gets_the_lattice_of_its_own_search(monkeypatch):
     cuts=st.lists(st.integers(0, 20), min_size=4, max_size=4),
 )
 def test_filtering_a_lattice_gives_the_lattice_of_smaller_budgets(n, residue, coef, budgets, cuts):
-    """For positive coef, budgets Q' <= Q and one residue, the points of L(Q)
-    whose loads are at most Q' are L(Q'), in the same order with the same
-    q, and so are their loads and reach; when L(Q)'s reach is within Q',
-    the filter returns L(Q) itself."""
+    """For positive coef, budgets Q' <= Q and one residue, the points that
+    the one search at Q files under that residue are that residue's own
+    L(Q); those whose loads are at most Q' are L(Q'), in the same order with
+    the same q, and so are their loads and reach; when L(Q)'s reach is
+    within Q', the filter returns L(Q) itself."""
     nm, residue = n - 1, residue % n
     coef = [coef[nm * i:nm * (i + 1)] for i in range(nm)]
     Q = budgets[:nm]
     small = [max(q - cut, 0) for q, cut in zip(Q, cuts)]
-    wide, wide_loads = kernels._lattice(n, coef, Q, residue)
-    wide = tuple(wide)
+    lattices, loads = kernels._lattice(n, coef, Q)
+    wide, wide_loads = tuple(lattices[residue]), loads[residue]
+    assert (list(wide), wide_loads) == residue_lattice(n, coef, Q, residue)
     reach = kernels._reach(wide_loads, nm)
     lattice, loads, small_reach = kernels._filtered(wide, wide_loads, reach, small)
-    alone, alone_loads = kernels._lattice(n, coef, small, residue)
+    alone, alone_loads = residue_lattice(n, coef, small, residue)
     assert lattice == tuple(alone) and loads == alone_loads
     assert small_reach == kernels._reach(alone_loads, nm)
     if all(map(le, reach, small)):
@@ -423,8 +437,9 @@ def test_filtering_a_lattice_gives_the_lattice_of_smaller_budgets(n, residue, co
 
 def test_census_with_a_shared_memo_equals_a_fresh_census(monkeypatch):
     """Censuses of a small grid share one memo, as a sweep's do: each reads
-    the lattices kept by earlier ones and searches only keys not yet kept,
-    and every one lists the rows of a fresh census run without the memo."""
+    the lattices kept by earlier ones, searches only when it has a key not
+    yet kept, and lists the rows of a fresh census run without the memo.
+    The shared censuses search fewer times than the fresh ones."""
     memo = {}
     searches = []
     real = kernels._lattice
@@ -434,18 +449,22 @@ def test_census_with_a_shared_memo_equals_a_fresh_census(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(kernels, "_lattice", spy)
-    alone = 0
+    shared_searches = alone = 0
     for n, g, k, d, seed, scale in product((2, 3), (2, 3), (1, 2), (0, 1), (1, 2),
                                            (Fraction(1, 8), Fraction(1))):
         args = _census_args(ModuliParams(n, g, k, d), seed, scale)
+        before = len(memo)
+        searches.clear()
         shared = kernels.enumerate_census(*args, 0, None, memo)
+        assert len(searches) == (len(memo) > before)
+        shared_searches += len(searches)
         searches.clear()
         fresh = kernels.enumerate_census(*args)
         alone += len(searches)
         assert list(shared) == list(fresh)
         assert shared.uses == fresh.uses
     kept = [key for key in memo if key[0] == "lattice"]
-    assert len(kept) == len(memo) < alone
+    assert len(kept) == len(memo) and 0 < shared_searches < alone
 
 
 def _coefficients(n):
@@ -496,7 +515,7 @@ def _census_searching_every_key(p, w):
         Q, residue = _lattice_key(p, w, t)
         if min(Q) < 0:
             continue
-        lattice, _ = kernels._lattice(p.n, coef, Q, residue)
+        lattice, _ = residue_lattice(p.n, coef, Q, residue)
         rows.extend((t_idx, m, descent_counts(t), component_dn(p, t, m)) for m, _ in lattice)
     return rows
 
@@ -553,8 +572,9 @@ def test_census_memory_does_not_grow_with_word_tuples(run_fresh):
     """The kernel counts the word tuples per key and keeps no record of any
     of them: the census walks them again where rows are read. At
     (2, 2, 11, 1), 2,048 word tuples and 8,192 rows, its tracemalloc peak
-    is 21,136 bytes (21,856 while it interned its points in a dict, 19,392
-    before it kept each lattice's loads), measured in a fresh interpreter
+    is 21,360 bytes (21,136 when each undominated key had its own search,
+    21,856 while it interned its points in a dict, 19,392 before it kept
+    each lattice's loads), measured in a fresh interpreter
     after the weights and word tables are built; the kernel that kept one
     record per word tuple peaked at 460,456 (Python 3.11, free lists
     cleared first so every tuple is traced)."""

@@ -270,35 +270,46 @@ def test_sweep_computes_weight_free_totals_once_per_params(monkeypatch):
     assert calls == {name: 32 for name in WEIGHT_FREE}
 
 
-def test_sweep_searches_each_lattice_key_once(monkeypatch):
-    """Run alone, the default grid's 160 instances make 416 lattice searches
-    for 60 distinct (n, Q, residue) keys and build the census total's box
-    power 160 times for 16 parameter sets. One sweep searches no key twice
-    and builds each power once. It searches 52 of those keys: a key that
-    one census filters from a wider key is kept and read by every later
-    census, even one in which no other key dominates it."""
-    searches, powers = [], []
-    real_lattice, real_power = kernels._lattice, cstar_fixed._box_power
+def test_sweep_derives_each_lattice_key_once(monkeypatch):
+    """Run alone, the default grid's 160 instances search 160 times, once
+    per census (416 times when each undominated key had its own search),
+    derive 1,112 keys (n, Q, residue), 108 of them distinct, and build the
+    census total's box power 160 times for 16 parameter sets. One sweep
+    derives each of the 108 keys once and builds each power once. It
+    searches 30 times (52 when
+    keys were searched one by one): once in each census that has a key no
+    earlier census kept, at the largest budgets of the keys it lacks."""
+    searches, derived, powers = [], [], []
+    real_lattice, real_memoized, real_power = kernels._lattice, kernels.memoized, cstar_fixed._box_power
 
-    def lattice(n, coef, Q, residue):
-        searches.append((n, tuple(Q), residue))
-        return real_lattice(n, coef, Q, residue)
+    def lattice(n, coef, Q):
+        searches.append((n, tuple(Q)))
+        return real_lattice(n, coef, Q)
+
+    def memoized(memo, key, fn, *args):
+        if key[0] == "lattice" and (memo is None or key not in memo):
+            derived.append(key)
+        return real_memoized(memo, key, fn, *args)
 
     def power(p):
         powers.append(p)
         return real_power(p)
 
     monkeypatch.setattr(kernels, "_lattice", lattice)
+    monkeypatch.setattr(kernels, "memoized", memoized)
     monkeypatch.setattr(cstar_fixed, "_box_power", power)
     config = SweepConfig.default()
     for spec in config.instances():
         tms._run_instance(spec)
-    alone = set(searches)
-    assert (len(searches), len(alone), len(powers), len(set(powers))) == (416, 60, 160, 16)
+    keys = set(derived)
+    assert (len(searches), len(powers), len(set(powers))) == (160, 160, 16)
+    assert (len(derived), len(keys)) == (1_112, 108)
     searches.clear()
+    derived.clear()
     powers.clear()
     assert sweep_to_jsonable(sweep(config))["summary"]["all_equal"]
-    assert len(searches) == len(set(searches)) == 52 and set(searches) < alone
+    assert len(derived) == len(set(derived)) and set(derived) == keys
+    assert len(searches) == 30
     assert len(powers) == len(set(powers)) == 16
 
 

@@ -1,12 +1,14 @@
 """List the statements of src/parmirror that the tests never run.
 
-    PYTHONPATH=src python3 scripts/unexecuted_lines.py [pytest args]
+    python3 scripts/unexecuted_lines.py [pytest args]
 
 Runs the tests (tier-1 by default) in this process under sys.settrace and
 threading.settrace, tracing only code in src/parmirror, then prints
 ``file:line: source`` for each statement in a function body that never
-ran, and exits with pytest's exit code. Tests that run the CLI in a
-subprocess are not traced: what only they reach is listed here too.
+ran, and exits with pytest's exit code. pytest's ``pythonpath`` setting in
+pyproject.toml puts src/ on sys.path, so no PYTHONPATH is needed. Tests
+that run the CLI in a subprocess are not traced: what only they reach is
+listed here too.
 """
 
 import ast

@@ -17,7 +17,7 @@ from itertools import accumulate, combinations, product
 from math import lcm
 from typing import NamedTuple
 
-from .exactpoly import IdentityCheckError, format_rat, parse_rat
+from .exactpoly import CheckedRecord, IdentityCheckError, format_rat, parse_rat
 from .kernels import stability_coefficients
 from .moduli import ModuliParams
 
@@ -41,7 +41,7 @@ class _WeightFields(NamedTuple):
     alpha: tuple[tuple[Fraction, ...], ...]
 
 
-class WeightSystem(_WeightFields):
+class WeightSystem(CheckedRecord, _WeightFields):
     """Per-point full-flag weights: alpha[p] strictly increasing in [0, 1).
     An immutable one-field tuple, checked on construction."""
 
@@ -62,11 +62,6 @@ class WeightSystem(_WeightFields):
             if any(row[i] >= row[i + 1] for i in range(n - 1)):
                 raise ValueError(f"weights at point {p} are not strictly increasing: {row}")
         return tuple.__new__(cls, (alpha,))
-
-    @classmethod
-    def _make(cls, iterable):
-        # the inherited _make (and _replace, which calls it) skips __new__
-        return cls(*iterable)
 
     @classmethod
     def from_rows(cls, rows) -> WeightSystem:
@@ -188,8 +183,9 @@ def is_generic(w: WeightSystem, p: ModuliParams) -> bool:
     with 2n' < n, or 2n' = n and 1 in J_1, are tested. For a run with
     S = sum over points of n * sum_J wnum - n' * sum wnum, the weights lie
     on one of its walls iff (n*d' - n'*d)*den + S = 0 for some d' in
-    d_lo..d_hi, i.e. iff n*den divides n'*d*den - S with the quotient in
-    that range. wall_value is the Fraction reference for the same test.
+    d_lo..d_hi, i.e. iff n*den divides n'*d*den - S, as valid weights keep
+    S/den strictly inside the (lo, hi) that cut d_lo..d_hi. wall_value is
+    the Fraction reference for the same test.
     """
     if w.n != p.n or w.k != p.k:
         raise ValueError(f"weight system shape ({w.n}, {w.k}) does not match ({p.n}, {p.k})")
@@ -206,14 +202,13 @@ def is_generic(w: WeightSystem, p: ModuliParams) -> bool:
         ]
         for nprime in range(1, n // 2 + 1)
     }
-    for nprime, subsets, d_lo, d_hi in enumerate_walls(p).runs:
+    for nprime, subsets, _, _ in enumerate_walls(p).runs:
         if 2 * nprime > n:
             break  # runs ascend in nprime, so every later run is a complement
         if 2 * nprime == n and 1 not in subsets[0]:
             continue
         scaled = sum(part[subset] for part, subset in zip(parts[nprime], subsets))
-        quot, rem = divmod(nprime * d * den - scaled, step)
-        if not rem and d_lo <= quot <= d_hi:
+        if not (nprime * d * den - scaled) % step:
             return False
     return True
 

@@ -5,15 +5,17 @@ write a canonical JSON report whose shape is pinned by a schema shipped in
 parmirror.schemas. Exit codes separate mathematical outcomes from plumbing:
 0 means success (and, for identity checks, equality), 1 means the run
 finished but an expected identity or check failed, 2 means the invocation
-or configuration was unusable or the run ran out of memory. Rationals on
-the command line are "num/den" strings; nothing in the input path goes
-through floating point.
+or configuration was unusable or the run ran out of memory, and 141
+(128 + SIGPIPE) that stdout closed before the run printed. Rationals on
+the command line are "num/den" strings, never read through a float.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from contextlib import suppress
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
@@ -200,7 +202,7 @@ def _cmd_walls(args) -> int:
     line = f"n={p.n} g={p.g} k={p.k} d={p.d}: {len(walls)} wall(s)"
     if args.weights is not None or args.seed is not None or args.scale is not None:
         w = _resolve_weights(args, p)
-        generic = is_generic(w, p)
+        generic = args.weights is None or is_generic(w, p)  # sampled ones passed it
         payload["weights"] = w.to_jsonable()
         payload["generic"] = generic
         line += f", weights generic={str(generic).lower()}"
@@ -345,10 +347,16 @@ def main(argv=None) -> int:
     parser = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None)
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        print(end="", flush=True)  # a closed pipe raises here, buffered or not; None is skipped
+        return code
     except IdentityCheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        with suppress(OSError):  # an fd on devnull keeps the final flush quiet
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

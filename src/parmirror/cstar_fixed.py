@@ -33,13 +33,10 @@ from .exactpoly import (
     ZERO,
     BivarPoly,
     IdentityCheckError,
+    LimitError,
     binom_deg_slice,
 )
 from .moduli import ModuliParams, dim_hitchin_base
-
-
-class LimitError(ValueError):
-    """Requested brute-force size exceeds the supported budget."""
 
 
 class NonIntegralDegreeError(ValueError):
@@ -176,10 +173,11 @@ def _sigma_residue_counts(n: int) -> tuple[int, ...]:
     return tuple(single)
 
 
-def _sigma_sum_residues(n: int, k: int, single) -> list[int]:
-    """How many k-word tuples have each sigma sum mod n: single, the sigma
-    mod n histogram over S_n, convolved k times over Z/n, O(n! + k n^2)
-    work instead of a scan of all (n!)^k tuples."""
+def _sigma_sum_residues(n: int, k: int) -> list[int]:
+    """How many k-word tuples have each sigma sum mod n: the sigma mod n
+    histogram over S_n convolved k times over Z/n, O(n! + k n^2) work
+    instead of a scan of all (n!)^k tuples."""
+    single = _sigma_residue_counts(n)
     sums = [1] + [0] * (n - 1)
     for _ in range(k):
         sums = [sum(sums[a] * single[(r - a) % n] for a in range(n)) for r in range(n)]
@@ -196,7 +194,7 @@ def variant_total_cyclotomic(p: ModuliParams) -> BivarPoly:
     shifted by (uv)^(dim/2).
     """
     n, g, k = p.n, p.g, p.k
-    sums = _sigma_sum_residues(n, k, _sigma_residue_counts(n))
+    sums = _sigma_sum_residues(n, k)
     if len(set(sums)) != 1:
         raise IdentityCheckError(f"sigma sums of {k} words are not flat mod {n}: {sums}")
     h = dim_hitchin_base(p)

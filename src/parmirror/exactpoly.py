@@ -25,6 +25,20 @@ class NonIntegralCoefficientError(IdentityCheckError):
     """A quantity expected to be a rational integer is not one."""
 
 
+class LimitError(ValueError):
+    """Requested brute-force size exceeds the supported budget."""
+
+
+class CheckedRecord:
+    """Put first among a checked named tuple's bases: _make and _replace then run __new__."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactpoly import IdentityCheckError, NonIntegralCoefficientError, is_prime
+from .exactpoly import CheckedRecord, IdentityCheckError, NonIntegralCoefficientError, is_prime
 
 
 class _ModuliFields(NamedTuple):
@@ -21,7 +21,7 @@ class _ModuliFields(NamedTuple):
     d: int
 
 
-class ModuliParams(_ModuliFields):
+class ModuliParams(CheckedRecord, _ModuliFields):
     """Discrete input data: prime rank n, genus g, marked points k, degree d.
     An immutable tuple of these four fields, checked on construction."""
 
@@ -35,11 +35,6 @@ class ModuliParams(_ModuliFields):
         if k < 1:
             raise ValueError(f"need at least one marked point, got {k}")
         return tuple.__new__(cls, (n, g, k, d))
-
-    @classmethod
-    def _make(cls, iterable):
-        # the inherited _make (and _replace, which calls it) skips __new__
-        return cls(*iterable)
 
 
 def _as_int(q: Fraction, what: str) -> int:

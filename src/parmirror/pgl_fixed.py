@@ -11,11 +11,10 @@ from __future__ import annotations
 from itertools import product
 from math import factorial
 
-from .exactpoly import ONE, U, V, BivarPoly, IdentityCheckError
+from .exactpoly import ONE, U, V, BivarPoly, IdentityCheckError, LimitError
 from .kernels import words_lex
 from .moduli import ModuliParams, dim_moduli, prym_dim
 from .torsion import NormFiberModel, SymplecticForm, TorsionVector, check_component_action
-from .cstar_fixed import LimitError
 
 _ORBIT_MATERIALIZE_LIMIT = 2_000_000
 

@@ -14,7 +14,7 @@ from itertools import product
 from math import gcd
 from typing import NamedTuple
 
-from .exactpoly import IdentityCheckError, is_prime
+from .exactpoly import CheckedRecord, IdentityCheckError, is_prime
 
 
 class TorsionVector:
@@ -85,7 +85,7 @@ class _FormFields(NamedTuple):
     matrix: tuple[tuple[int, ...], ...]
 
 
-class SymplecticForm(_FormFields):
+class SymplecticForm(CheckedRecord, _FormFields):
     """Alternating nondegenerate form on (Z/n)^(2g), as a matrix mod n.
     An immutable tuple of these three fields, checked on construction."""
 
@@ -109,11 +109,6 @@ class SymplecticForm(_FormFields):
         if _rref(m, n)[0] < size:
             raise ValueError("form is degenerate")
         return tuple.__new__(cls, (n, g, m))
-
-    @classmethod
-    def _make(cls, iterable):
-        # the inherited _make (and _replace, which calls it) skips __new__
-        return cls(*iterable)
 
     @classmethod
     def standard(cls, n: int, g: int) -> SymplecticForm:
@@ -232,7 +227,7 @@ class _FiberFields(NamedTuple):
     l_gamma: int
 
 
-class NormFiberModel(_FiberFields):
+class NormFiberModel(CheckedRecord, _FiberFields):
     """Component bookkeeping for a norm-map fibre: labels Z/n, a nonzero
     gamma acting through its pairing, Galois acting by +d. An immutable
     tuple of these four fields, checked on construction."""
@@ -249,11 +244,6 @@ class NormFiberModel(_FiberFields):
         if gcd(l_gamma, n) != 1:
             raise ValueError(f"l_gamma = {l_gamma} is not invertible mod {n}")
         return tuple.__new__(cls, (n, d, gamma, l_gamma))
-
-    @classmethod
-    def _make(cls, iterable):
-        # the inherited _make (and _replace, which calls it) skips __new__
-        return cls(*iterable)
 
     def galois_shift(self) -> int:
         return self.d % self.n

@@ -177,7 +177,7 @@ def ring_filtered_total(p: ModuliParams) -> BivarPoly:
     prefactor.
     """
     n, g, k, d = p.n, p.g, p.k, p.d
-    sums = cstar_fixed._sigma_sum_residues(n, k, cstar_fixed._sigma_residue_counts(n))
+    sums = cstar_fixed._sigma_sum_residues(n, k)
     offset = d - k if n == 2 else d
     total = CycBivarPoly.zero(n)
     for l in range(n):

@@ -179,6 +179,31 @@ def test_is_generic_matches_fraction_oracle_many_points():
     assert _oracle_outcomes(ModuliParams(2, 2, 11, 1), 3) == {True, False}
 
 
+def test_divisible_wall_runs_land_in_their_degree_range():
+    """is_generic tests divisibility alone. Valid weights, strictly
+    increasing in [0, 1) with 0 allowed, keep each run's linear form inside
+    its (lo, hi), so every run whose n*den divides n'*d*den - S has its
+    quotient in d_lo..d_hi; checked on every run, complements included, at
+    denominators small enough to put many runs on a wall: 3,436 of the
+    130,440 runs tested are divisible."""
+    rng = random.Random("wall-run-range")
+    divisible = 0
+    for n, k, d in product((2, 3, 5), (1, 2, 3), range(-3, 7)):
+        runs = enumerate_walls(ModuliParams(n, 2, k, d)).runs
+        for _ in range(24 if len(runs) <= 2_000 else 2):
+            den, wnum = integer_weights(_small_denominator_weights(rng, n, k))
+            for nprime, subsets, d_lo, d_hi in runs:
+                scaled = sum(
+                    n * sum(row[i - 1] for i in subset) - nprime * sum(row)
+                    for row, subset in zip(wnum, subsets)
+                )
+                quot, rem = divmod(nprime * d * den - scaled, n * den)
+                if not rem:
+                    divisible += 1
+                    assert d_lo <= quot <= d_hi, (n, k, d, wnum, den, nprime, subsets)
+    assert divisible > 1_000, divisible
+
+
 @pytest.mark.parametrize(
     "p",
     [

@@ -1,6 +1,7 @@
 """Command-line contract: exit codes, schema-valid JSON, byte-identical
 reruns, and the weights-source exclusivity rule."""
 
+import io
 import json
 import os
 import subprocess
@@ -244,6 +245,62 @@ def test_walls_builds_its_wall_list_only_for_a_report(monkeypatch, tmp_path, cap
     assert code == 0 and capsys.readouterr().out == bare
     assert len(calls) == data["count"] == len(data["walls"]) > 0
     assert calls == list(enumerate_walls(ModuliParams(3, 2, 2)))
+
+
+def test_walls_tests_only_a_weights_file_for_genericity(monkeypatch, tmp_path, capsys):
+    """The sampler returns only weights it has found generic, so walls
+    reports sampled weights generic without a second is_generic call; a
+    --weights file is tested once, and one on a wall reports
+    generic: false and still exits 0."""
+    calls = []
+    real = parmirror.cli.is_generic
+    monkeypatch.setattr(parmirror.cli, "is_generic", lambda w, p: calls.append(w) or real(w, p))
+    argv = ["walls", "--n", "3", "--g", "2", "--marked", "2", "--seed", "1"]
+    code, data = _run_json(tmp_path, "sampled", argv)
+    assert (code, data["generic"], calls) == (0, True, [])
+    path = tmp_path / "w.json"
+    path.write_text('{"points": [["0/1", "1/4"], ["0/1", "1/4"]]}', encoding="utf-8")
+    argv = ["walls", "--n", "2", "--g", "2", "--marked", "2", "--weights", str(path)]
+    code, data = _run_json(tmp_path, "on_wall", argv)
+    assert (code, data["generic"], len(calls)) == (0, False, 1)
+    assert capsys.readouterr().out.endswith(", weights generic=false\n")
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader is gone, and which has no file descriptor."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("stdout,code", [(_ClosedPipe(), 141), (None, 0)], ids=["closed", "absent"])
+def test_stdout_without_a_descriptor(monkeypatch, capsys, stdout, code):
+    """In-process stdout may have no descriptor, and started with fd 1
+    closed it is None: a closed one exits 141, an absent one 0 as print
+    skips it, both with nothing on stderr."""
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["lemma", "--n", "3"]) == code
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_closed_stdout_exits_141_quietly(unbuffered):
+    """A reader gone before tms prints is neither a usage error nor a failed
+    identity: the child exits 141, as a shell reports SIGPIPE, with nothing
+    on stderr, whether its stdout is buffered or not."""
+    src = str(Path(parmirror.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from parmirror.cli import main; sys.exit(main())",
+             "tms", "--n", "3", "--g", "2", "--marked", "1"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 def test_orbits_report(tmp_path):

@@ -19,6 +19,7 @@ from parmirror.exactpoly import (
     V,
     ZERO,
     BivarPoly,
+    CheckedRecord,
     CycBivarPoly,
     CycInt,
     NonIntegralCoefficientError,
@@ -28,6 +29,9 @@ from parmirror.exactpoly import (
     is_prime,
     parse_rat,
 )
+from parmirror.chambers import WeightSystem
+from parmirror.moduli import ModuliParams
+from parmirror.torsion import NormFiberModel, SymplecticForm, TorsionVector
 
 BIG = 1 << 512
 
@@ -280,3 +284,25 @@ def test_cyc_bivar_mixed_root_product():
     b = CycBivarPoly.one(n) - CycBivarPoly.monomial(n, 1, 0, xi2)
     # (1 - xi u)(1 - xi^2 u) = 1 + u + u^2 since xi + xi^2 = -1, xi^3 = 1
     assert cyc_project(a * b) == ONE + U + U * U
+
+
+# one valid record of each checked class, and a field value its __new__ rejects
+CHECKED_RECORDS = [
+    (ModuliParams(3, 2, 1, 0), {"n": 4}),
+    (WeightSystem.from_rows([[0, Fraction(1, 2)]]), {"alpha": ((Fraction(1, 2), Fraction(1, 4)),)}),
+    (SymplecticForm.standard(3, 2), {"g": 1}),
+    (NormFiberModel(3, 1, TorsionVector(3, (1, 0, 0, 0))), {"l_gamma": 3}),
+]
+
+
+@pytest.mark.parametrize("record,bad", CHECKED_RECORDS, ids=lambda v: type(v).__name__)
+def test_checked_records_check_make_and_replace(record, bad):
+    """Each record takes _make from CheckedRecord, its first base, so
+    _make and _replace run its checking __new__."""
+    cls = type(record)
+    assert cls.__bases__[0] is CheckedRecord and "_make" not in vars(cls)
+    assert cls._make(record) == record == record._replace()
+    with pytest.raises(ValueError):
+        record._replace(**bad)
+    with pytest.raises(ValueError):
+        cls._make({**record._asdict(), **bad}.values())

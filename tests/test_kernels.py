@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from oracles import census_uses, entry_box_counts, residue_lattice
 from parmirror import chambers, kernels
-from parmirror.chambers import sample_generic_weights, small_weight_margin, weight_denominator
+from parmirror.chambers import integer_weights, sample_generic_weights, small_weight_margin
 from parmirror.cstar_fixed import component_dn, degree_constraint, stability_check
 from parmirror.kernels import descent_counts
 from parmirror.moduli import ModuliParams
@@ -34,9 +34,7 @@ INSTANCES = [
 
 
 def _census_args(p, seed, scale=Fraction(1, 8)):
-    w = sample_generic_weights(p, seed=seed, scale=scale)
-    den = weight_denominator(w)
-    wnum = tuple(tuple(int(a * den) for a in row) for row in w.alpha)
+    den, wnum = integer_weights(sample_generic_weights(p, seed=seed, scale=scale))
     return (p.n, p.g, p.k, p.d, wnum, den)
 
 
@@ -178,8 +176,7 @@ def test_census_matches_reference_oracle(p, scale, seed):
     """The census is exactly the (word tuple, m) pairs that pass the
     Fraction-valued degree_constraint and stability_check."""
     w = sample_generic_weights(p, seed=seed, scale=scale)
-    den = weight_denominator(w)
-    wnum = tuple(tuple(int(a * den) for a in row) for row in w.alpha)
+    den, wnum = integer_weights(w)
     words = kernels.words_lex(p.n)
     expected = set()
     for t_idx in product(range(len(words)), repeat=p.k):
@@ -313,6 +310,24 @@ def test_reduced_lattice_matches_scaled_search(n, scale, num, data):
     assert [(m, num // n + q) for m, q in lattice] == [(m, dn) for _, m, _, dn in expected]
     assert loads[num % n] == [[sum(c * x for c, x in zip(row, m)) for row in coef] for m, _ in lattice]
     assert [*zip(lattices, loads)] == [residue_lattice(n, coef, Q, r) for r in range(n)]
+
+
+@given(n=st.sampled_from([2, 3, 5, 7]), data=st.data())
+def test_search_loads_and_residues_are_fixed_by_two_numbers(n, data):
+    """Two numbers fix every stability load, checked on the kernel's own
+    search output. With T = sum_j (n-j) m_j and P_l = sum_{j<l} (l-1-j) m_j,
+    every point the search files under residue r has loads
+    coef[l].m = (l-1) T - n P_l for l = 2..n, r = T mod n and
+    q = sum(m) - T // n."""
+    coef = kernels.stability_coefficients(n)
+    Q = data.draw(st.lists(st.integers(0, 10 * n), min_size=n - 1, max_size=n - 1))
+    lattices, loads = kernels._lattice(n, coef, Q)
+    for r, (lattice, lattice_loads) in enumerate(zip(lattices, loads)):
+        for (m, q), load in zip(lattice, lattice_loads, strict=True):
+            T = sum((n - j) * x for j, x in enumerate(m, 1))
+            P = [sum((l - 1 - j) * x for j, x in enumerate(m[: l - 1], 1)) for l in range(2, n + 1)]
+            assert load == [(l - 1) * T - n * P[l - 2] for l in range(2, n + 1)], (m, load)
+            assert (r, q) == (T % n, sum(m) - T // n), (m, r, q)
 
 
 def test_census_searches_once_at_the_largest_budgets(monkeypatch):
@@ -551,13 +566,11 @@ CENSUS_PEAK = """
 import gc, json, tracemalloc
 from fractions import Fraction
 from parmirror import kernels
-from parmirror.chambers import sample_generic_weights, weight_denominator
+from parmirror.chambers import integer_weights, sample_generic_weights
 from parmirror.moduli import ModuliParams
 
 p = ModuliParams(2, 2, 11, 1)
-w = sample_generic_weights(p, seed=1, scale=Fraction(1))
-den = weight_denominator(w)
-wnum = tuple(tuple(int(a * den) for a in row) for row in w.alpha)
+den, wnum = integer_weights(sample_generic_weights(p, seed=1, scale=Fraction(1)))
 kernels._word_tables(p.n)
 gc.collect()
 tracemalloc.start()

@@ -2,13 +2,16 @@
 write the medians to a BENCH JSON file.
 
     python3 scripts/bench_ladder.py --tree parent=../parent --tree change=. \\
-        --out BENCH_14.json
+        --out BENCH_14.json [--rung "tms 7 2 1 0" ...]
 
-Each rung is one CLI invocation (see RUNGS), run for RUNS rounds per tree,
-or for SHORT_RUNS rounds when every run of its first round took under
-SHORT_S seconds: a sub-second run sits within the machine's own swings,
-so three of them cannot tell two trees apart. Each rung records its
-rounds.
+Each rung is one CLI invocation (see RUNGS); ``--rung NAME``, repeatable,
+times only the rungs named, in RUNGS order, and an unknown name is a usage
+error (exit 2) that lists the valid ones.
+
+A rung runs for RUNS rounds per tree, or for SHORT_RUNS rounds when
+every run of its first round took under SHORT_S seconds: a sub-second run
+sits within the machine's own swings, so three of them cannot tell two
+trees apart. Each rung records its rounds.
 Every run starts a fresh interpreter that runs ``parmirror.cli`` from
 ``<tree>/src`` as ``python -m parmirror.cli`` does, under a 2 GiB
 address-space cap, with its outputs written to a temporary directory. The runs go one child at a time,
@@ -34,10 +37,13 @@ the reference over the median of all of the ladder's calibrations.
 A run fails on a non-zero exit, a timeout or a memory-cap kill. The sha256
 of each rung's output files must be the same on every run of every tree;
 the file records whether it was. Per tree and rung it holds the median wall
-time, raw and speed-scaled, the median peak RSS of the runs, and every
-run's numbers; the calibration times are recorded as well, and so is
-``PYTHONDONTWRITEBYTECODE``: the children inherit it, and when it is set
-every run compiles ``src/`` anew.
+time, raw and speed-scaled, the minimum and lower quartile of the
+speed-scaled times, the median peak RSS of the runs, and every run's
+numbers. A shared VM loses time in steps of tens of milliseconds that the
+guest cannot see, and such steps only ever add time, so a rung's minimum
+and lower quartile are less disturbed than its median. The calibration
+times are recorded as well, and so is ``PYTHONDONTWRITEBYTECODE``: the
+children inherit it, and when it is set every run compiles ``src/`` anew.
 
 Each tree's git commit, dirty flag and sha256 of ``git diff HEAD`` are
 recorded before the first rung and read again after the last, so a tree
@@ -162,6 +168,15 @@ def median(runs: list[dict], field: str, digits: int):
     return round(statistics.median(r[field] for r in runs), digits) if runs else None
 
 
+def lower_quartile(runs: list[dict], field: str, digits: int):
+    """The lower quartile of one field over the runs, by the inclusive
+    method (a single run's own value), or None when there are none."""
+    values = [r[field] for r in runs]
+    if len(values) < 2:
+        return round(values[0], digits) if values else None
+    return round(statistics.quantiles(values, n=4, method="inclusive")[0], digits)
+
+
 def describe(tree: Path) -> dict:
     """The tree's git commit, whether it has uncommitted changes, and the
     sha256 of those changes as ``git diff HEAD`` prints them (None where git
@@ -183,7 +198,15 @@ def main(argv=None) -> int:
     parser.add_argument("--tree", action="append", required=True, metavar="LABEL=PATH",
                         help="a source tree to time (repeat for each tree)")
     parser.add_argument("--out", required=True, help="write the JSON results here")
+    parser.add_argument("--rung", action="append", metavar="NAME",
+                        help="time only this rung (repeat for each rung; default: all)")
     args = parser.parse_args(argv)
+    unknown = [name for name in args.rung or () if name not in RUNGS]
+    if unknown:
+        parser.error(f"unknown rung {', '.join(map(repr, unknown))}; "
+                     f"valid rungs: {', '.join(map(repr, RUNGS))}")
+    rungs = {name: rung_argv for name, rung_argv in RUNGS.items()
+             if args.rung is None or name in args.rung}
     trees = {}
     for spec in args.tree:
         label, sep, path = spec.partition("=")
@@ -198,7 +221,7 @@ def main(argv=None) -> int:
     failed = 0
     load, ref_s = calibration_load()
     calibrations = [calibrate(load)]
-    for rung, rung_argv in RUNGS.items():
+    for rung, rung_argv in rungs.items():
         runs = {label: [] for label in trees}
         rounds = RUNS
         i = 0
@@ -228,6 +251,8 @@ def main(argv=None) -> int:
             entry["trees"][label] = {
                 "median_wall_s": median(ok, "wall_s", 4),
                 "median_scaled_wall_s": median(ok, "scaled_wall_s", 4),
+                "min_scaled_wall_s": min((r["scaled_wall_s"] for r in ok), default=None),
+                "q1_scaled_wall_s": lower_quartile(ok, "scaled_wall_s", 4),
                 # filled in once every calibration has run
                 "median_round_scaled_wall_s": None,
                 "median_peak_rss_mb": median(ok, "peak_rss_mb", 1),

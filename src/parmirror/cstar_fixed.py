@@ -253,15 +253,16 @@ def components_to_csv(p: ModuliParams, census: kernels.Census, fh) -> None:
     tuple's lines differ only in the text after its words field, and that
     text depends only on its (lattice, s, floor of d_n) block, with s as
     its group carries it: each block is rendered once, by one % format
-    over its values, as one string with every line led by its CRLF, and
-    each word tuple writes it with its own words field put behind each
-    CRLF.
+    over its values, as one string with its lines separated by a bare LF.
+    Each word tuple writes its words field, the block with every LF
+    replaced by CRLF and its words field, and a closing CRLF: str.replace
+    has a fast path for a one-character pattern.
     """
     fh.write("words,m,s,d_n,degree\r\n")
     blocks: dict[tuple, str] = {}
     texts = _word_texts(p.n)
     # a block's line: m's entries, its s text, d_n and the degree
-    line = "\r\n" + " ".join(["%%d"] * (p.n - 1)) + ",%s,%%d,%%d"
+    line = " ".join(["%%d"] * (p.n - 1)) + ",%s,%%d,%%d"
     for t_idx, s, dn_floor, lattice in census.groups():
         key = (id(lattice), s, dn_floor)
         block = blocks.get(key)
@@ -270,6 +271,8 @@ def components_to_csv(p: ModuliParams, census: kernels.Census, fh) -> None:
             values = map(add, ms, zip(map(dn_floor.__add__, map(itemgetter(1), lattice)),
                                       map(sum, ms)))
             text = line % " ".join(map(str, s))
-            block = blocks[key] = text * len(ms) % tuple(chain.from_iterable(values))
+            block = blocks[key] = "\n".join([text] * len(ms)) % tuple(chain.from_iterable(values))
         prefix = "|".join(map(texts.__getitem__, t_idx)) + ","
-        fh.write(block.replace("\r\n", "\r\n" + prefix)[2:] + "\r\n")
+        fh.write(prefix)
+        fh.write(block.replace("\n", "\r\n" + prefix))
+        fh.write("\r\n")

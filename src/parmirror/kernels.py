@@ -85,8 +85,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from functools import cache
-from itertools import compress, count, groupby, permutations
-from operator import floordiv, itemgetter, le, mul, sub
+from itertools import compress, count, groupby, permutations, repeat
+from operator import add, floordiv, itemgetter, le, mul, sub
 from typing import NamedTuple
 
 
@@ -373,20 +373,30 @@ def _dfs(n, nm, cols, Q, offset, j, m, spent, out, loads):
     """File the lattice points below the prefix m[:j], in increasing m order,
     and their loads under their residues; cols[j] is the column (coef[l][j]
     for each l), offset is the prefix's degree offset, and spent[l] is the
-    prefix's coef[l].m."""
+    prefix's coef[l].m.
+
+    Each step of m[j] adds col to the loads, so they are stepped from the
+    previous value's, not recomputed, and no call frame is made per point:
+    a prefix's by [*map(add, ...)], a leaf's by zipping, over l, the ranges
+    from spent[l] in steps of col[l]. The leaf's loads are kept, so they
+    are lists built from zip's exact-size tuples: [*map(...)] allocates
+    room for 8 entries, twice the 4 loads of n = 5."""
     col = cols[j]
     cap = min(map(floordiv, map(sub, Q, spent), col))
     if j == nm - 1:
-        for val in range(cap + 1):
+        # load l at m[j] = val is spent[l] + val * col[l], for val <= cap
+        steps = zip(*map(range, spent, map(add, spent, map(mul, col, repeat(cap + 1))), col))
+        for val, load in zip(range(cap + 1), map(list, steps)):
             m[j] = val
             # divmod(-offset, n) = (-q, r): r is the point's residue, r + offset = n q
             neg, residue = divmod(-offset - nm * val, n)
             out[residue].append((tuple(m), -neg))
-            loads[residue].append([x + c * val for x, c in zip(spent, col)])
+            loads[residue].append(load)
         m[j] = 0
         return
+    nxt = spent
     for val in range(cap + 1):
         m[j] = val
-        nxt = spent if val == 0 else [x + c * val for x, c in zip(spent, col)]
         _dfs(n, nm, cols, Q, offset + (j + 1) * val, j + 1, m, nxt, out, loads)
+        nxt = [*map(add, nxt, col)]
     m[j] = 0

@@ -3,7 +3,8 @@
 The script is imported from its file and run with one short rung, once per
 tree, so its whole loop (calibration, child runs, digests, the JSON file)
 runs here. A tree whose commit, dirty flag or diff against HEAD moves
-during a run makes it exit 1. The speed scales are checked on stubbed
+during a run makes it exit 1. The speed scales, the choice of rungs by
+--rung and the per-rung minimum and lower quartile are checked on stubbed
 runs and calibrations.
 """
 
@@ -110,6 +111,11 @@ def test_ladder_scales_medians_by_the_median_calibration(ladder, monkeypatch, tm
         assert trees[label]["median_round_scaled_wall_s"] == pytest.approx(raw * 2)
         scaled = [r["wall_s"] * 1.2 / sum(r["calibration_s"]) for r in trees[label]["runs"]]
         assert trees[label]["median_scaled_wall_s"] == pytest.approx(statistics.median(scaled), abs=1e-4)
+    # scaled times: a 0.2, 0.72, 0.3429 and b 0.2, 0.6545, 0.6857; the lower
+    # quartile lies halfway between the two smallest of three
+    for label, low, q1 in (("a", 0.2, 0.2714), ("b", 0.2, 0.4273)):
+        assert trees[label]["min_scaled_wall_s"] == pytest.approx(low, abs=1e-4)
+        assert trees[label]["q1_scaled_wall_s"] == pytest.approx(q1, abs=1e-4)
 
 
 def test_ladder_runs_sub_second_rungs_for_more_rounds(ladder, monkeypatch, tmp_path):
@@ -135,3 +141,38 @@ def test_ladder_runs_sub_second_rungs_for_more_rounds(ladder, monkeypatch, tmp_p
         assert entry["rounds"] == rounds
         assert [len(tree["runs"]) for tree in entry["trees"].values()] == [rounds, rounds]
     assert all(next(it, None) is None for it in walls.values())
+
+
+def test_ladder_times_only_the_named_rungs(ladder, monkeypatch, tmp_path):
+    """--rung, repeated, times the rungs it names in RUNGS order and no
+    other; a single run is its own minimum and lower quartile."""
+    monkeypatch.setattr(ladder, "RUNGS", {"one": ["one"], "two": ["two"], "three": ["three"]})
+    monkeypatch.setattr(ladder, "calibration_load", lambda: ("", 0.3))
+    monkeypatch.setattr(ladder, "calibrate", lambda load: 0.3)
+    monkeypatch.setattr(ladder, "describe", lambda tree: {"commit": "abc", "dirty": False})
+    timed = []
+    monkeypatch.setattr(ladder, "run_once", lambda tree, args: timed.append(args[0]) or {
+        "wall_s": 0.5, "peak_rss_mb": 10.0, "exit": 0, "sha256": {}})
+    out = tmp_path / "bench.json"
+    argv = ["--tree", f"a={ROOT}", "--out", str(out), "--rung", "three", "--rung", "one"]
+    assert ladder.main(argv) == 0
+    data = json.loads(out.read_text())
+    assert list(data["rungs"]) == ["one", "three"]
+    assert timed == ["one", "three"]
+    tree = data["rungs"]["one"]["trees"]["a"]
+    assert tree["min_scaled_wall_s"] == tree["q1_scaled_wall_s"] == tree["median_scaled_wall_s"] == 0.5
+
+
+def test_ladder_refuses_an_unknown_rung(ladder, monkeypatch, capsys, tmp_path):
+    """An unknown --rung is a usage error, exit 2, before anything runs;
+    the message lists every valid rung."""
+    monkeypatch.setattr(ladder, "RUNGS", {"tms 3 2 3 0": ["tms"], "sweep --csv": ["sweep"]})
+    monkeypatch.setattr(ladder, "calibration_load", lambda: pytest.fail("a run started"))
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exc:
+        ladder.main(["--tree", f"a={ROOT}", "--out", str(out), "--rung", "tms 9 9 9 9"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "'tms 9 9 9 9'" in err
+    assert "'tms 3 2 3 0'" in err and "'sweep --csv'" in err
+    assert not out.exists()

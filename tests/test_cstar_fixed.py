@@ -668,19 +668,34 @@ def _csv_module_text(n, census) -> str:
     return buf.getvalue()
 
 
-@pytest.mark.parametrize("n,g,k,d", [(3, 2, 2, 1), (3, 3, 2, 1), (5, 2, 1, 0)])
-def test_components_csv_matches_csv_module(n, g, k, d):
+@pytest.mark.parametrize("n,g,k,d,scale", [
+    pytest.param(*case, id="-".join(map(str, case[:4]))) for case in [
+        (3, 2, 2, 1, Fraction(1, 8)),
+        (3, 3, 2, 1, Fraction(1, 8)),
+        (5, 2, 1, 0, Fraction(1, 8)),
+        (3, 2, 3, 0, None),
+        (5, 3, 1, 2, None),  # perfbench's cli_export census, 78,125 rows
+    ]
+])
+def test_components_csv_matches_csv_module(n, g, k, d, scale):
     """Byte-equal to the csv module's text, on censuses where several word
-    tuples share one (lattice, s, floor of d_n) block of lines."""
+    tuples share one (lattice, s, floor of d_n) block of lines; a None
+    scale samples as the CLI does, at sampler_scale(p). The writer marks a
+    block's line breaks with a bare LF and turns each into CRLF and the
+    next line's words field, so no field may hold an LF of its own: every
+    LF written is the end of a CRLF."""
     p = ModuliParams(n, g, k, d)
-    census = enumerate_components(p, sample_generic_weights(p, seed=1, scale=Fraction(1, 8)))
+    scale = sampler_scale(p) if scale is None else scale
+    census = enumerate_components(p, sample_generic_weights(p, seed=1, scale=scale))
     assert any(c.d_n < 0 for c in census)
     groups = list(census.groups())
     blocks = {(id(g.lattice), g.s, g.dn_floor) for g in groups}
     assert len(blocks) < len(groups)
     buf = io.StringIO()
     components_to_csv(p, census, buf)
-    assert buf.getvalue() == _csv_module_text(n, census)
+    text = buf.getvalue()
+    assert text == _csv_module_text(n, census)
+    assert text.count("\r\n") == text.count("\n") == len(census) + 1
 
 
 ROWS_PEAK = """
@@ -711,11 +726,14 @@ def test_census_memory_does_not_grow_with_rows(run_fresh):
     CSV, rendering each block as one string. A census that listed every row
     as a tuple and as a component object peaked at 15.7 MB on this instance
     (Python 3.11). It is measured in a fresh interpreter after the weights
-    are sampled, with free lists cleared first, and read 1,178,736 bytes
+    are sampled, with free lists cleared first, and read 1,178,848 bytes
     there, its peak set while the kernel's one search of 4,611 points is
-    held (1,140,240 when each undominated key had its own search, 1,287,792
-    while the kernel interned each census's points in a dict, 1,654,979
-    when each block was a list of line strings)."""
+    held (1,178,736 when a list comprehension built each point's loads,
+    1,326,256 when each was stepped from the last by [*map(add, ...)],
+    which allocates a list of 4 loads for 8, 1,140,240 when each
+    undominated key had its own search, 1,287,792 while the kernel interned
+    each census's points in a dict, 1,654,979 when each block was a list of
+    line strings)."""
     rows, peak = run_fresh(ROWS_PEAK)
     assert rows == 78_125
     assert peak <= 1_670_699, peak

@@ -730,7 +730,7 @@ def test_census_memory_does_not_grow_with_rows(run_fresh):
     there, its peak set while the kernel's one search of 4,611 points is
     held (1,178,736 when a list comprehension built each point's loads,
     1,326,256 when each was stepped from the last by [*map(add, ...)],
-    which allocates a list of 4 loads for 8, 1,140,240 when each
+    which gives each list of 4 loads room for 8, 1,140,240 when each
     undominated key had its own search, 1,287,792 while the kernel interned
     each census's points in a dict, 1,654,979 when each block was a list of
     line strings)."""

@@ -13,6 +13,7 @@ the command line are "num/den" strings, never read through a float.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from contextlib import suppress
@@ -343,7 +344,14 @@ def build_parser(subcommand: str | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv is None:
+        # The program's own run: its imports are done, and what they made
+        # lives until exit, so no collection (the one at exit included)
+        # needs to walk it. In-process callers keep their collector as it is.
+        gc.freeze()
+        argv = sys.argv[1:]
+    else:
+        argv = list(argv)
     parser = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None)
     args = parser.parse_args(argv)
     try:

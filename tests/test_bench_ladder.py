@@ -5,7 +5,8 @@ tree, so its whole loop (calibration, child runs, digests, the JSON file)
 runs here. A tree whose commit, dirty flag or diff against HEAD moves
 during a run makes it exit 1. The speed scales, the choice of rungs by
 --rung and the per-rung minimum and lower quartile are checked on stubbed
-runs and calibrations.
+runs and calibrations. The real ``startup`` rung runs once through the
+ladder's boot.
 """
 
 import importlib.util
@@ -20,11 +21,16 @@ ROOT = Path(__file__).resolve().parents[1]
 LADDER_PATH = ROOT / "scripts" / "bench_ladder.py"
 
 
-@pytest.fixture
-def ladder(monkeypatch):
+def _load_ladder():
     spec = importlib.util.spec_from_file_location("bench_ladder", LADDER_PATH)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def ladder(monkeypatch):
+    module = _load_ladder()
     monkeypatch.setattr(module, "RUNS", 1)
     monkeypatch.setattr(module, "SHORT_RUNS", 1)
     monkeypatch.setattr(module, "RUNGS", {
@@ -176,3 +182,13 @@ def test_ladder_refuses_an_unknown_rung(ladder, monkeypatch, capsys, tmp_path):
     assert "'tms 9 9 9 9'" in err
     assert "'tms 3 2 3 0'" in err and "'sweep --csv'" in err
     assert not out.exists()
+
+
+def test_startup_rung_times_a_run_that_writes_nothing():
+    """The startup rung goes through the ladder's own boot: it exits 0,
+    writes no output file, and the peak RSS hook still runs at exit."""
+    ladder = _load_ladder()
+    run = ladder.run_once(ROOT, ladder.RUNGS["startup"])
+    assert run["exit"] == 0
+    assert run["sha256"] == {}
+    assert run["peak_rss_mb"] > 0

@@ -1,6 +1,7 @@
 """Command-line contract: exit codes, schema-valid JSON, byte-identical
 reruns, and the weights-source exclusivity rule."""
 
+import gc
 import io
 import json
 import os
@@ -115,6 +116,49 @@ def test_help_lists_every_subcommand(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert all(name in out for name in SUBCOMMANDS)
+
+
+def test_program_help_exits_0_quietly():
+    """The ladder's startup rung: ``python -m parmirror.cli --help``, the
+    interpreter, the imports, argparse and the exit, and nothing else."""
+    src = str(Path(parmirror.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "parmirror.cli", "--help"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert all(name in proc.stdout for name in SUBCOMMANDS)
+
+
+@pytest.fixture
+def collector_events(monkeypatch):
+    """Record, in order, calls of gc.freeze and of the lemma handler. The
+    spy stands in for gc.freeze, so this process is never frozen."""
+    events = []
+    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+    help_line, handler, add_flags = SUBCOMMANDS["lemma"]
+
+    def spy(args):
+        events.append("handler")
+        return handler(args)
+
+    monkeypatch.setitem(SUBCOMMANDS, "lemma", (help_line, spy, add_flags))
+    return events
+
+
+def test_in_process_main_leaves_the_collector_alone(collector_events):
+    state = gc.get_freeze_count(), gc.isenabled()
+    assert main(["lemma", "--n", "3"]) == 0
+    assert collector_events == ["handler"]
+    assert (gc.get_freeze_count(), gc.isenabled()) == state
+
+
+def test_program_main_freezes_the_heap_once_before_the_subcommand(collector_events, monkeypatch):
+    """Run as the program (argv from sys.argv), main moves what the imports
+    made to the permanent generation, so neither the run's collections nor
+    the one at exit walks it."""
+    monkeypatch.setattr(sys, "argv", ["parmirror", "lemma", "--n", "3"])
+    assert main() == 0
+    assert collector_events == ["freeze", "handler"]
 
 
 def test_tms_report(tmp_path, capsys):

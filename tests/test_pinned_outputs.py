@@ -12,9 +12,17 @@ other six pin one report of each remaining subcommand; the three
 vectors, and the basis-plus-pairwise-sums pool taken when 11^6 > 10^6.
 The three benchmark invocations are run once more with the products and
 sums of the cyclotomic ring made to raise: no run path uses that ring.
+They are also run as the program, in a fresh interpreter through
+``python -m parmirror.cli``, and one of them through the console script's
+``sys.exit(main())``: that path freezes the import-time heap, which no
+in-process call does.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -82,7 +90,7 @@ PINNED = {
 }
 
 
-def _assert_pinned(tmp_path, name):
+def _assert_pinned(tmp_path, name, run=main):
     argv, pins = PINNED[name]
     grid = tmp_path / "grid.ini"
     grid.write_text(GRID_INI, encoding="utf-8")
@@ -90,7 +98,7 @@ def _assert_pinned(tmp_path, name):
     argv = [arg.format(grid=grid) for arg in argv] + ["--out", str(paths["json"])]
     if "csv" in paths:
         argv += ["--csv", str(paths["csv"])]
-    assert main(argv) == 0
+    assert run(argv) == 0
     for kind, path in paths.items():
         assert hashlib.sha256(path.read_bytes()).hexdigest() == pins[kind], kind
 
@@ -111,3 +119,26 @@ def test_runs_use_no_cyclotomic_arithmetic(monkeypatch, tmp_path, name):
         for method in ("__mul__", "__add__"):
             monkeypatch.setattr(cls, method, refuse)
     _assert_pinned(tmp_path, name)
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+LAUNCHERS = {
+    "module": ["-m", "parmirror.cli"],
+    "script": ["-c", "import sys; from parmirror.cli import main; sys.exit(main())"],
+}
+
+
+@pytest.mark.parametrize("name,launcher", [
+    ("marked_points", "module"), ("cli_export", "module"), ("sweep_default", "module"),
+    ("cli_export", "script"),
+])
+def test_program_outputs_match_pinned_sha256(tmp_path, name, launcher):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+
+    def run(argv):
+        proc = subprocess.run([sys.executable, *LAUNCHERS[launcher], *argv], env=env,
+                              cwd=tmp_path, capture_output=True, timeout=300)
+        assert proc.stderr == b""
+        return proc.returncode
+
+    _assert_pinned(tmp_path, name, run)

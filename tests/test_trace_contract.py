@@ -15,6 +15,7 @@ also stay clear of the modules that made every run pay for dataclass code
 generation or for what only `sweep` uses.
 """
 
+import gc
 import importlib.util
 import inspect
 import json
@@ -65,11 +66,13 @@ def test_traced_run_counters_agree(tracing, tmp_path, argv):
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     rec = tracing.Recorder("contract")
     probe = tracing.Probe(rec)
+    frozen = gc.get_freeze_count()
     try:
         rc = rec.call(tracing.ROOT_SPAN, parmirror.cli.main, [*argv, "--out", str(out)])
     finally:
         probe.restore()
     assert rc == 0
+    assert gc.get_freeze_count() == frozen  # an argv list never freezes the heap
     assert parmirror.cli.enumerate_components is cstar_fixed.enumerate_components
     report = json.loads(out.read_text())
     entries = report["results"] if "results" in report else [report]

@@ -122,7 +122,8 @@ def test_program_help_exits_0_quietly():
     """The ladder's startup rung: ``python -m parmirror.cli --help``, the
     interpreter, the imports, argparse and the exit, and nothing else."""
     src = str(Path(parmirror.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run([sys.executable, "-m", "parmirror.cli", "--help"], env=env,
                           capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stderr) == (0, "")

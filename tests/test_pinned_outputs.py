@@ -133,7 +133,8 @@ LAUNCHERS = {
     ("cli_export", "script"),
 ])
 def test_program_outputs_match_pinned_sha256(tmp_path, name, launcher):
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
 
     def run(argv):
         proc = subprocess.run([sys.executable, *LAUNCHERS[launcher], *argv], env=env,

@@ -131,8 +131,8 @@ def variant_total_bruteforce(p: ModuliParams, census: kernels.Census, memo=None)
     tuple, and each degree residue mod n holds (n!)^k / n word tuples.
     Past that check the box sum is one power of the summed slices: the
     closed form by algebra, with the slice expansion its own content. That
-    power depends on p alone; when memo is a dict it is kept there under
-    ("bruteforce", p), and the check still runs on every census.
+    power reads only n, g and k; when memo is a dict it is kept there under
+    ("bruteforce", n, g, k), and the check still runs on every census.
     """
     counts = census.box_counts(2 * p.g - 2)
     flat = factorial(p.n) ** p.k // p.n
@@ -141,7 +141,7 @@ def variant_total_bruteforce(p: ModuliParams, census: kernels.Census, memo=None)
             raise IdentityCheckError(
                 f"twist vector {m} has {counts[m]} census rows, not {flat}, for {p}"
             )
-    return kernels.memoized(memo, ("bruteforce", p), _box_power, p)
+    return kernels.memoized(memo, ("bruteforce", p.n, p.g, p.k), _box_power, p)
 
 
 def _box_power(p: ModuliParams) -> BivarPoly:

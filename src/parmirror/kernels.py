@@ -59,12 +59,12 @@ L(Q, r) = L(reach, r): two keys of one residue have the same points
 exactly when their reaches are equal, and lattices are told apart by
 (residue, reach), not by hashing their points.
 
-Neither the rows nor the word tuples are listed. The walk runs once to
-count the word tuples of each key; a `Census` keeps each distinct lattice
-with the number of word tuples that share it, and walks the word tuples
-again, from the same a_p tables, wherever rows are read. What it keeps
-grows with the number of keys and distinct lattice points, not with the
-number of word tuples or rows.
+Neither the rows nor the word tuples are listed. The walk counts the word
+tuples of each key, a table keyed by (residue, reach) sums them per
+lattice, and a `Census` keeps its nonempty entries and walks the word
+tuples again, from the same a_p tables, wherever rows are read. What it
+keeps grows with the number of keys and distinct lattice points, not with
+the number of word tuples or rows.
 
 A lattice depends on (n, Q, residue) alone, not on g, k, d or the
 weights, so a caller that runs many censuses may pass memo, a dict that
@@ -176,8 +176,8 @@ class Census:
 
     A sized, re-iterable sequence of CensusRow in canonical (t_idx, m)
     order; the rows themselves are built only while iterating. uses pairs
-    each distinct lattice with the number of word tuples sharing it, in
-    order of first use; the row count and box_counts() read it.
+    each distinct nonempty lattice with the number of word tuples sharing
+    it, in no promised order; the row count and box_counts() read it.
     groups is a zero-argument callable that walks the word tuples again and
     yields each one's CensusGroup, s included, in lexicographic order;
     iteration reads it.
@@ -293,17 +293,15 @@ def enumerate_census(n, g, k, d, wnum, wden, t0_lo=0, t0_hi=None, memo=None, *,
             pool[residue] = [(top, (tuple(found[residue]), loads[residue], _reach(loads[residue], nm)))]
         del found, loads  # the residues no key needs
     lattices: dict[tuple, tuple] = {}
-    distinct: dict[tuple, tuple] = {}
+    shared: dict[tuple, list] = {}  # (residue, reach) -> [lattice, word tuples]
     for residue, group in groupby(order, key=itemgetter(1)):
         held = pool.pop(residue, [])  # [(Q, (lattice, loads, reach))], dropped with the residue
         for Q, _ in group:
             value = memoized(memo, ("lattice", n, Q, residue), _derived, held, Q)
             held.append((Q, value))
-            lattices[Q, residue] = distinct.setdefault((residue, value[2]), value[0])
-    uses: dict[int, list] = {}
-    for key, tuples in keys.items():
-        if lattices[key]:
-            uses.setdefault(id(lattices[key]), [lattices[key], 0])[1] += tuples
+            entry = shared.setdefault((residue, value[2]), [value[0], 0])
+            entry[1] += keys[Q, residue]
+            lattices[Q, residue] = entry[0]
 
     def groups():
         """The word tuples walked again, each with its nonempty lattice and
@@ -313,7 +311,7 @@ def enumerate_census(n, g, k, d, wnum, wden, t0_lo=0, t0_hi=None, memo=None, *,
                 s = tuple([*map(sum, zip(*map(desc.__getitem__, t)))])
                 yield CensusGroup(t, s, dn_floor, lattices[key])
 
-    return Census([(lattice, tuples) for lattice, tuples in uses.values()], groups)
+    return Census([(lattice, tuples) for lattice, tuples in shared.values() if lattice], groups)
 
 
 def memoized(memo, key, fn, *args):

@@ -67,11 +67,11 @@ class SweepFailure(NamedTuple):
 def verify_identity(p: ModuliParams, w: WeightSystem, *, memo=None) -> TmsReport:
     """Run all four totals for one parameter set and weight system.
 
-    memo, when a dict, keeps for later calls what depends on no weights:
-    the closed form, the filtered sum and the stringy total under
-    (label, p), the census total's box power under ("bruteforce", p) and
-    each key's lattice under ("lattice", n, Q, residue). A kept total is
-    timed as the lookup, and what raises is not kept. The genericity
+    memo, when a dict, keeps for later calls what reads no weights: the
+    closed form, the filtered sum, the stringy total and the census total's
+    box power, which read no d either, under (label, n, g, k), and each
+    key's lattice under ("lattice", n, Q, residue). A kept total is timed
+    as the lookup, and what raises is not kept. The walls, the genericity
     check, the census and its flat-box check run on every call.
     """
     timing: dict[str, float] = {}
@@ -85,9 +85,11 @@ def verify_identity(p: ModuliParams, w: WeightSystem, *, memo=None) -> TmsReport
     walls = clock("walls", enumerate_walls, p)
     census = clock("census", enumerate_components, p, w, memo)
     lhs_bruteforce = clock("bruteforce", variant_total_bruteforce, p, census, memo)
-    lhs_closed = clock("closed", memoized, memo, ("closed", p), variant_closed_form, p)
-    lhs_cyclotomic = clock("cyclotomic", memoized, memo, ("cyclotomic", p), variant_total_cyclotomic, p)
-    rhs = clock("stringy", memoized, memo, ("stringy", p), stringy_gamma_sum, p)
+    family = (p.n, p.g, p.k)
+    lhs_closed = clock("closed", memoized, memo, ("closed", *family), variant_closed_form, p)
+    lhs_cyclotomic = clock("cyclotomic", memoized, memo, ("cyclotomic", *family),
+                           variant_total_cyclotomic, p)
+    rhs = clock("stringy", memoized, memo, ("stringy", *family), stringy_gamma_sum, p)
     equal = lhs_bruteforce == lhs_closed == lhs_cyclotomic == rhs
     return TmsReport(
         params=p,
@@ -177,8 +179,8 @@ def sweep(config: SweepConfig):
     """Run every instance of the grid, in grid order; failures are recorded,
     not raised. One memo dict lives for the length of the call, so what
     depends on no weights is computed once and shared by every instance:
-    the weight-free totals and the census total's box power once per
-    parameter set, and each key's lattice once per (n, Q, residue)."""
+    the weight-free totals and the box power once per (n, g, k), as they
+    read no d, and each key's lattice once per (n, Q, residue)."""
     memo: dict = {}
     return [_run_instance(spec, memo) for spec in config.instances()]
 

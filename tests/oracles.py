@@ -66,8 +66,8 @@ def component_count_formula(p: ModuliParams) -> int:
 
 def census_uses(groups) -> list[tuple[tuple, int]]:
     """Each distinct lattice of the CensusGroups, by identity, with the
-    number of groups that share it, in order of first use: Census.uses
-    derived by one walk over the word tuples."""
+    number of groups that share it, in order of first use: Census.uses,
+    up to order, derived by one walk over the word tuples."""
     uses: dict[int, list] = {}
     for group in groups:
         entry = uses.get(id(group.lattice))

@@ -17,6 +17,7 @@ from parmirror.chambers import (
     integer_weights,
     is_generic,
     sample_generic_weights,
+    sampler_scale,
     small_weight_margin,
     solve_beta_for_degree,
     tensor_degree,
@@ -27,6 +28,7 @@ from parmirror.chambers import (
 from parmirror.cstar_fixed import degree_constraint, stability_check
 from parmirror.exactpoly import IdentityCheckError
 from parmirror.moduli import ModuliParams
+from parmirror.tms import SweepConfig, verify_identity
 
 import random
 from itertools import permutations, product
@@ -401,3 +403,34 @@ def test_solve_beta_for_degree():
         assert wraps == (kshift,)
     with pytest.raises(ValueError):
         solve_beta_for_degree(w, 0, kshift=3)
+
+
+DEFAULT = SweepConfig.default()
+
+
+@pytest.mark.parametrize(
+    "p,seeds",
+    [(ModuliParams(n, g, k, d), (1, 2, 3))
+     for n, g, k, d in product(DEFAULT.ns, DEFAULT.gs, DEFAULT.ks, DEFAULT.ds)]
+    + [(ModuliParams(5, 2, 1, 0), (1,)), (ModuliParams(5, 3, 1, 2), (1,))],
+    ids=lambda value: "-".join(map(str, value)),
+)
+def test_tensor_shift_keeps_the_identity_and_the_count(p, seeds):
+    """Tensoring by a degree-0 line bundle whose parabolic shift wraps
+    `wraps` weights at one point is an isomorphism onto the moduli space of
+    degree d + wraps: every shift of each point, by every wrap count, moves
+    generic weights to generic weights, and the shifted instance holds the
+    identity with the same component count."""
+    for seed, scale in product(seeds, DEFAULT.scales):
+        w = sample_generic_weights(p, seed=seed, scale=sampler_scale(p, scale))
+        count = verify_identity(p, w).component_count
+        for point, wraps in product(range(p.k), range(p.n + 1)):
+            beta = [Fraction(0)] * p.k
+            beta[point] = solve_beta_for_degree(w, point, wraps)
+            shifted, wrapped = tensor_transform(w, beta)
+            assert sum(wrapped) == wrapped[point] == wraps
+            case = (seed, scale, point, wraps)
+            q = ModuliParams(p.n, p.g, p.k, tensor_degree(p, 0, wraps))
+            assert is_generic(shifted, q), case
+            report = verify_identity(q, shifted)
+            assert (report.equal, report.component_count) == (True, count), case

@@ -7,11 +7,11 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import jsonschema
 import pytest
 
+from conftest import child_env
 import parmirror
 from parmirror import kernels, moduli, schemas
 from parmirror.chambers import Wall, enumerate_walls, sample_generic_weights
@@ -121,10 +121,7 @@ def test_help_lists_every_subcommand(capsys):
 def test_program_help_exits_0_quietly():
     """The ladder's startup rung: ``python -m parmirror.cli --help``, the
     interpreter, the imports, argparse and the exit, and nothing else."""
-    src = str(Path(parmirror.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run([sys.executable, "-m", "parmirror.cli", "--help"], env=env,
+    proc = subprocess.run([sys.executable, "-m", "parmirror.cli", "--help"], env=child_env(),
                           capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert all(name in proc.stdout for name in SUBCOMMANDS)
@@ -333,8 +330,7 @@ def test_closed_stdout_exits_141_quietly(unbuffered):
     """A reader gone before tms prints is neither a usage error nor a failed
     identity: the child exits 141, as a shell reports SIGPIPE, with nothing
     on stderr, whether its stdout is buffered or not."""
-    src = str(Path(parmirror.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered}
+    env = child_env(PYTHONUNBUFFERED=unbuffered)
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
@@ -478,9 +474,7 @@ def test_sweep_bad_config_is_usage_error(tmp_path, capsys, text, named):
 def test_cli_import_does_not_load_logging():
     """No code path logs, so importing the CLI must not pay for the logging
     package (about 5 ms per process) beyond what a bare interpreter loads."""
-    src = str(Path(parmirror.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    env = child_env()
     probe = "import sys; {}; print('logging' in sys.modules)"
     loaded = [
         subprocess.run(

@@ -19,13 +19,12 @@ in-process call does.
 """
 
 import hashlib
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
+from conftest import child_env
 from parmirror.cli import main
 from parmirror.exactpoly import CycBivarPoly, CycInt
 
@@ -121,7 +120,6 @@ def test_runs_use_no_cyclotomic_arithmetic(monkeypatch, tmp_path, name):
     _assert_pinned(tmp_path, name)
 
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
 LAUNCHERS = {
     "module": ["-m", "parmirror.cli"],
     "script": ["-c", "import sys; from parmirror.cli import main; sys.exit(main())"],
@@ -133,8 +131,7 @@ LAUNCHERS = {
     ("cli_export", "script"),
 ])
 def test_program_outputs_match_pinned_sha256(tmp_path, name, launcher):
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    env = child_env()
 
     def run(argv):
         proc = subprocess.run([sys.executable, *LAUNCHERS[launcher], *argv], env=env,

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from itertools import product
 
 import jsonschema
 import pytest
@@ -253,6 +254,19 @@ def test_load_weights_json(tmp_path):
 WEIGHT_FREE = ("variant_closed_form", "variant_total_cyclotomic", "stringy_gamma_sum")
 
 
+@pytest.mark.parametrize(
+    "family",
+    [*product(*SweepConfig.default()[:3]), (5, 2, 2)],  # (ns, gs, ks) of the default grid
+    ids=lambda family: "-".join(map(str, family)),
+)
+def test_weight_free_values_read_no_degree(family):
+    """A sweep keeps the weight-free totals and the census total's box power
+    once per (n, g, k), for every d: each is the same at d = 0, 1 and 2."""
+    for fn in [*(getattr(tms, name) for name in WEIGHT_FREE), cstar_fixed._box_power]:
+        values = [fn(ModuliParams(*family, d)) for d in (0, 1, 2)]
+        assert values[0] == values[1] == values[2], fn.__name__
+
+
 def test_sweep_computes_weight_free_totals_once_per_params(monkeypatch):
     calls = {name: 0 for name in WEIGHT_FREE}
     for name in WEIGHT_FREE:
@@ -265,9 +279,9 @@ def test_sweep_computes_weight_free_totals_once_per_params(monkeypatch):
         monkeypatch.setattr(tms, name, spy)
     config = SweepConfig.default()
     assert sweep_to_jsonable(sweep(config))["summary"]["all_equal"]
-    assert calls == {name: 16 for name in WEIGHT_FREE}
+    assert calls == {name: 8 for name in WEIGHT_FREE}
     sweep(config)
-    assert calls == {name: 32 for name in WEIGHT_FREE}
+    assert calls == {name: 16 for name in WEIGHT_FREE}
 
 
 def test_sweep_derives_each_lattice_key_once(monkeypatch):
@@ -275,10 +289,11 @@ def test_sweep_derives_each_lattice_key_once(monkeypatch):
     per census (416 times when each undominated key had its own search),
     derive 1,112 keys (n, Q, residue), 108 of them distinct, and build the
     census total's box power 160 times for 16 parameter sets. One sweep
-    derives each of the 108 keys once and builds each power once. It
-    searches 30 times (52 when
-    keys were searched one by one): once in each census that has a key no
-    earlier census kept, at the largest budgets of the keys it lacks."""
+    derives each of the 108 keys once and builds each power once per
+    (n, g, k), 8 times, as the power reads no d. It searches 30 times
+    (52 when keys were searched one by one): once in each census that has
+    a key no earlier census kept, at the largest budgets of the keys it
+    lacks."""
     searches, derived, powers = [], [], []
     real_lattice, real_memoized, real_power = kernels._lattice, kernels.memoized, cstar_fixed._box_power
 
@@ -310,7 +325,7 @@ def test_sweep_derives_each_lattice_key_once(monkeypatch):
     assert sweep_to_jsonable(sweep(config))["summary"]["all_equal"]
     assert len(derived) == len(set(derived)) and set(derived) == keys
     assert len(searches) == 30
-    assert len(powers) == len(set(powers)) == 16
+    assert len(powers) == len({p[:3] for p in powers}) == 8
 
 
 def test_sweep_json_equals_per_instance_reports():
@@ -356,27 +371,28 @@ def test_failing_box_power_fails_each_instance(monkeypatch):
 
 def _check_failure_is_not_kept(monkeypatch, module, name):
     """A memoized value that raises is not kept: every instance of its
-    parameter set computes it again and fails alike, and the others keep
-    their bytes."""
+    (n, g, k) family computes it again and fails alike, and the others keep
+    their bytes. The value reads no d, so the fault is injected for the
+    whole (3, 2, 2) family, both degrees."""
     config = SweepConfig.default()
     before = sweep_to_jsonable(sweep(config))["results"]
-    broken = ModuliParams(3, 2, 2, 1)
+    broken = (3, 2, 2)
     real = getattr(module, name)
     calls = []
 
     def failing(p):
-        if p == broken:
+        if p[:3] == broken:
             calls.append(p)
-            raise IdentityCheckError(f"injected failure for {p}")
+            raise IdentityCheckError(f"injected failure for {broken}")
         return real(p)
 
     monkeypatch.setattr(module, name, failing)
     results = sweep(config)
     after = sweep_to_jsonable(results)["results"]
     failed = [r for r in results if isinstance(r, SweepFailure)]
-    assert len(failed) == len(calls) == 10
+    assert len(failed) == len(calls) == 20
     assert {r.error for r in failed} == {f"IdentityCheckError: injected failure for {broken}"}
-    assert all((r.n, r.g, r.k, r.d) == (3, 2, 2, 1) for r in failed)
+    assert all((r.n, r.g, r.k) == broken for r in failed)
     for old, new, r in zip(before, after, results):
         if isinstance(r, TmsReport):
             assert r.equal and new == old

@@ -19,7 +19,6 @@ import gc
 import importlib.util
 import inspect
 import json
-import os
 import subprocess
 import sys
 from math import factorial
@@ -27,11 +26,11 @@ from pathlib import Path
 
 import pytest
 
+from conftest import child_env
 import parmirror.cli
 from parmirror import cstar_fixed, kernels
 
 TRACING_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-SRC_DIR = Path(parmirror.cli.__file__).resolve().parents[1]
 STARTUP_PROBE = """
 import json, sys
 before = set(sys.modules)
@@ -124,8 +123,7 @@ def test_program_passes_the_census_kernel_no_keyword(tracing, tmp_path, monkeypa
 
 
 def test_cli_import_loads_the_traced_modules_and_nothing_sweep_only(tracing):
-    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
-    out = subprocess.run([sys.executable, "-c", STARTUP_PROBE], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", STARTUP_PROBE], env=child_env(), check=True,
                          capture_output=True, text=True, timeout=60).stdout
     modules = json.loads(out)
     loaded = set(modules["after"]) - set(modules["before"])

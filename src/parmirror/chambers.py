@@ -177,39 +177,30 @@ def is_generic(w: WeightSystem, p: ModuliParams) -> bool:
     """True iff the weight system lies on no wall.
 
     The check is wall_value scaled by the common weight denominator den > 0,
-    which keeps every zero a zero, so it runs in exact integers. The run
-    (n', J, d_lo..d_hi) and its complement (n - n', complements,
-    d - d_hi..d - d_lo) negate each other's wall values, so only the runs
-    with 2n' < n, or 2n' = n and 1 in J_1, are tested. For a run with
-    S = sum over points of n * sum_J wnum - n' * sum wnum, the weights lie
-    on one of its walls iff (n*d' - n'*d)*den + S = 0 for some d' in
-    d_lo..d_hi, i.e. iff n*den divides n'*d*den - S, as valid weights keep
-    S/den strictly inside the (lo, hi) that cut d_lo..d_hi. wall_value is
-    the Fraction reference for the same test.
+    which keeps every zero a zero, so it runs in exact integers. A datum
+    (n', J, d') and its complement (n - n', complements, d - d') are one
+    hyperplane, so only the data with 2n' < n, or 2n' = n and 1 in J_1, are
+    tested. With S = sum over points of n * sum_J wnum - n' * sum wnum, the
+    weights lie on the wall (n', J, d') iff n*den divides n'*d*den - S. Valid
+    weights keep S/den strictly inside the range of that form over the
+    simplex, so every such d' gives a wall that meets the open simplex, and
+    no wall list is read. wall_value is the Fraction reference.
     """
     if w.n != p.n or w.k != p.k:
         raise ValueError(f"weight system shape ({w.n}, {w.k}) does not match ({p.n}, {p.k})")
     den, wnum = integer_weights(w)
     n, d = p.n, p.d
     step = n * den
-    parts = {
-        nprime: [
-            {
-                subset: n * sum(row[i - 1] for i in subset) - nprime * sum(row)
-                for subset in combinations(range(1, n + 1), nprime)
-            }
-            for row in wnum
-        ]
-        for nprime in range(1, n // 2 + 1)
-    }
-    for nprime, subsets, _, _ in enumerate_walls(p).runs:
-        if 2 * nprime > n:
-            break  # runs ascend in nprime, so every later run is a complement
-        if 2 * nprime == n and 1 not in subsets[0]:
-            continue
-        scaled = sum(part[subset] for part, subset in zip(parts[nprime], subsets))
-        if not (nprime * d * den - scaled) % step:
-            return False
+    for nprime in range(1, n // 2 + 1):
+        subsets = list(combinations(range(1, n + 1), nprime))
+        parts = [[n * sum(row[i - 1] for i in subset) - nprime * sum(row) for subset in subsets]
+                 for row in wnum]
+        if 2 * nprime == n:  # keep one of each complementary pair
+            parts[0] = [part for part, subset in zip(parts[0], subsets) if 1 in subset]
+        target = nprime * d * den
+        for scaled in map(sum, product(*parts)):
+            if not (target - scaled) % step:
+                return False
     return True
 
 

@@ -310,7 +310,7 @@ def _section_flags(sub):
 
 
 # name -> (help line, handler, function that adds the subcommand's own flags);
-# build_parser adds --out and the handler to each
+# _fill adds --out and the handler to each
 SUBCOMMANDS = {
     "tms": ("verify the four-way identity for one instance", _cmd_tms, _tms_flags),
     "sweep": ("run the identity over a parameter grid", _cmd_sweep, _sweep_flags),
@@ -323,24 +323,30 @@ SUBCOMMANDS = {
 }
 
 
-def build_parser(subcommand: str | None = None) -> argparse.ArgumentParser:
-    """The command-line parser. Given a subcommand name, the parser holds
-    that subcommand alone: it parses that subcommand's arguments as the full
-    parser does, and building the seven others would cost more than the
-    parse itself. Help, and a missing or unknown subcommand, need the full
-    parser."""
+def _fill(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """Add one subcommand's flags, --out and handler to its parser."""
+    _, handler, add_flags = SUBCOMMANDS[name]
+    add_flags(parser)
+    parser.add_argument("--out", default=None, help="write canonical JSON report here")
+    parser.set_defaults(func=handler)
+    return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser, needed only for help and a missing or unknown subcommand."""
     parser = argparse.ArgumentParser(
         prog="parmirror",
         description="Exact mirror-identity checks for parabolic Higgs moduli.",
     )
     subs = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (help_line, handler, add_flags) in SUBCOMMANDS.items():
-        if subcommand in (None, name):
-            sub = subs.add_parser(name, help=help_line)
-            add_flags(sub)
-            sub.add_argument("--out", default=None, help="write canonical JSON report here")
-            sub.set_defaults(func=handler)
+    for name, (help_line, _, _) in SUBCOMMANDS.items():
+        _fill(subs.add_parser(name, help=help_line), name)
     return parser
+
+
+def subcommand_parser(name: str) -> argparse.ArgumentParser:
+    """One subcommand's parser alone; it parses as the full parser's subparser does."""
+    return _fill(argparse.ArgumentParser(prog=f"parmirror {name}"), name)
 
 
 def main(argv=None) -> int:
@@ -352,8 +358,10 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     else:
         argv = list(argv)
-    parser = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None)
-    args = parser.parse_args(argv)
+    if argv and argv[0] in SUBCOMMANDS:
+        args = subcommand_parser(argv[0]).parse_args(argv[1:])
+    else:
+        args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
         print(end="", flush=True)  # a closed pipe raises here, buffered or not; None is skipped

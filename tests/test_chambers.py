@@ -5,6 +5,8 @@ shifts. Hand oracles follow the wall equation and the shift rule directly.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parmirror import chambers, cli
 from parmirror.chambers import (
@@ -204,6 +206,40 @@ def test_divisible_wall_runs_land_in_their_degree_range():
                     divisible += 1
                     assert d_lo <= quot <= d_hi, (n, k, d, wnum, den, nprime, subsets)
     assert divisible > 1_000, divisible
+
+
+@st.composite
+def _small_instances(draw):
+    """(n, k, d) with n in {2, 3}, k <= 3 and 0 <= d < 2n, and weights over
+    the oracle's small denominators, one denominator drawn per point."""
+    n = draw(st.sampled_from((2, 3)))
+    k = draw(st.integers(1, 3))
+    d = draw(st.integers(0, 2 * n - 1))
+    rows = []
+    for _ in range(k):
+        den = draw(st.sampled_from(ORACLE_DENOMINATORS))
+        nums = draw(st.lists(st.integers(0, den - 1), min_size=n, max_size=n, unique=True))
+        rows.append([Fraction(a, den) for a in sorted(nums)])
+    return ModuliParams(n, 2, k, d), WeightSystem.from_rows(rows)
+
+
+@settings(max_examples=300)
+@given(_small_instances())
+def test_is_generic_agrees_with_every_listed_wall(instance):
+    p, w = instance
+    assert is_generic(w, p) == all(wall_value(w, p, wall) != 0 for wall in enumerate_walls(p))
+
+
+def test_is_generic_reads_no_walls(monkeypatch):
+    """The verdict comes from divisibility alone: the hand cases keep
+    their verdicts with the wall list unavailable."""
+    def no_walls(p):
+        raise AssertionError("is_generic listed the walls")
+
+    monkeypatch.setattr(chambers, "enumerate_walls", no_walls)
+    p = ModuliParams(2, 2, 2, 0)
+    assert not is_generic(WeightSystem.from_rows([[0, Fraction(1, 4)], [0, Fraction(1, 4)]]), p)
+    assert is_generic(WeightSystem.from_rows([[0, Fraction(1, 4)], [0, Fraction(1, 3)]]), p)
 
 
 @pytest.mark.parametrize(

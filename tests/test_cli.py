@@ -1,6 +1,7 @@
 """Command-line contract: exit codes, schema-valid JSON, byte-identical
 reruns, and the weights-source exclusivity rule."""
 
+import argparse
 import gc
 import io
 import json
@@ -15,7 +16,7 @@ from conftest import child_env
 import parmirror
 from parmirror import kernels, moduli, schemas
 from parmirror.chambers import Wall, enumerate_walls, sample_generic_weights
-from parmirror.cli import SUBCOMMANDS, build_parser, main
+from parmirror.cli import SUBCOMMANDS, build_parser, main, subcommand_parser
 from parmirror.exactpoly import NonIntegralCoefficientError
 from parmirror.moduli import ModuliParams
 
@@ -107,7 +108,39 @@ PARSER_ARGV = {
 @pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
 def test_one_subcommand_parser_parses_as_the_full_one(name):
     argv = PARSER_ARGV[name]
-    assert vars(build_parser(name).parse_args(argv)) == vars(build_parser().parse_args(argv))
+    full = vars(build_parser().parse_args(argv))
+    del full["subcommand"]
+    assert vars(subcommand_parser(name).parse_args(argv[1:])) == full
+
+
+def _help_output(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    assert exc.value.code == 0
+    return capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
+def test_one_subcommand_help_is_the_full_parsers(name, capsys):
+    """A run's --help after a subcommand prints, byte for byte, what the
+    full parser prints for the same argv."""
+    argv = [name, "--help"]
+    assert _help_output(capsys, main, argv) == _help_output(capsys, build_parser().parse_args, argv)
+
+
+def test_named_subcommand_builds_one_parser(monkeypatch):
+    """A run that names its subcommand constructs exactly one
+    ArgumentParser: its own, not the full parser's eight."""
+    built = []
+    real = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    assert main(["lemma", "--n", "3"]) == 0
+    assert built == ["parmirror lemma"]
 
 
 def test_help_lists_every_subcommand(capsys):

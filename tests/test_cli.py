@@ -130,7 +130,7 @@ def test_one_subcommand_help_is_the_full_parsers(name, capsys):
 
 def test_named_subcommand_builds_one_parser(monkeypatch):
     """A run that names its subcommand constructs exactly one
-    ArgumentParser: its own, not the full parser's eight."""
+    ArgumentParser: its own, not the full one and its eight subparsers."""
     built = []
     real = argparse.ArgumentParser.__init__
 

@@ -40,11 +40,13 @@ the reference over the median of all of the ladder's calibrations.
 A run fails on a non-zero exit, a timeout or a memory-cap kill. The sha256
 of each rung's output files must be the same on every run of every tree;
 the file records whether it was. Per tree and rung it holds the median wall
-time, raw and speed-scaled, the minimum and lower quartile of the
-speed-scaled times, the median peak RSS of the runs, and every run's
-numbers. A shared VM loses time in steps of tens of milliseconds that the
-guest cannot see, and such steps only ever add time, so a rung's minimum
-and lower quartile are less disturbed than its median. The calibration
+time, raw and speed-scaled, the minimum and lower quartile of the raw
+times, the median peak RSS of the runs, and every run's numbers. A shared
+VM loses time in steps of tens of milliseconds that the guest cannot see,
+and such steps only ever add time, so a rung's raw minimum and lower
+quartile are less disturbed than its median. They are not speed-scaled:
+the calibrations fall on those same steps, so a run's scale jumps with
+the step its neighbouring calibrations land on. The calibration
 times are recorded as well, and so is ``PYTHONDONTWRITEBYTECODE``: the
 children inherit it, and when it is set every run compiles ``src/`` anew.
 
@@ -255,8 +257,8 @@ def main(argv=None) -> int:
             entry["trees"][label] = {
                 "median_wall_s": median(ok, "wall_s", 4),
                 "median_scaled_wall_s": median(ok, "scaled_wall_s", 4),
-                "min_scaled_wall_s": min((r["scaled_wall_s"] for r in ok), default=None),
-                "q1_scaled_wall_s": lower_quartile(ok, "scaled_wall_s", 4),
+                "min_wall_s": min((r["wall_s"] for r in ok), default=None),
+                "q1_wall_s": lower_quartile(ok, "wall_s", 4),
                 # filled in once every calibration has run
                 "median_round_scaled_wall_s": None,
                 "median_peak_rss_mb": median(ok, "peak_rss_mb", 1),

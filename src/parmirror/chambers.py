@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate, combinations, product
 from math import lcm
 from typing import NamedTuple
@@ -135,7 +134,6 @@ class Walls:
                 yield Wall(nprime, subsets, dprime)
 
 
-@lru_cache(maxsize=None)
 def enumerate_walls(p: ModuliParams) -> Walls:
     """All walls meeting the open weight simplex, as runs.
 

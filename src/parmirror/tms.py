@@ -67,12 +67,11 @@ class SweepFailure(NamedTuple):
 def verify_identity(p: ModuliParams, w: WeightSystem, *, memo=None) -> TmsReport:
     """Run all four totals for one parameter set and weight system.
 
-    memo, when a dict, keeps for later calls what reads no weights: the
-    closed form, the filtered sum, the stringy total and the census total's
-    box power, which read no d either, under (label, n, g, k), and each
-    key's lattice under ("lattice", n, Q, residue). A kept total is timed
-    as the lookup, and what raises is not kept. The walls, the genericity
-    check, the census and its flat-box check run on every call.
+    memo, when a dict, keeps for later calls what reads no weights: the walls
+    under ("walls", *p); the closed form, filtered sum, stringy total and box
+    power, which read no d, under (label, n, g, k); each key's lattice under
+    ("lattice", n, Q, residue). A kept value is timed as the lookup, and what
+    raises is not kept. Genericity, the census and its flat box always run.
     """
     timing: dict[str, float] = {}
 
@@ -82,7 +81,7 @@ def verify_identity(p: ModuliParams, w: WeightSystem, *, memo=None) -> TmsReport
         timing[label] = (time.perf_counter() - start) * 1000.0
         return out
 
-    walls = clock("walls", enumerate_walls, p)
+    wall_count = len(clock("walls", memoized, memo, ("walls", *p), enumerate_walls, p))
     census = clock("census", enumerate_components, p, w, memo)
     lhs_bruteforce = clock("bruteforce", variant_total_bruteforce, p, census, memo)
     family = (p.n, p.g, p.k)
@@ -100,7 +99,7 @@ def verify_identity(p: ModuliParams, w: WeightSystem, *, memo=None) -> TmsReport
         rhs=rhs,
         equal=equal,
         component_count=len(census),
-        wall_count=len(walls),
+        wall_count=wall_count,
         timing_ms=timing,
     )
 
@@ -129,7 +128,7 @@ class SweepConfig(NamedTuple):
     @classmethod
     def from_file(cls, path) -> SweepConfig:
         """Read an INI grid. A missing file, section or key, an unparsable
-        file, or an empty axis raises ValueError."""
+        file or token, or an empty axis raises ValueError."""
         # imported here, as only a sweep with a config file reads one
         from configparser import ConfigParser, Error as ConfigError
 
@@ -146,7 +145,10 @@ class SweepConfig(NamedTuple):
                 raise ValueError(f"sweep config {path} has no [{section}] section")
             if not parser.has_option(section, key):
                 raise ValueError(f"sweep config {path} has no key {key!r} in [{section}]")
-            values = tuple(parse(tok) for tok in parser.get(section, key).split())
+            try:  # each parser's message names the token it could not read
+                values = tuple(map(parse, parser.get(section, key).split()))
+            except ValueError as exc:
+                raise ValueError(f"sweep config {path}: [{section}] {key}: {exc}") from None
             if not values:
                 raise ValueError(f"sweep config {path}: [{section}] {key} is empty")
             return values
@@ -179,8 +181,8 @@ def sweep(config: SweepConfig):
     """Run every instance of the grid, in grid order; failures are recorded,
     not raised. One memo dict lives for the length of the call, so what
     depends on no weights is computed once and shared by every instance:
-    the weight-free totals and the box power once per (n, g, k), as they
-    read no d, and each key's lattice once per (n, Q, residue)."""
+    the walls per (n, g, k, d), the weight-free totals and the box power
+    per (n, g, k), as they read no d, and each lattice per (n, Q, residue)."""
     memo: dict = {}
     return [_run_instance(spec, memo) for spec in config.instances()]
 

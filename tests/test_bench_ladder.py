@@ -117,11 +117,12 @@ def test_ladder_scales_medians_by_the_median_calibration(ladder, monkeypatch, tm
         assert trees[label]["median_round_scaled_wall_s"] == pytest.approx(raw * 2)
         scaled = [r["wall_s"] * 1.2 / sum(r["calibration_s"]) for r in trees[label]["runs"]]
         assert trees[label]["median_scaled_wall_s"] == pytest.approx(statistics.median(scaled), abs=1e-4)
-    # scaled times: a 0.2, 0.72, 0.3429 and b 0.2, 0.6545, 0.6857; the lower
-    # quartile lies halfway between the two smallest of three
-    for label, low, q1 in (("a", 0.2, 0.2714), ("b", 0.2, 0.4273)):
-        assert trees[label]["min_scaled_wall_s"] == pytest.approx(low, abs=1e-4)
-        assert trees[label]["q1_scaled_wall_s"] == pytest.approx(q1, abs=1e-4)
+    # the minimum and lower quartile read the raw times, a 0.1, 0.3, 0.2 and
+    # b 0.2, 0.6, 0.4; the lower quartile lies halfway between the two
+    # smallest of three
+    for label, low, q1 in (("a", 0.1, 0.15), ("b", 0.2, 0.3)):
+        assert trees[label]["min_wall_s"] == pytest.approx(low, abs=1e-4)
+        assert trees[label]["q1_wall_s"] == pytest.approx(q1, abs=1e-4)
 
 
 def test_ladder_runs_sub_second_rungs_for_more_rounds(ladder, monkeypatch, tmp_path):
@@ -166,7 +167,7 @@ def test_ladder_times_only_the_named_rungs(ladder, monkeypatch, tmp_path):
     assert list(data["rungs"]) == ["one", "three"]
     assert timed == ["one", "three"]
     tree = data["rungs"]["one"]["trees"]["a"]
-    assert tree["min_scaled_wall_s"] == tree["q1_scaled_wall_s"] == tree["median_scaled_wall_s"] == 0.5
+    assert tree["min_wall_s"] == tree["q1_wall_s"] == tree["median_wall_s"] == 0.5
 
 
 def test_ladder_refuses_an_unknown_rung(ladder, monkeypatch, capsys, tmp_path):

@@ -108,8 +108,7 @@ def test_walls_sequence_protocol():
 
 
 def test_wall_count_at_rank_seven():
-    # uncached, so the session does not keep its 104,958 runs
-    walls = enumerate_walls.__wrapped__(ModuliParams(7, 2, 3, 0))
+    walls = enumerate_walls(ModuliParams(7, 2, 3, 0))
     assert len(walls) == 373_674
 
 

@@ -494,7 +494,12 @@ def test_sweep_missing_config_is_usage_error(tmp_path):
     ("n = 2\n", "cannot parse"),
     ("[grid]\nn = 2\ng = 2\nk = 1\nd = 0\n[sampling]\nseeds = 1\nscales = 1/0\n",
      "zero denominator"),
-], ids=["no-section", "no-key", "empty-axis", "no-header", "zero-denominator"])
+    ("[grid]\nn = two\ng = 2\nk = 1\nd = 0\n[sampling]\nseeds = 1\nscales = 1\n",
+     "grid.ini: [grid] n: invalid literal for int() with base 10: 'two'"),
+    ("[grid]\nn = 2\ng = 2\nk = 1\nd = 0\n[sampling]\nseeds = 1\nscales = x\n",
+     "grid.ini: [sampling] scales: Invalid literal for Fraction: 'x'"),
+], ids=["no-section", "no-key", "empty-axis", "no-header", "zero-denominator", "int-token",
+        "rational-token"])
 def test_sweep_bad_config_is_usage_error(tmp_path, capsys, text, named):
     config = tmp_path / "grid.ini"
     config.write_text(text, encoding="utf-8")

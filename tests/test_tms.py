@@ -284,6 +284,32 @@ def test_sweep_computes_weight_free_totals_once_per_params(monkeypatch):
     assert calls == {name: 16 for name in WEIGHT_FREE}
 
 
+def test_walls_live_only_as_long_as_the_sweep_that_lists_them(monkeypatch):
+    """A sweep lists the walls once per (n, g, k, d), 16 times on the
+    default grid, though the walls read no g: a traced run matches each
+    report's wall count to a listing at its own parameters. A second sweep
+    lists them again, and verify_identity without a memo lists them on
+    every call, so no wall list outlives the call that made it."""
+    listed = []
+    real = tms.enumerate_walls
+
+    def spy(p):
+        listed.append(p)
+        return real(p)
+
+    monkeypatch.setattr(tms, "enumerate_walls", spy)
+    config = SweepConfig.default()
+    for _ in range(2):
+        listed.clear()
+        assert sweep_to_jsonable(sweep(config))["summary"]["all_equal"]
+        assert len(listed) == len(set(listed)) == 16
+    listed.clear()
+    p = ModuliParams(3, 2, 2, 1)
+    w = sample_generic_weights(p, seed=1)
+    assert verify_identity(p, w).wall_count == verify_identity(p, w).wall_count
+    assert listed == [p, p]
+
+
 def test_sweep_derives_each_lattice_key_once(monkeypatch):
     """Run alone, the default grid's 160 instances search 160 times, once
     per census (416 times when each undominated key had its own search),

@@ -7,9 +7,12 @@ write the medians to a BENCH JSON file.
 Each rung is one CLI invocation (see RUNGS); ``--rung NAME``, repeatable,
 times only the rungs named, in RUNGS order, and an unknown name is a usage
 error (exit 2) that lists the valid ones. The ``startup`` rung runs
-``--help`` and writes nothing: it times the fixed floor that every process
-pays, the interpreter, the imports, argparse and the exit, so each BENCH
-file tracks that floor beside the rungs that do work.
+``--help`` and writes nothing: the interpreter, the imports, the argparse
+parser that only help and a rejected command line build, and the exit.
+The ``lemma 3`` rung is the cheapest real run, ``lemma --n 3`` with its
+report: a named subcommand parsed from its flag table, without argparse,
+so it times the fixed floor that every real process pays, and each BENCH
+file tracks that floor beside the rungs that do more work.
 
 A rung runs for RUNS rounds per tree, or for SHORT_RUNS rounds when
 every run of its first round took under SHORT_S seconds: a sub-second run
@@ -77,6 +80,7 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # name -> CLI arguments; "{tmp}" is the run's own output directory
 RUNGS = {
     "startup": ["--help"],
+    "lemma 3": ["lemma", "--n", "3", "--out", "{tmp}/report.json"],
     "tms 2 2 11 1": ["tms", "--n", "2", "--g", "2", "--marked", "11", "--deg", "1",
                      "--out", "{tmp}/report.json"],
     "tms 3 2 3 0": ["tms", "--n", "3", "--g", "2", "--marked", "3", "--deg", "0",

@@ -11,6 +11,7 @@ stronger sense. All arithmetic is exact.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, combinations, product
 from math import lcm
@@ -111,22 +112,32 @@ def wall_value(w: WeightSystem, p: ModuliParams, wall: Wall) -> Fraction:
 
 
 class Walls:
-    """The walls of one parameter set, stored as runs.
+    """The walls of one parameter set, counted at once and stored as runs.
 
     A sized, re-iterable sequence of Wall records in (nprime, subsets,
     dprime) order. Each run (nprime, subsets, d_lo, d_hi) stands for the
-    walls with dprime in d_lo..d_hi; the records are built only while
+    walls with dprime in d_lo..d_hi. The length is counted without the
+    runs (see wall_count); the runs are listed when they are first read,
+    by iterating or through .runs, and the records are built only while
     iterating.
     """
 
-    __slots__ = ("runs", "_count")
+    __slots__ = ("_params", "_count", "_runs")
 
-    def __init__(self, runs: tuple):
-        self.runs = runs
-        self._count = sum(d_hi - d_lo + 1 for _, _, d_lo, d_hi in runs)
+    def __init__(self, p: ModuliParams):
+        self._params = p
+        self._count = wall_count(p)
+        self._runs = None
 
     def __len__(self) -> int:
         return self._count
+
+    @property
+    def runs(self) -> tuple:
+        """Every run (nprime, subsets, d_lo, d_hi), listed on first read."""
+        if self._runs is None:
+            self._runs = _wall_runs(self._params)
+        return self._runs
 
     def __iter__(self):
         for nprime, subsets, d_lo, d_hi in self.runs:
@@ -147,28 +158,65 @@ def enumerate_walls(p: ModuliParams) -> Walls:
     Runs come out sorted because combinations, product and the interval
     are each in ascending order. Complementary data (n-n', complements,
     d-d') describe the same hyperplane and are listed as distinct records.
+    The returned Walls lists its runs only when they are read.
     """
+    return Walls(p)
+
+
+def _subset_extrema(n: int, nprime: int):
+    """(J, lo, hi) for each nprime-subset J of 1..n, in ascending order: the
+    min and max over the closed simplex of one point's share of the wall
+    equation, the suffix sums of its coefficients n*[i in J] - nprime."""
+    for subset in combinations(range(1, n + 1), nprime):
+        coeffs = (n * (i in subset) - nprime for i in range(n, 0, -1))
+        suffix = list(accumulate(coeffs, initial=0))
+        yield subset, min(suffix), max(suffix)
+
+
+def _degree_range(n: int, nprime: int, d: int, lo: int, hi: int) -> tuple[int, int]:
+    """The dprime that put nprime*d - n*dprime strictly inside (lo, hi)."""
+    return (nprime * d - hi) // n + 1, (nprime * d - lo - 1) // n
+
+
+def _wall_runs(p: ModuliParams) -> tuple:
+    """The runs of enumerate_walls, one per subset tuple with a nonempty
+    degree range."""
     n, k, d = p.n, p.k, p.d
     runs = []
     for nprime in range(1, n):
-        choices, lows, highs = [], [], []
-        for subset in combinations(range(1, n + 1), nprime):
-            coeffs = (n * (i in subset) - nprime for i in range(n, 0, -1))
-            suffix = list(accumulate(coeffs, initial=0))
-            choices.append(subset)
-            lows.append(min(suffix))
-            highs.append(max(suffix))
+        choices, lows, highs = zip(*_subset_extrema(n, nprime))
         for subsets, lo, hi in zip(
             product(choices, repeat=k),
             map(sum, product(lows, repeat=k)),
             map(sum, product(highs, repeat=k)),
         ):
-            # need nprime*d - n*dprime strictly inside (lo, hi)
-            d_lo = (nprime * d - hi) // n + 1
-            d_hi = (nprime * d - lo - 1) // n
+            d_lo, d_hi = _degree_range(n, nprime, d, lo, hi)
             if d_lo <= d_hi:
                 runs.append((nprime, subsets, d_lo, d_hi))
-    return Walls(tuple(runs))
+    return tuple(runs)
+
+
+def wall_count(p: ModuliParams) -> int:
+    """The number of walls, without listing them: a run's degree range reads
+    its subset tuple only through the sums of the per-point extrema, so for
+    each nprime the multiset of per-subset (lo, hi) is convolved over the k
+    points, and each (sum lo, sum hi) adds its multiplicity times the length
+    of its degree range."""
+    n, k, d = p.n, p.k, p.d
+    total = 0
+    for nprime in range(1, n):
+        one = Counter((lo, hi) for _, lo, hi in _subset_extrema(n, nprime))
+        sums = Counter({(0, 0): 1})
+        for _ in range(k):
+            step: Counter = Counter()
+            for (a, b), ways in sums.items():
+                for (lo, hi), more in one.items():
+                    step[a + lo, b + hi] += ways * more
+            sums = step
+        for (lo, hi), ways in sums.items():
+            d_lo, d_hi = _degree_range(n, nprime, d, lo, hi)
+            total += ways * max(0, d_hi - d_lo + 1)
+    return total
 
 
 def is_generic(w: WeightSystem, p: ModuliParams) -> bool:

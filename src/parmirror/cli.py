@@ -8,11 +8,16 @@ finished but an expected identity or check failed, 2 means the invocation
 or configuration was unusable or the run ran out of memory, and 141
 (128 + SIGPIPE) that stdout closed before the run printed. Rationals on
 the command line are "num/den" strings, never read through a float.
+
+Each subcommand's flags are one table (SUBCOMMANDS). A command line that
+names its subcommand is parsed from that table alone (parse_named);
+argparse is imported, and its parsers built from the same tables, only
+for help and for a command line the table declines, so argparse prints
+every help text and decides every usage error.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
@@ -20,6 +25,8 @@ from contextlib import suppress
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, NamedTuple
 
 from .chambers import (
     WeightSystem,
@@ -68,6 +75,9 @@ from .torsion import (
     kernel_component_count,
 )
 
+if TYPE_CHECKING:
+    import argparse
+
 
 def _emit(args, payload: dict) -> None:
     if args.out:
@@ -75,11 +85,14 @@ def _emit(args, payload: dict) -> None:
             fh.write(dumps_canonical(payload))
 
 
-def _rat(text: str) -> Fraction:
+def rational(text: str) -> Fraction:
+    """A "num/den" flag value; argparse names this function in its usage
+    errors ("invalid rational value")."""
     return parse_rat(text)
 
 
-def _coords(text: str) -> tuple[int, ...]:
+def coordinates(text: str) -> tuple[int, ...]:
+    """A comma-separated integer flag value ("invalid coordinates value")."""
     return tuple(int(tok) for tok in text.split(","))
 
 
@@ -96,23 +109,6 @@ def _resolve_weights(args, p: ModuliParams) -> WeightSystem:
     seed = 1 if args.seed is None else args.seed
     scale = sampler_scale(p) if args.scale is None else args.scale
     return sample_generic_weights(p, seed=seed, scale=scale)
-
-
-def _add_params_flags(sub, with_deg=True):
-    sub.add_argument("--n", type=int, required=True, help="rank (prime)")
-    sub.add_argument("--g", type=int, required=True, help="genus (>= 2)")
-    sub.add_argument("--marked", type=int, required=True, help="number of marked points (>= 1)")
-    if with_deg:
-        sub.add_argument("--deg", type=int, default=0, help="underlying bundle degree")
-
-
-def _instance_flags(sub):
-    """The flags of one instance: its parameters and its weights source."""
-    _add_params_flags(sub)
-    sub.add_argument("--weights", default=None, help="weights JSON file (conflicts with sampler flags)")
-    sub.add_argument("--seed", type=int, default=None, help="sampler seed (default 1)")
-    sub.add_argument("--scale", type=_rat, default=None,
-                     help='sampler scale as "num/den" (default: 1 for n<=3, certified margin above)')
 
 
 def _cmd_tms(args) -> int:
@@ -275,65 +271,76 @@ def _cmd_section(args) -> int:
     return 0 if check and not reversed_control else 1
 
 
-def _tms_flags(sub):
-    _instance_flags(sub)
-    sub.add_argument("--timings", action="store_true", help="include timings in the report")
+class Flag(NamedTuple):
+    """One flag of a subcommand: argparse's add_argument(flag, dest=dest,
+    default=default, help=help) with type and required, or with
+    action="store_true" for a switch, whose default is False. No default
+    is a string, which argparse would pass through type."""
+
+    flag: str
+    dest: str
+    type: object = None
+    default: object = None
+    required: bool = False
+    switch: bool = False
+    help: str = ""
 
 
-def _sweep_flags(sub):
-    sub.add_argument("--config", default=None, help="INI grid file (default: built-in grid)")
-    sub.add_argument("--csv", default=None, help="write summary CSV here")
-    sub.add_argument("--timings", action="store_true", help="include timings in outputs")
+_RANK = Flag("--n", "n", int, required=True, help="rank (prime)")
+_GENUS = Flag("--g", "g", int, required=True, help="genus (>= 2)")
+_MARKED = Flag("--marked", "marked", int, required=True, help="number of marked points (>= 1)")
+_PARAMS = (_RANK, _GENUS, _MARKED, Flag("--deg", "deg", int, 0, help="underlying bundle degree"))
+_INSTANCE = (
+    *_PARAMS,
+    Flag("--weights", "weights", help="weights JSON file (conflicts with sampler flags)"),
+    Flag("--seed", "seed", int, help="sampler seed (default 1)"),
+    Flag("--scale", "scale", rational,
+         help='sampler scale as "num/den" (default: 1 for n<=3, certified margin above)'),
+)
+_OUT = Flag("--out", "out", help="write canonical JSON report here")
 
-
-def _variant_flags(sub):
-    _instance_flags(sub)
-    sub.add_argument("--csv", default=None, help="write the component census CSV here")
-
-
-def _lemma_flags(sub):
-    sub.add_argument("--n", type=int, required=True, help="word length (1..10)")
-
-
-def _orbits_flags(sub):
-    sub.add_argument("--n", type=int, required=True, help="rank (prime)")
-    sub.add_argument("--g", type=int, required=True, help="genus (>= 2)")
-    sub.add_argument("--deg", type=int, default=0, help="degree driving the Galois shift")
-    sub.add_argument("--gamma", type=_coords, default=None,
-                     help="comma-separated 2g coordinates (default: first basis vector)")
-    sub.add_argument("--l-gamma", dest="l_gamma", type=int, default=1,
-                     help="pairing value against the distinguished partner")
-
-
-def _section_flags(sub):
-    _add_params_flags(sub, with_deg=False)
-
-
-# name -> (help line, handler, function that adds the subcommand's own flags);
-# _fill adds --out and the handler to each
+# name -> (help line, handler, the subcommand's flags in help order, --out last)
 SUBCOMMANDS = {
-    "tms": ("verify the four-way identity for one instance", _cmd_tms, _tms_flags),
-    "sweep": ("run the identity over a parameter grid", _cmd_sweep, _sweep_flags),
-    "variant": ("variant totals only (census, closed, filtered)", _cmd_variant, _variant_flags),
-    "stringy": ("quotient-side invariants and total", _cmd_stringy, _add_params_flags),
-    "walls": ("enumerate walls; optionally test weight genericity", _cmd_walls, _instance_flags),
-    "lemma": ("shift-residue census and insertion check", _cmd_lemma, _lemma_flags),
-    "orbits": ("torsion-point action on norm-fibre components", _cmd_orbits, _orbits_flags),
-    "section": ("degree bookkeeping for the distinguished section", _cmd_section, _section_flags),
+    "tms": ("verify the four-way identity for one instance", _cmd_tms, (
+        *_INSTANCE, Flag("--timings", "timings", default=False, switch=True,
+                    help="include timings in the report"),
+        _OUT)),
+    "sweep": ("run the identity over a parameter grid", _cmd_sweep, (
+        Flag("--config", "config", help="INI grid file (default: built-in grid)"),
+        Flag("--csv", "csv", help="write summary CSV here"),
+        Flag("--timings", "timings", default=False, switch=True, help="include timings in outputs"),
+        _OUT)),
+    "variant": ("variant totals only (census, closed, filtered)", _cmd_variant, (
+        *_INSTANCE, Flag("--csv", "csv", help="write the component census CSV here"), _OUT)),
+    "stringy": ("quotient-side invariants and total", _cmd_stringy, (*_PARAMS, _OUT)),
+    "walls": ("enumerate walls; optionally test weight genericity", _cmd_walls, (*_INSTANCE, _OUT)),
+    "lemma": ("shift-residue census and insertion check", _cmd_lemma, (
+        Flag("--n", "n", int, required=True, help="word length (1..10)"), _OUT)),
+    "orbits": ("torsion-point action on norm-fibre components", _cmd_orbits, (
+        _RANK, _GENUS, Flag("--deg", "deg", int, 0, help="degree driving the Galois shift"),
+        Flag("--gamma", "gamma", coordinates,
+             help="comma-separated 2g coordinates (default: first basis vector)"),
+        Flag("--l-gamma", "l_gamma", int, 1, help="pairing value against the distinguished partner"),
+        _OUT)),
+    "section": ("degree bookkeeping for the distinguished section", _cmd_section, (
+        _RANK, _GENUS, _MARKED, _OUT)),
 }
 
 
 def _fill(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    """Add one subcommand's flags, --out and handler to its parser."""
-    _, handler, add_flags = SUBCOMMANDS[name]
-    add_flags(parser)
-    parser.add_argument("--out", default=None, help="write canonical JSON report here")
+    """Add one subcommand's flags, from its table, and handler to its parser."""
+    _, handler, flags = SUBCOMMANDS[name]
+    for f in flags:
+        kind = {"action": "store_true"} if f.switch else {"type": f.type, "required": f.required}
+        parser.add_argument(f.flag, dest=f.dest, default=f.default, help=f.help, **kind)
     parser.set_defaults(func=handler)
     return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The full parser, needed only for help and a missing or unknown subcommand."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="parmirror",
         description="Exact mirror-identity checks for parabolic Higgs moduli.",
@@ -346,7 +353,50 @@ def build_parser() -> argparse.ArgumentParser:
 
 def subcommand_parser(name: str) -> argparse.ArgumentParser:
     """One subcommand's parser alone; it parses as the full parser's subparser does."""
+    import argparse
+
     return _fill(argparse.ArgumentParser(prog=f"parmirror {name}"), name)
+
+
+def parse_named(name: str, argv: list[str]):
+    """The arguments of subcommand name, parsed from its table with no
+    argparse parser, or None where argparse must decide.
+
+    Only flags named in full are read: a switch bare, any other flag as
+    --flag=value or as --flag and the next token, with a value that does
+    not start with "-". A repeated flag keeps its last value, and every
+    value goes through its type. Anything else declines: -h or --help, an
+    unknown or abbreviated flag, a missing value or one that starts with
+    "-" (argparse reads some as negative numbers, and "--" as a marker), a
+    type that raises, a missing required flag, --switch=value, a positional
+    token or "--". On what it accepts, the namespace holds what
+    subcommand_parser(name).parse_args(argv) returns.
+    """
+    _, handler, flags = SUBCOMMANDS[name]
+    by_flag = {f.flag: f for f in flags}
+    values = {f.dest: f.default for f in flags}
+    given = set()
+    tokens = iter(argv)
+    for token in tokens:
+        flag, eq, text = token.partition("=")
+        f = by_flag.get(flag)
+        if f is None or f.switch and eq:
+            return None
+        given.add(f.flag)
+        if f.switch:
+            values[f.dest] = True
+            continue
+        if not eq:
+            text = next(tokens, None)
+        if text is None or text.startswith("-"):
+            return None
+        try:
+            values[f.dest] = text if f.type is None else f.type(text)
+        except (TypeError, ValueError):
+            return None
+    if any(f.required and f.flag not in given for f in flags):
+        return None
+    return SimpleNamespace(**values, func=handler)
 
 
 def main(argv=None) -> int:
@@ -359,7 +409,7 @@ def main(argv=None) -> int:
     else:
         argv = list(argv)
     if argv and argv[0] in SUBCOMMANDS:
-        args = subcommand_parser(argv[0]).parse_args(argv[1:])
+        args = parse_named(argv[0], argv[1:]) or subcommand_parser(argv[0]).parse_args(argv[1:])
     else:
         args = build_parser().parse_args(argv)
     try:

@@ -28,10 +28,15 @@ with C_l = 2*wden*chi*sum_j coef[l][j] = (n-l+1)(l-1) n chi wden and
 a_p(w)[l] = 2((n-l+1) tot_p - n tail_p(w)[l]) - 2*wden*coef[l].desc(w),
 where tail_p(w)[l] is the weight numerator sum of the letters of w in
 slots l..n. The kernel builds each a_p(w) vector once per word and walks
-the word tuples depth first, in lexicographic order, carrying the prefix
-sums of R - 1 and of sigma(w) = sum_j j desc(w)_j (whose total fixes the
-degree offset), so the last point costs one vector add per tuple. The
-bound reads each word's descents only through its share coef.desc(w),
+the prefixes of the first k - 1 words depth first, in lexicographic order,
+carrying the prefix sums r of R - 1 and base of sigma(w) = sum_j j desc(w)_j
+(whose total fixes the degree offset). Phase one, the count of word tuples
+per key, then takes no Python step per tuple: a last word w has key
+((r[l] + a(w)[l]) // (2*wden) for each l, (base + sigma(w)) mod n), so the
+n! keys of one prefix come from C-level maps over the last point's columns
+a(.)[l] and a table of residues, and one Counter.update counts them,
+unstable keys too; those, the keys with a negative budget, are dropped
+afterwards. The bound reads each word's descents only through its share coef.desc(w),
 never through s. coef comes from `stability_coefficients`, which reads no
 words, and the other weight-free tables from one pass over S_n per n: for
 each word, its descent vector (one shared object per distinct vector), its
@@ -59,7 +64,7 @@ L(Q, r) = L(reach, r): two keys of one residue have the same points
 exactly when their reaches are equal, and lattices are told apart by
 (residue, reach), not by hashing their points.
 
-Neither the rows nor the word tuples are listed. The walk counts the word
+Neither the rows nor the word tuples are listed. Phase one counts the word
 tuples of each key, a table keyed by (residue, reach) sums them per
 lattice, and a `Census` keeps its nonempty entries and walks the word
 tuples again, from the same a_p tables, wherever rows are read. What it
@@ -259,9 +264,33 @@ def enumerate_census(n, g, k, d, wnum, wden, t0_lo=0, t0_hi=None, memo=None, *,
     root = [scale * chi * sum(row) - 1 for row in coef]
     dn_base = d - n * (n - 1) * chi // 2
     last = k - 1
+    # the last point's terms a(w)[l] as one column per l, and the residue
+    # (b + sigma(w)) mod n of each word for each b mod n; when the first
+    # point is the last, t0_lo/t0_hi cut its columns
+    cols = [*zip(*vecs[last])]
+    last_sig = sig
+    if last == 0:
+        cols = [col[t0_lo:t0_hi] for col in cols]
+        last_sig = sig[t0_lo:t0_hi]
+    residues = [tuple([(b + s) % n for s in last_sig]) for b in range(n)]
+    flat: Counter = Counter()  # (*Q, offset mod n) -> word tuples, stable or not
+
+    def count(p, r, base):
+        """Count into flat the key of every word tuple extending a prefix
+        of p words whose sums of R - 1 and the degree offset are r and base;
+        the last point's keys come from C-level maps over its columns."""
+        if p == last:
+            flat.update(zip(*[map(floordiv, map(x.__add__, col), repeat(scale))
+                              for x, col in zip(r, cols)], residues[base % n]))
+            return
+        lo, hi = (t0_lo, t0_hi) if p == 0 else (0, nw)
+        vec = vecs[p]
+        for wi in range(lo, hi):
+            count(p + 1, [*map(add, r, vec[wi])], base + sig[wi])
 
     def walk(p, t, r, base):
-        """Yield (t_idx, dn_floor, key) for each stable word tuple extending
+        """The rows' walk, one Python step per word tuple: yield
+        (t_idx, dn_floor, key) for each stable word tuple extending
         the prefix t of p words, whose sums of R - 1 and the degree offset
         are r and base."""
         lo, hi = (t0_lo, t0_hi) if p == 0 else (0, nw)
@@ -277,8 +306,12 @@ def enumerate_census(n, g, k, d, wnum, wden, t0_lo=0, t0_hi=None, memo=None, *,
                 yield t + (wi,), dn_floor, (Q, residue)
 
     # phase one: how many word tuples share each (Q, offset mod n) key, in
-    # order of first use
-    keys = Counter(key for _, _, key in walk(0, (), root, dn_base))
+    # order of first use, counted one prefix at a time; a residue is never
+    # negative, so min(key) < 0 exactly when the key is unstable, and
+    # dropping those keys leaves the stable ones in their order of first use
+    count(0, root, dn_base)
+    keys = {(key[:-1], key[-1]): tuples for key, tuples in flat.items() if min(key) >= 0}
+    del flat
     # phase two: one search for the census, at the componentwise largest
     # budgets of the keys the memo does not hold; every such key's lattice is
     # filtered from the smallest held lattice of its residue that dominates

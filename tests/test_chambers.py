@@ -112,6 +112,31 @@ def test_wall_count_at_rank_seven():
     assert len(walls) == 373_674
 
 
+
+@pytest.mark.parametrize("n,ks", [(2, (1, 2, 3, 11)), (3, (1, 2, 3)), (5, (1, 2, 3)), (7, (1, 2, 3))])
+def test_wall_count_equals_the_listing(n, ks):
+    """The count convolves per-subset suffix extrema over the points and
+    lists no run; it equals the length of the listing, read from the runs,
+    at every degree -3..6."""
+    for k, d in product(ks, range(-3, 7)):
+        p = ModuliParams(n, 2, k, d)
+        runs = chambers._wall_runs(p)
+        assert chambers.wall_count(p) == sum(d_hi - d_lo + 1 for _, _, d_lo, d_hi in runs), p
+
+
+def test_walls_list_their_runs_only_when_read(monkeypatch):
+    """enumerate_walls counts at once and lists the runs on first read, by
+    .runs or by iterating; a verify_identity call, which reads only the
+    count, lists none."""
+    listed = []
+    real = chambers._wall_runs
+    monkeypatch.setattr(chambers, "_wall_runs", lambda p: listed.append(p) or real(p))
+    p = ModuliParams(3, 2, 2, 1)
+    assert verify_identity(p, sample_generic_weights(p, seed=1)).wall_count == 18
+    walls = enumerate_walls(p)
+    assert len(walls) == 18 and listed == []
+    assert len(list(walls)) == 18 and walls.runs is walls.runs and listed == [p]
+
 def test_walls_ignore_genus():
     assert list(enumerate_walls(ModuliParams(3, 2, 2, 1))) == list(
         enumerate_walls(ModuliParams(3, 5, 2, 1))

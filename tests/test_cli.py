@@ -11,12 +11,14 @@ import sys
 
 import jsonschema
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import child_env
 import parmirror
 from parmirror import kernels, moduli, schemas
 from parmirror.chambers import Wall, enumerate_walls, sample_generic_weights
-from parmirror.cli import SUBCOMMANDS, build_parser, main, subcommand_parser
+from parmirror.cli import SUBCOMMANDS, build_parser, main, parse_named, subcommand_parser
 from parmirror.exactpoly import NonIntegralCoefficientError
 from parmirror.moduli import ModuliParams
 
@@ -129,8 +131,9 @@ def test_one_subcommand_help_is_the_full_parsers(name, capsys):
 
 
 def test_named_subcommand_builds_one_parser(monkeypatch):
-    """A run that names its subcommand constructs exactly one
-    ArgumentParser: its own, not the full one and its eight subparsers."""
+    """A run that names its subcommand builds no ArgumentParser when its
+    table parses the argv, and exactly one, its own, not the full one and
+    its eight subparsers, when the table declines and argparse decides."""
     built = []
     real = argparse.ArgumentParser.__init__
 
@@ -140,7 +143,93 @@ def test_named_subcommand_builds_one_parser(monkeypatch):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
     assert main(["lemma", "--n", "3"]) == 0
-    assert built == ["parmirror lemma"]
+    assert built == []
+    with pytest.raises(SystemExit) as exc:
+        main(["lemma", "--n", "x"])
+    assert (exc.value.code, built) == (2, ["parmirror lemma"])
+
+
+@pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
+def test_table_parses_every_flag_as_argparse(name):
+    argv = PARSER_ARGV[name][1:]
+    table = parse_named(name, argv)
+    assert table is not None
+    assert vars(table) == vars(subcommand_parser(name).parse_args(argv))
+
+
+TMS = ["--n", "3", "--g", "2", "--marked", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    TMS + ["-h"], TMS + ["--help"], TMS + ["--sc", "1/8"], TMS + ["--deg"],
+    TMS + ["--deg", "-1"], TMS + ["--deg=-1"], TMS + ["--scale", "1/0"], TMS + ["--n", "x"],
+    TMS[2:], TMS + ["--timings=1"], TMS + ["x"], TMS + ["--"], TMS + ["--out", "--"],
+], ids=" ".join)
+def test_table_declines_what_argparse_must_decide(argv):
+    assert parse_named("tms", argv) is None
+
+
+def _flag_tokens(flag, values):
+    """Token lists that name one table flag: in full, abbreviated, with its
+    value in the = or the space form, or with none."""
+    names = st.sampled_from([flag.flag, flag.flag[:-1]])
+    if flag.switch:
+        return st.one_of(names.map(lambda f: [f]), st.just([flag.flag + "=1"]))
+    return st.one_of(
+        st.tuples(names, values).map(list),
+        st.tuples(names, values).map(lambda fv: ["=".join(fv)]),
+        names.map(lambda f: [f]),
+    )
+
+
+VALUES = st.sampled_from(["3", "2", "1", "0", "-1", "+2", " 5 ", "x", "", "-", "--", "1/8",
+                          "1/0", "-1/3", "0,1,0,0", "1,x", "r.json", "a=b", "-h"])
+JUNK = st.sampled_from([["x"], ["-h"], ["--help"], ["--"], ["--bogus", "1"], ["-n", "3"],
+                        ["--n=3=4"], ["="]])
+
+
+@given(data=st.data())
+def test_table_parse_declines_or_agrees_with_argparse(data):
+    """On argv drawn from a subcommand's table, flags in any order, in both
+    value forms, repeated or abbreviated, with negative, malformed or
+    missing values, junk tokens and required flags left out, the table
+    either declines or returns argparse's namespace."""
+    name = data.draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    flags = SUBCOMMANDS[name][2]
+    # each required flag is left out one time in ten
+    pieces = [[f.flag, "3"] for f in flags if f.required and data.draw(st.integers(0, 9))]
+    pieces += data.draw(st.lists(st.one_of(
+        st.sampled_from(flags).flatmap(lambda f: _flag_tokens(f, VALUES)), JUNK), max_size=8))
+    argv = [token for piece in data.draw(st.permutations(pieces)) for token in piece]
+    table = parse_named(name, argv)
+    if table is not None:
+        assert vars(table) == vars(subcommand_parser(name).parse_args(argv))
+
+
+def test_named_run_does_not_import_argparse():
+    """A valid tms argv runs through main in a fresh interpreter without
+    importing argparse (or the gettext and locale modules it pulls in)."""
+    probe = ("import sys; from parmirror.cli import main; "
+             "code = main(['tms', '--n', '2', '--g', '2', '--marked', '2', '--deg=1']); "
+             "print(code, 'argparse' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", probe], env=child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[-1] == "0 False"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["tms", *TMS, "--scale", "1/0"], "argument --scale: invalid rational value: '1/0'"),
+    (["orbits", "--n", "3", "--g", "2", "--gamma", "x"],
+     "argument --gamma: invalid coordinates value: 'x'"),
+], ids=["scale", "gamma"])
+def test_bad_flag_value_names_a_public_type(capsys, argv, message):
+    """argparse names a flag's type function in its usage error, so the
+    table's types have public names; the exit code stays 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"parmirror {argv[0]}: error: {message}\n")
 
 
 def test_help_lists_every_subcommand(capsys):

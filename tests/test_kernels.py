@@ -562,6 +562,62 @@ def test_census_uses_match_its_word_tuples(p, scale, seed):
         (id(lattice), count) for lattice, count in expected)
 
 
+
+def _uses_by_identity(uses):
+    return sorted((id(lattice), count) for lattice, count in uses)
+
+
+@pytest.mark.parametrize("p,scale,seed", [
+    (ModuliParams(2, 2, 11, 1), Fraction(1), 1),
+    (ModuliParams(3, 2, 3, 0), Fraction(1), 1),
+    (ModuliParams(3, 3, 3, 1), Fraction(1, 8), 2),
+], ids=["2-2-11-1", "3-2-3-0", "3-3-3-1-scale1/8"])
+def test_census_uses_match_its_word_tuples_at_many_points(p, scale, seed):
+    """Phase one counts one prefix of k - 1 words at a time; its counts
+    equal those of the per-tuple walk that groups() takes, with many points
+    and with three points at n = 3."""
+    census = kernels.enumerate_census(*_census_args(p, seed, scale))
+    assert _uses_by_identity(census.uses) == _uses_by_identity(census_uses(census.groups()))
+
+
+@pytest.mark.parametrize("p,cuts", [
+    (ModuliParams(3, 2, 3, 0), (0, 1, 4, 6)),
+    (ModuliParams(3, 2, 1, 1), (0, 2, 3, 6)),
+    (ModuliParams(2, 2, 11, 1), (0, 1, 2)),
+], ids=["3-2-3-0", "3-2-1-1", "2-2-11-1"])
+def test_first_word_shards_add_up_to_the_census(p, cuts):
+    """The censuses of disjoint first-word ranges count, per lattice, word
+    tuples that add up to the whole census's; at k = 1 the range cuts the
+    last point's own columns."""
+    args = _census_args(p, seed=1, scale=Fraction(1))
+    whole = Counter()
+    for lattice, count in kernels.enumerate_census(*args).uses:
+        whole[lattice] += count
+    shards = Counter()
+    for lo, hi in zip(cuts, cuts[1:]):
+        census = kernels.enumerate_census(*args, lo, hi)
+        assert _uses_by_identity(census.uses) == _uses_by_identity(census_uses(census.groups()))
+        for lattice, count in census.uses:
+            shards[lattice] += count
+    assert shards == whole
+
+
+@given(
+    n=st.sampled_from([2, 3]), g=st.integers(2, 3), k=st.integers(1, 4), d=st.integers(-2, 3),
+    data=st.data(),
+)
+def test_census_uses_match_its_word_tuples_at_random_weights(n, g, k, d, data):
+    """Any integer weights, generic or not, and any first-word range: the
+    per-prefix counts equal the per-tuple walk's."""
+    wden = data.draw(st.integers(n, 40))
+    wnum = tuple(tuple(sorted(data.draw(st.sets(st.integers(0, wden - 1), min_size=n, max_size=n))))
+                 for _ in range(k))
+    lo = data.draw(st.integers(0, math.factorial(n)))
+    hi = data.draw(st.integers(lo, math.factorial(n)))
+    census = kernels.enumerate_census(n, g, k, d, wnum, wden, lo, hi)
+    assert _uses_by_identity(census.uses) == _uses_by_identity(census_uses(census.groups()))
+
+
 CENSUS_PEAK = """
 import gc, json, tracemalloc
 from fractions import Fraction

@@ -36,8 +36,8 @@ per key, then takes no Python step per tuple: a last word w has key
 n! keys of one prefix come from C-level maps over the last point's columns
 a(.)[l] and a table of residues, and one Counter.update counts them,
 unstable keys too; those, the keys with a negative budget, are dropped
-afterwards. The bound reads each word's descents only through its share coef.desc(w),
-never through s. coef comes from `stability_coefficients`, which reads no
+afterwards. The bound reads each word's descents only through its share
+coef.desc(w), never through s. coef comes from `stability_coefficients`, which reads no
 words, and the other weight-free tables from one pass over S_n per n: for
 each word, its descent vector (one shared object per distinct vector), its
 sigma and its share coef.desc(w).
@@ -275,7 +275,7 @@ def enumerate_census(n, g, k, d, wnum, wden, t0_lo=0, t0_hi=None, memo=None, *,
     residues = [tuple([(b + s) % n for s in last_sig]) for b in range(n)]
     flat: Counter = Counter()  # (*Q, offset mod n) -> word tuples, stable or not
 
-    def count(p, r, base):
+    def tally(p, r, base):
         """Count into flat the key of every word tuple extending a prefix
         of p words whose sums of R - 1 and the degree offset are r and base;
         the last point's keys come from C-level maps over its columns."""
@@ -286,7 +286,7 @@ def enumerate_census(n, g, k, d, wnum, wden, t0_lo=0, t0_hi=None, memo=None, *,
         lo, hi = (t0_lo, t0_hi) if p == 0 else (0, nw)
         vec = vecs[p]
         for wi in range(lo, hi):
-            count(p + 1, [*map(add, r, vec[wi])], base + sig[wi])
+            tally(p + 1, [*map(add, r, vec[wi])], base + sig[wi])
 
     def walk(p, t, r, base):
         """The rows' walk, one Python step per word tuple: yield
@@ -309,7 +309,7 @@ def enumerate_census(n, g, k, d, wnum, wden, t0_lo=0, t0_hi=None, memo=None, *,
     # order of first use, counted one prefix at a time; a residue is never
     # negative, so min(key) < 0 exactly when the key is unstable, and
     # dropping those keys leaves the stable ones in their order of first use
-    count(0, root, dn_base)
+    tally(0, root, dn_base)
     keys = {(key[:-1], key[-1]): tuples for key, tuples in flat.items() if min(key) >= 0}
     del flat
     # phase two: one search for the census, at the componentwise largest

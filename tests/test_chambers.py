@@ -112,7 +112,6 @@ def test_wall_count_at_rank_seven():
     assert len(walls) == 373_674
 
 
-
 @pytest.mark.parametrize("n,ks", [(2, (1, 2, 3, 11)), (3, (1, 2, 3)), (5, (1, 2, 3)), (7, (1, 2, 3))])
 def test_wall_count_equals_the_listing(n, ks):
     """The count convolves per-subset suffix extrema over the points and
@@ -136,6 +135,7 @@ def test_walls_list_their_runs_only_when_read(monkeypatch):
     walls = enumerate_walls(p)
     assert len(walls) == 18 and listed == []
     assert len(list(walls)) == 18 and walls.runs is walls.runs and listed == [p]
+
 
 def test_walls_ignore_genus():
     assert list(enumerate_walls(ModuliParams(3, 2, 2, 1))) == list(

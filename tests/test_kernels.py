@@ -550,6 +550,10 @@ def test_lattice_reuse_matches_searching_every_key(p, scale, seed):
     assert list(census) == _census_searching_every_key(p, w)
 
 
+def _uses_by_identity(uses):
+    return sorted((id(lattice), count) for lattice, count in uses)
+
+
 @pytest.mark.parametrize("scale,seed", ORACLE_WEIGHTS, ids=["scale1", "scale1/8"])
 @pytest.mark.parametrize("p", ORACLE_GRID, ids=lambda p: f"{p.n}-{p.g}-{p.k}-{p.d}")
 def test_census_uses_match_its_word_tuples(p, scale, seed):
@@ -557,14 +561,7 @@ def test_census_uses_match_its_word_tuples(p, scale, seed):
     by lattice identity over the word tuples walked again; uses promises
     no order."""
     census = kernels.enumerate_census(*_census_args(p, seed, scale))
-    expected = census_uses(census.groups())
-    assert sorted((id(lattice), count) for lattice, count in census.uses) == sorted(
-        (id(lattice), count) for lattice, count in expected)
-
-
-
-def _uses_by_identity(uses):
-    return sorted((id(lattice), count) for lattice, count in uses)
+    assert _uses_by_identity(census.uses) == _uses_by_identity(census_uses(census.groups()))
 
 
 @pytest.mark.parametrize("p,scale,seed", [

@@ -206,12 +206,16 @@ def wall_count(p: ModuliParams) -> int:
     total = 0
     for nprime in range(1, n):
         one = Counter((lo, hi) for _, lo, hi in _subset_extrema(n, nprime))
-        sums = Counter({(0, 0): 1})
-        for _ in range(k):
-            step: Counter = Counter()
+        sums = one
+        for _ in range(k - 1):
+            # a plain dict: Counter's += on a new key calls its Python-level
+            # __missing__, enough to make the count slower than the listing
+            # at k <= 2
+            step: dict = {}
             for (a, b), ways in sums.items():
                 for (lo, hi), more in one.items():
-                    step[a + lo, b + hi] += ways * more
+                    key = a + lo, b + hi
+                    step[key] = step.get(key, 0) + ways * more
             sums = step
         for (lo, hi), ways in sums.items():
             d_lo, d_hi = _degree_range(n, nprime, d, lo, hi)

@@ -1,4 +1,4 @@
-"""Weight systems, walls, genericity, and tensor-by-line-bundle shifts.
+"""Weight systems, walls, genericity, and the sampler of generic weights.
 
 A weight system assigns to each marked point a strictly increasing tuple of
 rationals in [0, 1). Walls are the rational hyperplanes cut out by numerical
@@ -31,10 +31,6 @@ class NonGenericWeightsError(ValueError):
 
 class SamplingExhaustedError(ValueError):
     """No generic weight system found within the retry budget."""
-
-
-class CollisionError(ValueError):
-    """A tensor shift produced two equal weights at one point."""
 
 
 class _WeightFields(NamedTuple):
@@ -312,55 +308,6 @@ def sampler_scale(p: ModuliParams, scale=Fraction(1)) -> Fraction:
     at most small_weight_margin(p), so large rank only ever samples inside
     the single certified small-weight chamber."""
     return scale if p.n <= 3 else min(scale, small_weight_margin(p))
-
-
-def tensor_transform(w: WeightSystem, beta) -> tuple[WeightSystem, tuple[int, ...]]:
-    """Shift the weights at each point by beta[p] modulo 1.
-
-    Returns the re-sorted weight system and the per-point wrap counts (how
-    many weights passed 1). The wrapped weights are exactly the largest ones,
-    so the new order is a cyclic rotation of the old; that is checked.
-    """
-    betas = tuple(Fraction(b) for b in beta)
-    if len(betas) != w.k:
-        raise ValueError(f"need {w.k} shifts, got {len(betas)}")
-    for b in betas:
-        if not (0 <= b < 1):
-            raise ValueError(f"shift {b} outside [0, 1)")
-    rows = []
-    wraps = []
-    for row, b in zip(w.alpha, betas):
-        raw = [a + b if a + b < 1 else a + b - 1 for a in row]
-        if len(set(raw)) != len(raw):
-            raise CollisionError(f"shift {b} collides weights {row}")
-        wrap = sum(1 for a in row if a + b >= 1)
-        rotated = raw[len(raw) - wrap:] + raw[: len(raw) - wrap]
-        if rotated != sorted(raw):
-            raise IdentityCheckError(f"shift {b} of {row} is not a cyclic rotation")
-        rows.append(tuple(rotated))
-        wraps.append(wrap)
-    return WeightSystem(tuple(rows)), tuple(wraps)
-
-
-def tensor_degree(p: ModuliParams, ell: int, wrap_total: int) -> int:
-    """Degree d + n*ell + (total wraps) after tensoring by a degree-ell line
-    bundle whose parabolic shifts wrapped wrap_total weights past 1."""
-    return p.d + p.n * ell + wrap_total
-
-
-def solve_beta_for_degree(w: WeightSystem, point: int, kshift: int) -> Fraction:
-    """Midpoint of the beta interval at one point that wraps exactly kshift
-    of its weights: [1 - alpha_{n-kshift+1}, 1 - alpha_{n-kshift}), read with
-    alpha_0 = 0 and alpha_{n+1} = 1."""
-    row = w.alpha[point]
-    n = len(row)
-    if not 0 <= kshift <= n:
-        raise ValueError(f"wrap count {kshift} outside 0..{n}")
-    lo = Fraction(0) if kshift == 0 else 1 - row[n - kshift]
-    hi = Fraction(1) if kshift == n else 1 - row[n - kshift - 1]
-    if not lo < hi:
-        raise ValueError(f"no shift wraps exactly {kshift} weights at point {point}")
-    return (lo + hi) / 2
 
 
 def weight_denominator(w: WeightSystem) -> int:

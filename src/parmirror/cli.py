@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import gc
 import os
+import re
 import sys
 from contextlib import suppress
 from fractions import Fraction
@@ -126,19 +127,25 @@ def _cmd_tms(args) -> int:
     return 1
 
 
+def _csv_field(value) -> str:
+    """value as csv.writer writes it with its default dialect: str() of it,
+    quoted, with each quote doubled, when it holds a comma, a quote or a
+    line break."""
+    text = str(value)
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _cmd_sweep(args) -> int:
     config = SweepConfig.default() if args.config is None else SweepConfig.from_file(args.config)
     results = sweep(config)
     payload = sweep_to_jsonable(results, include_timings=args.timings)
     _emit(args, payload)
     if args.csv:
-        # imported here, as only sweep writes through the csv module
-        import csv
-
+        rows = sweep_to_csv_rows(results, include_timings=args.timings)
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            for row in sweep_to_csv_rows(results, include_timings=args.timings):
-                writer.writerow(row)
+            fh.write("".join([",".join(map(_csv_field, row)) + "\r\n" for row in rows]))
     summary = payload["summary"]
     print(f"instances={summary['instances']} equal={summary['equal']} "
           f"failed={summary['failed']} all_equal={str(summary['all_equal']).lower()}")
@@ -358,18 +365,24 @@ def subcommand_parser(name: str) -> argparse.ArgumentParser:
     return _fill(argparse.ArgumentParser(prog=f"parmirror {name}"), name)
 
 
+# argparse's own test for a token that reads as a negative number
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$").match
+
+
 def parse_named(name: str, argv: list[str]):
     """The arguments of subcommand name, parsed from its table with no
     argparse parser, or None where argparse must decide.
 
     Only flags named in full are read: a switch bare, any other flag as
     --flag=value or as --flag and the next token, with a value that does
-    not start with "-". A repeated flag keeps its last value, and every
-    value goes through its type. Anything else declines: -h or --help, an
-    unknown or abbreviated flag, a missing value or one that starts with
-    "-" (argparse reads some as negative numbers, and "--" as a marker), a
-    type that raises, a missing required flag, --switch=value, a positional
-    token or "--". On what it accepts, the namespace holds what
+    not start with "-" or that argparse reads as a negative number. No
+    table has a flag that looks like one, so argparse takes such a token
+    as a value. A repeated flag keeps its last value, and every value goes
+    through its type. Anything else declines: -h or --help, an unknown or
+    abbreviated flag, a missing value or another one that starts with "-"
+    ("--" is a marker, "-1/2" an unknown flag), a type that raises, a
+    missing required flag, --switch=value, a positional token or "--". On
+    what it accepts, the namespace holds what
     subcommand_parser(name).parse_args(argv) returns.
     """
     _, handler, flags = SUBCOMMANDS[name]
@@ -388,7 +401,7 @@ def parse_named(name: str, argv: list[str]):
             continue
         if not eq:
             text = next(tokens, None)
-        if text is None or text.startswith("-"):
+        if text is None or text.startswith("-") and not _NEGATIVE_NUMBER(text):
             return None
         try:
             values[f.dest] = text if f.type is None else f.type(text)

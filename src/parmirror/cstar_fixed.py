@@ -13,7 +13,6 @@ the descent counting lemma housed here says.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from itertools import chain, permutations, product
 from math import factorial
@@ -37,50 +36,6 @@ from .exactpoly import (
     binom_deg_slice,
 )
 from .moduli import ModuliParams, dim_hitchin_base
-
-
-class NonIntegralDegreeError(ValueError):
-    """The degree congruence fails, so the component degree is not an integer."""
-
-
-def _dn_numerator(p: ModuliParams, words, m) -> int:
-    """n*d_n = d + sum j(m_j + s_j) - n(n-1)(g - 1 + k/2), where s holds the
-    descent counts of words, one letter tuple per marked point."""
-    s = kernels.descent_counts(words)
-    num = p.d + sum((j + 1) * (m[j] + s[j]) for j in range(p.n - 1))
-    return num - p.n * (p.n - 1) * (2 * p.g - 2 + p.k) // 2
-
-
-def degree_constraint(p: ModuliParams, words, m) -> bool:
-    """Degree congruence for a type-(1,...,1) component to exist: n divides
-    the numerator of its common factor degree d_n."""
-    return _dn_numerator(p, words, m) % p.n == 0
-
-
-def component_dn(p: ModuliParams, words, m) -> int:
-    """Common factor degree d_n with
-    n*d_n = d + sum j(m_j + s_j) - n(n-1)(g - 1 + k/2)."""
-    num = _dn_numerator(p, words, m)
-    if num % p.n:
-        raise NonIntegralDegreeError(f"degree congruence fails for m={tuple(m)}, words={words}")
-    return num // p.n
-
-
-def stability_check(p: ModuliParams, w: WeightSystem, words, m) -> bool:
-    """Strict stability of the component data against every destabilizing
-    index l = 2..n, evaluated in exact rational arithmetic. Reference
-    implementation; the kernels must agree with it."""
-    n, g, k = p.n, p.g, p.k
-    s = kernels.descent_counts(words)
-    for l in range(2, n + 1):
-        coef = [(n - l + 1) * j if j <= l - 1 else (l - 1) * (n - j) for j in range(1, n)]
-        lhs = sum(c * (mj + sj) for c, mj, sj in zip(coef, m, s))
-        rhs = Fraction((n - l + 1) * (l - 1) * n * (2 * g - 2 + k), 2)
-        for row, letters in zip(w.alpha, words):
-            rhs += (n - l + 1) * sum(row) - n * sum(row[letters[j] - 1] for j in range(l - 1, n))
-        if not lhs < rhs:
-            return False
-    return True
 
 
 def _word_texts(n: int) -> list[str]:

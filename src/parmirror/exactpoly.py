@@ -391,9 +391,3 @@ class CycBivarPoly:
 
     def __repr__(self) -> str:
         return f"CycBivarPoly(n={self.n}, {dict(sorted(self._terms.items()))})"
-
-
-def cyc_project(p: CycBivarPoly) -> BivarPoly:
-    """Forget the cyclotomic structure of a polynomial all of whose
-    coefficients are rational integers; error on any xi-dependence."""
-    return BivarPoly({k: c.rational_value() for k, c in p._terms.items()})

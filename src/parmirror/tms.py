@@ -11,11 +11,10 @@ serialized form unless explicitly requested.
 
 from __future__ import annotations
 
-import json
 import time
+from _json import encode_basestring_ascii
 from fractions import Fraction
 from itertools import product
-from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from .chambers import (
@@ -170,7 +169,9 @@ def _run_instance(spec, memo=None):
     n, g, k, d, seed, scale = spec
     try:
         p = ModuliParams(n=n, g=g, k=k, d=d)
-        w = sample_generic_weights(p, seed=seed, scale=sampler_scale(p, scale))
+        # the sampler and its genericity check read no genus
+        w = memoized(memo, ("weights", n, k, d, seed, scale), sample_generic_weights,
+                     p, seed, sampler_scale(p, scale))
         return verify_identity(p, w, memo=memo)
     except Exception as exc:
         return SweepFailure(n=n, g=g, k=k, d=d, seed=seed, scale=Fraction(scale),
@@ -179,10 +180,11 @@ def _run_instance(spec, memo=None):
 
 def sweep(config: SweepConfig):
     """Run every instance of the grid, in grid order; failures are recorded,
-    not raised. One memo dict lives for the length of the call, so what
-    depends on no weights is computed once and shared by every instance:
-    the walls per (n, g, k, d), the weight-free totals and the box power
-    per (n, g, k), as they read no d, and each lattice per (n, Q, residue)."""
+    not raised. One memo dict lives for the length of the call, so each
+    value is computed once and shared by the instances it serves: the
+    sampled weights per (n, k, d, seed, scale), as the sampler reads no g;
+    the walls per (n, g, k, d); the weight-free totals and the box power per
+    (n, g, k), as they read no d; and each lattice per (n, Q, residue)."""
     memo: dict = {}
     return [_run_instance(spec, memo) for spec in config.instances()]
 
@@ -200,7 +202,9 @@ def _report_jsonable(r: TmsReport, include_timings: bool, triples: dict) -> dict
     one coefficient list, so dumps_canonical renders equal totals once. A
     total is looked up by its id first, which triples maps to the total and
     its list, and is hashed once, the first time that object is met: a
-    sweep's instances share the totals of their parameter set."""
+    sweep's instances share the totals of their parameter set. A weight
+    system's payload is kept under its id too, as the instances of a sweep
+    that differ only in genus share their weights."""
     def coeffs(f: BivarPoly) -> list:
         kept = triples.get(id(f))
         if kept is None:
@@ -210,9 +214,13 @@ def _report_jsonable(r: TmsReport, include_timings: bool, triples: dict) -> dict
             kept = triples[id(f)] = (f, listed)
         return kept[1]
 
+    w = r.weights
+    weights = triples.get(id(w))
+    if weights is None:
+        weights = triples[id(w)] = (w, w.to_jsonable())
     out = {
         "params": params_to_jsonable(r.params),
-        "weights": r.weights.to_jsonable(),
+        "weights": weights[1],
         "lhs_bruteforce": coeffs(r.lhs_bruteforce),
         "lhs_closed": coeffs(r.lhs_closed),
         "lhs_cyclotomic": coeffs(r.lhs_cyclotomic),
@@ -332,6 +340,9 @@ def sweep_to_csv_rows(results, include_timings: bool = False):
 def load_weights_json(path) -> WeightSystem:
     """Read a weights file; JSON numbers are read from their text, not
     through float. A file that is not valid weights raises ValueError."""
+    # imported here, as only a run with a weights file reads JSON
+    import json
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return WeightSystem.from_jsonable(json.load(fh, parse_float=Fraction))

@@ -10,15 +10,24 @@ or a textbook invariant the moduli tests check by hand (spectral fibre
 degree, cover genus, parabolic slope), or an observed closed form the
 census is compared against (its component count). None of them runs on a
 CLI path.
+
+The first part holds the references that once lived in the package with
+no caller there: the tensor-by-line-bundle shift of a weight system, the
+degree congruence, d_n and the stability test of one component in exact
+rationals, the projection out of the cyclotomic ring, the rotation orbits
+counted by marking, and one torsion point's stringy summand. Whatever puts
+one of them on a run path moves it back to the package with its caller.
 """
 
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from math import factorial
 from operator import floordiv, sub
 from typing import NamedTuple
 
 from parmirror import cstar_fixed, kernels
+from parmirror.chambers import WeightSystem
 from parmirror.cstar_fixed import count_S
 from parmirror.exactpoly import (
     U,
@@ -28,12 +37,193 @@ from parmirror.exactpoly import (
     CycBivarPoly,
     CycInt,
     IdentityCheckError,
+    LimitError,
     binom_deg_slice,
-    cyc_project,
     is_prime,
 )
 from parmirror.moduli import ModuliParams, _as_int, dim_hitchin_base
-from parmirror.torsion import TorsionVector, _invert_mod
+from parmirror.pgl_fixed import fermionic_shift, invariant_epoly
+from parmirror.torsion import (
+    NormFiberModel,
+    SymplecticForm,
+    TorsionVector,
+    _invert_mod,
+    check_component_action,
+)
+
+_ORBIT_MATERIALIZE_LIMIT = 2_000_000
+
+
+class CollisionError(ValueError):
+    """A tensor shift produced two equal weights at one point."""
+
+
+def tensor_transform(w: WeightSystem, beta) -> tuple[WeightSystem, tuple[int, ...]]:
+    """Shift the weights at each point by beta[p] modulo 1.
+
+    Returns the re-sorted weight system and the per-point wrap counts (how
+    many weights passed 1). The wrapped weights are exactly the largest ones,
+    so the new order is a cyclic rotation of the old; that is checked.
+    """
+    betas = tuple(Fraction(b) for b in beta)
+    if len(betas) != w.k:
+        raise ValueError(f"need {w.k} shifts, got {len(betas)}")
+    for b in betas:
+        if not (0 <= b < 1):
+            raise ValueError(f"shift {b} outside [0, 1)")
+    rows = []
+    wraps = []
+    for row, b in zip(w.alpha, betas):
+        raw = [a + b if a + b < 1 else a + b - 1 for a in row]
+        if len(set(raw)) != len(raw):
+            raise CollisionError(f"shift {b} collides weights {row}")
+        wrap = sum(1 for a in row if a + b >= 1)
+        rotated = raw[len(raw) - wrap:] + raw[: len(raw) - wrap]
+        if rotated != sorted(raw):
+            raise IdentityCheckError(f"shift {b} of {row} is not a cyclic rotation")
+        rows.append(tuple(rotated))
+        wraps.append(wrap)
+    return WeightSystem(tuple(rows)), tuple(wraps)
+
+
+def tensor_degree(p: ModuliParams, ell: int, wrap_total: int) -> int:
+    """Degree d + n*ell + (total wraps) after tensoring by a degree-ell line
+    bundle whose parabolic shifts wrapped wrap_total weights past 1."""
+    return p.d + p.n * ell + wrap_total
+
+
+def solve_beta_for_degree(w: WeightSystem, point: int, kshift: int) -> Fraction:
+    """Midpoint of the beta interval at one point that wraps exactly kshift
+    of its weights: [1 - alpha_{n-kshift+1}, 1 - alpha_{n-kshift}), read with
+    alpha_0 = 0 and alpha_{n+1} = 1."""
+    row = w.alpha[point]
+    n = len(row)
+    if not 0 <= kshift <= n:
+        raise ValueError(f"wrap count {kshift} outside 0..{n}")
+    lo = Fraction(0) if kshift == 0 else 1 - row[n - kshift]
+    hi = Fraction(1) if kshift == n else 1 - row[n - kshift - 1]
+    if not lo < hi:
+        raise ValueError(f"no shift wraps exactly {kshift} weights at point {point}")
+    return (lo + hi) / 2
+
+
+class NonIntegralDegreeError(ValueError):
+    """The degree congruence fails, so the component degree is not an integer."""
+
+
+def _dn_numerator(p: ModuliParams, words, m) -> int:
+    """n*d_n = d + sum j(m_j + s_j) - n(n-1)(g - 1 + k/2), where s holds the
+    descent counts of words, one letter tuple per marked point."""
+    s = kernels.descent_counts(words)
+    num = p.d + sum((j + 1) * (m[j] + s[j]) for j in range(p.n - 1))
+    return num - p.n * (p.n - 1) * (2 * p.g - 2 + p.k) // 2
+
+
+def degree_constraint(p: ModuliParams, words, m) -> bool:
+    """Degree congruence for a type-(1,...,1) component to exist: n divides
+    the numerator of its common factor degree d_n."""
+    return _dn_numerator(p, words, m) % p.n == 0
+
+
+def component_dn(p: ModuliParams, words, m) -> int:
+    """Common factor degree d_n with
+    n*d_n = d + sum j(m_j + s_j) - n(n-1)(g - 1 + k/2)."""
+    num = _dn_numerator(p, words, m)
+    if num % p.n:
+        raise NonIntegralDegreeError(f"degree congruence fails for m={tuple(m)}, words={words}")
+    return num // p.n
+
+
+def stability_check(p: ModuliParams, w: WeightSystem, words, m) -> bool:
+    """Strict stability of the component data against every destabilizing
+    index l = 2..n, evaluated in exact rational arithmetic. Reference
+    implementation; the kernels must agree with it."""
+    n, g, k = p.n, p.g, p.k
+    s = kernels.descent_counts(words)
+    for l in range(2, n + 1):
+        coef = [(n - l + 1) * j if j <= l - 1 else (l - 1) * (n - j) for j in range(1, n)]
+        lhs = sum(c * (mj + sj) for c, mj, sj in zip(coef, m, s))
+        rhs = Fraction((n - l + 1) * (l - 1) * n * (2 * g - 2 + k), 2)
+        for row, letters in zip(w.alpha, words):
+            rhs += (n - l + 1) * sum(row) - n * sum(row[letters[j] - 1] for j in range(l - 1, n))
+        if not lhs < rhs:
+            return False
+    return True
+
+
+def cyc_project(p: CycBivarPoly) -> BivarPoly:
+    """Forget the cyclotomic structure of a polynomial all of whose
+    coefficients are rational integers; error on any xi-dependence."""
+    return BivarPoly({k: c.rational_value() for k, c in p._terms.items()})
+
+
+def rotate_word(word: tuple[int, ...], r: int) -> tuple[int, ...]:
+    """Cyclic rotation sending slot j to slot j + r (mod n)."""
+    n = len(word)
+    r %= n
+    return word[n - r:] + word[: n - r]
+
+
+def sn_quotient_count_bruteforce(n: int, k: int) -> int:
+    """Count the rotation orbits on word tuples directly.
+
+    Explicit orbit marking when the tuple space fits in memory, otherwise
+    the exact orbit-counting average over the rotation group with a
+    per-rotation scan of fixed words. Either way the scan certifies that no
+    nontrivial rotation fixes any word (distinct letters kill periodicity),
+    and the result is cross-checked against the counting average.
+    """
+    if not (2 <= n <= 5 and 1 <= k <= 4):
+        raise LimitError(f"brute force supports 2 <= n <= 5, 1 <= k <= 4, got ({n}, {k})")
+    words = kernels.words_lex(n)
+    fixed_per_rotation = []
+    for r in range(n):
+        fixed = sum(1 for w in words if rotate_word(w, r) == w)
+        fixed_per_rotation.append(fixed)
+        if r != 0 and fixed != 0:
+            raise IdentityCheckError(f"rotation {r} fixes {fixed} words")
+    average, rem = divmod(sum(f**k for f in fixed_per_rotation), n)
+    if rem:
+        raise IdentityCheckError(f"orbit-counting sum leaves remainder {rem} mod n = {n}")
+    total = factorial(n) ** k
+    if total <= _ORBIT_MATERIALIZE_LIMIT:
+        lookup = {w: i for i, w in enumerate(words)}
+        rot = [
+            tuple(lookup[rotate_word(w, r)] for w in words) for r in range(n)
+        ]  # rot[r][i]: index of words[i] rotated by r
+        seen: set[tuple[int, ...]] = set()
+        orbits = 0
+        for t in product(range(len(words)), repeat=k):
+            if t not in seen:
+                orbits += 1
+                seen.update(tuple(map(r.__getitem__, t)) for r in rot)
+        if orbits != average:
+            raise IdentityCheckError(f"orbit marking {orbits} disagrees with average {average}")
+    return average
+
+
+def stringy_gamma_summand(
+    p: ModuliParams,
+    gamma: TorsionVector,
+    form: SymplecticForm,
+    l_gamma: int = 1,
+) -> BivarPoly:
+    """Contribution (uv)^F(gamma) E-invariant of one nonzero torsion point.
+
+    Runs the component-action model for this specific gamma first; the
+    returned polynomial does not depend on which gamma was chosen. A gamma
+    of another (n, g) raises ValueError; a failed model check is a fault of
+    the computation and raises IdentityCheckError.
+    """
+    if gamma.n != p.n or gamma.g != p.g:
+        raise ValueError("gamma does not match the moduli parameters")
+    model = NormFiberModel(n=p.n, d=p.d, gamma=gamma, l_gamma=l_gamma)
+    if not check_component_action(model, form):
+        raise IdentityCheckError(f"component action model fails for gamma = {gamma}")
+    shift = fermionic_shift(p)
+    return invariant_epoly(p).shift(shift, shift)
+
+
 
 
 def component_variant_epoly(p: ModuliParams, c: kernels.CensusRow) -> BivarPoly:

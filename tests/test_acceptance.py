@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import permutations, product
 from math import factorial
 
-from oracles import cyclotomic_discarded_term
+from oracles import cyclotomic_discarded_term, degree_constraint, sn_quotient_count_bruteforce
 from parmirror.chambers import (
     enumerate_walls,
     sample_generic_weights,
@@ -17,7 +17,6 @@ from parmirror.chambers import (
 )
 from parmirror.cstar_fixed import (
     count_S,
-    degree_constraint,
     enumerate_components,
     insertion_bijection_check,
     variant_closed_form,
@@ -29,8 +28,6 @@ from parmirror.moduli import ModuliParams, dim_moduli
 from parmirror.pgl_fixed import (
     fermionic_shift,
     fixed_locus_dim,
-    sn_quotient_count,
-    sn_quotient_count_bruteforce,
     stringy_gamma_sum,
 )
 from parmirror.tms import SweepConfig, dumps_canonical, sweep, sweep_to_jsonable, verify_identity

@@ -8,10 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import (
+    CollisionError,
+    degree_constraint,
+    solve_beta_for_degree,
+    stability_check,
+    tensor_degree,
+    tensor_transform,
+)
 from parmirror import chambers, cli
 from parmirror.chambers import (
     WEIGHT_DENOMINATOR,
-    CollisionError,
     SamplingExhaustedError,
     Wall,
     WeightSystem,
@@ -21,13 +28,9 @@ from parmirror.chambers import (
     sample_generic_weights,
     sampler_scale,
     small_weight_margin,
-    solve_beta_for_degree,
-    tensor_degree,
-    tensor_transform,
     wall_value,
     weight_denominator,
 )
-from parmirror.cstar_fixed import degree_constraint, stability_check
 from parmirror.exactpoly import IdentityCheckError
 from parmirror.moduli import ModuliParams
 from parmirror.tms import SweepConfig, verify_identity

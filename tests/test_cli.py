@@ -2,12 +2,15 @@
 reruns, and the weights-source exclusivity rule."""
 
 import argparse
+import csv
 import gc
 import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
+from functools import lru_cache
 
 import jsonschema
 import pytest
@@ -21,6 +24,7 @@ from parmirror.chambers import Wall, enumerate_walls, sample_generic_weights
 from parmirror.cli import SUBCOMMANDS, build_parser, main, parse_named, subcommand_parser
 from parmirror.exactpoly import NonIntegralCoefficientError
 from parmirror.moduli import ModuliParams
+from parmirror.tms import SweepConfig, SweepFailure, sweep, sweep_to_csv_rows
 
 
 def _run_json(tmp_path, name, argv):
@@ -162,11 +166,25 @@ TMS = ["--n", "3", "--g", "2", "--marked", "1"]
 
 @pytest.mark.parametrize("argv", [
     TMS + ["-h"], TMS + ["--help"], TMS + ["--sc", "1/8"], TMS + ["--deg"],
-    TMS + ["--deg", "-1"], TMS + ["--deg=-1"], TMS + ["--scale", "1/0"], TMS + ["--n", "x"],
-    TMS[2:], TMS + ["--timings=1"], TMS + ["x"], TMS + ["--"], TMS + ["--out", "--"],
+    TMS + ["--scale", "-1/2"], TMS + ["--scale=-1/2"], TMS + ["--scale", "1/0"],
+    TMS + ["--n", "x"], TMS[2:], TMS + ["--timings=1"], TMS + ["x"], TMS + ["--"],
+    TMS + ["--out", "--"],
 ], ids=" ".join)
 def test_table_declines_what_argparse_must_decide(argv):
     assert parse_named("tms", argv) is None
+
+
+@pytest.mark.parametrize("argv", [
+    ["tms", *TMS, "--deg", "-1"], ["tms", *TMS, "--deg=-1"], ["tms", *TMS, "--out", "-0.5"],
+    ["orbits", "--n", "3", "--g", "2", "--l-gamma", "-2"],
+], ids=" ".join)
+def test_table_reads_negative_numbers_as_argparse(argv):
+    """argparse takes a token that matches its negative-number pattern as a
+    flag's value, as no table has a flag that looks like a negative
+    number; so does the table."""
+    table = parse_named(argv[0], argv[1:])
+    assert table is not None
+    assert vars(table) == vars(subcommand_parser(argv[0]).parse_args(argv[1:]))
 
 
 def _flag_tokens(flag, values):
@@ -183,7 +201,8 @@ def _flag_tokens(flag, values):
 
 
 VALUES = st.sampled_from(["3", "2", "1", "0", "-1", "+2", " 5 ", "x", "", "-", "--", "1/8",
-                          "1/0", "-1/3", "0,1,0,0", "1,x", "r.json", "a=b", "-h"])
+                          "1/0", "-1/3", "0,1,0,0", "1,x", "r.json", "a=b", "-h", "-0.5", "-.5",
+                          "-1\n", "-1e3", "-1,0"])
 JUNK = st.sampled_from([["x"], ["-h"], ["--help"], ["--"], ["--bogus", "1"], ["-n", "3"],
                         ["--n=3=4"], ["="]])
 
@@ -216,6 +235,31 @@ def test_named_run_does_not_import_argparse():
                           capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.splitlines()[-1] == "0 False"
+
+
+NAMED_RUNS = [
+    ["tms", "--n", "3", "--g", "2", "--marked", "1", "--deg", "-1", "--out", "{tmp}/r.json"],
+    ["variant", "--n", "3", "--g", "2", "--marked", "1", "--csv", "{tmp}/c.csv",
+     "--out", "{tmp}/r.json"],
+    ["sweep", "--csv", "{tmp}/c.csv", "--out", "{tmp}/r.json"],
+]
+
+
+@pytest.mark.parametrize("argv", NAMED_RUNS, ids=lambda argv: argv[0])
+def test_named_run_imports_no_json_csv_or_argparse(tmp_path, argv):
+    """A tms run with a negative flag value, a variant run and a sweep run,
+    each with its CSV and its JSON report, load none of json, csv and
+    argparse: the report is written by dumps_canonical, each CSV line by
+    hand, and the flags come from the table."""
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    probe = ("import sys; from parmirror.cli import main; "
+             f"code = main({argv!r}); "
+             "print(code, sorted({'json', 'csv', 'argparse'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[-1] == "0 []"
+    assert (tmp_path / "r.json").stat().st_size > 0
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -570,6 +614,34 @@ def test_sweep_csv_failure_row(tmp_path, timings):
     lines = csv_path.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 3 and lines[1].startswith("2,2,1,0,True,")
     assert lines[2] == "4,2,1,0,,,,ValueError: rank 4 is not prime" + "," * timings
+
+
+ERRORS = st.text(st.one_of(st.sampled_from(',"\r\né€😀'), st.characters()),
+                 max_size=12)
+
+
+@lru_cache(maxsize=None)
+def _small_sweep():
+    return tuple(sweep(SweepConfig(ns=(2,), gs=(2,), ks=(1, 2), ds=(0,), seeds=(1,),
+                                   scales=(Fraction(1),))))
+
+
+@given(errors=st.lists(ERRORS, max_size=4), timings=st.booleans(), data=st.data())
+def test_sweep_csv_writes_the_bytes_of_the_csv_module(tmp_path_factory, errors, timings, data):
+    """The sweep CSV, written line by line, holds the bytes csv.writer
+    writes for the same rows: failures whose error text holds commas,
+    quotes, CR, LF or non-ASCII text among reports, with and without
+    total_ms."""
+    failures = [SweepFailure(3, 2, 1, 0, 1, Fraction(1), f"ValueError: {text}")
+                for text in errors]
+    results = data.draw(st.permutations([*_small_sweep(), *failures]))
+    path = tmp_path_factory.mktemp("csv") / "sweep.csv"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(parmirror.cli, "sweep", lambda config: results)
+        assert main(["sweep", "--csv", str(path)] + ["--timings"] * timings) == (1 if errors else 0)
+    expected = io.StringIO(newline="")
+    csv.writer(expected).writerows(sweep_to_csv_rows(results, include_timings=timings))
+    assert path.read_bytes() == expected.getvalue().encode("utf-8")
 
 
 def test_sweep_missing_config_is_usage_error(tmp_path):

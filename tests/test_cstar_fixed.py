@@ -17,13 +17,17 @@ import pytest
 
 from oracles import (
     census_uses,
+    NonIntegralDegreeError,
     check_every_entry,
     component_count_formula,
+    component_dn,
     component_variant_epoly,
     cyclotomic_discarded_term,
+    degree_constraint,
     descent_character_sum,
     entry_box_counts,
     ring_filtered_total,
+    stability_check,
 )
 from parmirror import cli, cstar_fixed, kernels
 from parmirror.chambers import (
@@ -37,14 +41,10 @@ from parmirror.chambers import (
 from parmirror.cstar_fixed import (
     IdentityCheckError,
     LimitError,
-    NonIntegralDegreeError,
-    component_dn,
     components_to_csv,
     count_S,
-    degree_constraint,
     enumerate_components,
     insertion_bijection_check,
-    stability_check,
     variant_closed_form,
     variant_total_bruteforce,
     variant_total_cyclotomic,

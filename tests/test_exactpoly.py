@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import root_of_unity_filter
+from oracles import cyc_project, root_of_unity_filter
 from parmirror.exactpoly import (
     ONE,
     U,
@@ -24,7 +24,6 @@ from parmirror.exactpoly import (
     CycInt,
     NonIntegralCoefficientError,
     binom_deg_slice,
-    cyc_project,
     format_rat,
     is_prime,
     parse_rat,

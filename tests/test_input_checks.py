@@ -12,7 +12,8 @@ from fractions import Fraction
 
 import pytest
 
-from parmirror.chambers import WeightSystem, solve_beta_for_degree, tensor_transform
+from oracles import solve_beta_for_degree, tensor_transform
+from parmirror.chambers import WeightSystem
 from parmirror.exactpoly import U, BivarPoly, CycBivarPoly, CycInt, binom_deg_slice
 from parmirror.pgl_fixed import sn_quotient_count
 from parmirror.torsion import (

@@ -16,10 +16,16 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from oracles import census_uses, entry_box_counts, residue_lattice
+from oracles import (
+    census_uses,
+    component_dn,
+    degree_constraint,
+    entry_box_counts,
+    residue_lattice,
+    stability_check,
+)
 from parmirror import chambers, kernels
 from parmirror.chambers import integer_weights, sample_generic_weights, small_weight_margin
-from parmirror.cstar_fixed import component_dn, degree_constraint, stability_check
 from parmirror.kernels import descent_counts
 from parmirror.moduli import ModuliParams
 

@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 
 import parmirror.cli
 from parmirror import cstar_fixed, kernels, schemas, tms
-from parmirror.chambers import NonGenericWeightsError, WeightSystem, sample_generic_weights
+from parmirror.chambers import (
+    NonGenericWeightsError,
+    SamplingExhaustedError,
+    WeightSystem,
+    sample_generic_weights,
+    sampler_scale,
+)
 from parmirror.exactpoly import BivarPoly, IdentityCheckError
 from parmirror.moduli import ModuliParams
 from parmirror.tms import (
@@ -282,6 +288,80 @@ def test_sweep_computes_weight_free_totals_once_per_params(monkeypatch):
     assert calls == {name: 8 for name in WEIGHT_FREE}
     sweep(config)
     assert calls == {name: 16 for name in WEIGHT_FREE}
+
+
+@pytest.mark.parametrize("spec", [
+    *product(SweepConfig.default().ns, SweepConfig.default().ks, SweepConfig.default().ds,
+             SweepConfig.default().seeds, SweepConfig.default().scales),
+    *((5, 2, 0, seed, Fraction(1)) for seed in (1, 2, 3)),
+], ids=lambda spec: "-".join(map(str, spec)))
+def test_sampler_reads_no_genus(spec):
+    """The premise of the sweep's weights key (n, k, d, seed, scale): at
+    every such point of the default grid, and at (5, ., 2, 0), the sampler
+    returns the same weights for g = 2, 3 and 4."""
+    n, k, d, seed, scale = spec
+    drawn = []
+    for g in (2, 3, 4):
+        p = ModuliParams(n, g, k, d)
+        drawn.append(sample_generic_weights(p, seed=seed, scale=sampler_scale(p, scale)))
+    assert drawn[0] == drawn[1] == drawn[2]
+
+
+def test_sweep_samples_each_weight_system_once(monkeypatch):
+    """A sweep samples once per (n, k, d, seed, scale), 80 times on the
+    default grid's 160 instances, and its instances that differ only in g
+    share one weight system and one weights payload. A second sweep samples
+    again: no weights outlive the call."""
+    calls = []
+    real = tms.sample_generic_weights
+
+    def spy(p, seed, scale):
+        calls.append((p, seed, scale))
+        return real(p, seed, scale)
+
+    monkeypatch.setattr(tms, "sample_generic_weights", spy)
+    config = SweepConfig.default()
+    results = sweep(config)
+    assert len(calls) == 80
+    payload = sweep_to_jsonable(results)
+    assert payload["summary"]["all_equal"]
+    by_key = {}
+    for r, entry in zip(results, payload["results"]):
+        p = r.params
+        key = (p.n, p.k, p.d, id(r.weights))
+        assert by_key.setdefault(key, entry["weights"]) is entry["weights"]
+    assert len(by_key) == 80
+    sweep(config)
+    assert len(calls) == 160
+
+
+def test_failing_sampler_fails_each_genus(monkeypatch):
+    """A sampler that raises keeps nothing: every genus's instance of the
+    broken (n, k, d) samples again and records the same error, and the
+    other instances keep their bytes."""
+    config = SweepConfig.default()
+    before = sweep_to_jsonable(sweep(config))["results"]
+    broken = (3, 2, 1)
+    real = tms.sample_generic_weights
+    calls = []
+
+    def failing(p, seed, scale):
+        if (p.n, p.k, p.d) == broken:
+            calls.append(p)
+            raise SamplingExhaustedError(f"injected failure for {broken}")
+        return real(p, seed, scale)
+
+    monkeypatch.setattr(tms, "sample_generic_weights", failing)
+    results = sweep(config)
+    after = sweep_to_jsonable(results)["results"]
+    failed = [r for r in results if isinstance(r, SweepFailure)]
+    assert len(failed) == len(calls) == 20
+    assert {r.g for r in failed} == {2, 3}
+    assert {r.error for r in failed} == {f"SamplingExhaustedError: injected failure for {broken}"}
+    assert all((r.n, r.k, r.d) == broken for r in failed)
+    for old, new, r in zip(before, after, results):
+        if isinstance(r, TmsReport):
+            assert r.equal and new == old
 
 
 def test_walls_live_only_as_long_as_the_sweep_that_lists_them(monkeypatch):

@@ -12,7 +12,8 @@ The module is imported from its file and left unchanged.
 The traced child imports parmirror.cli and then looks up every module it
 wraps in sys.modules, so importing the CLI must load them all; it must
 also stay clear of the modules that made every run pay for dataclass code
-generation or for what only `sweep` uses.
+generation, for what only `sweep` uses, or for json, which only reads a
+weights file.
 """
 
 import gc
@@ -32,12 +33,14 @@ from parmirror import cstar_fixed, kernels
 
 TRACING_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 STARTUP_PROBE = """
-import json, sys
-before = set(sys.modules)
+import sys
+before = sorted(sys.modules)
 import parmirror.cli
-print(json.dumps({"before": sorted(before), "after": sorted(sys.modules)}))
+after = sorted(sys.modules)
+import json
+print(json.dumps({"before": before, "after": after}))
 """
-NOT_AT_STARTUP = ("dataclasses", "inspect", "configparser", "csv")
+NOT_AT_STARTUP = ("dataclasses", "inspect", "configparser", "csv", "json")
 
 
 @pytest.fixture(scope="module")

@@ -365,8 +365,9 @@ def subcommand_parser(name: str) -> argparse.ArgumentParser:
     return _fill(argparse.ArgumentParser(prog=f"parmirror {name}"), name)
 
 
-# argparse's own test for a token that reads as a negative number
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$").match
+# argparse's own pattern for a token that reads as a negative number; re
+# compiles it on first use, as only a value that starts with "-" needs it
+_NEGATIVE_NUMBER = r"^-\d+$|^-\d*\.\d+$"
 
 
 def parse_named(name: str, argv: list[str]):
@@ -401,7 +402,7 @@ def parse_named(name: str, argv: list[str]):
             continue
         if not eq:
             text = next(tokens, None)
-        if text is None or text.startswith("-") and not _NEGATIVE_NUMBER(text):
+        if text is None or text.startswith("-") and not re.match(_NEGATIVE_NUMBER, text):
             return None
         try:
             values[f.dest] = text if f.type is None else f.type(text)

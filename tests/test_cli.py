@@ -10,7 +10,6 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from functools import lru_cache
 
 import jsonschema
 import pytest
@@ -620,21 +619,21 @@ ERRORS = st.text(st.one_of(st.sampled_from(',"\r\né€😀'), st.characters()),
                  max_size=12)
 
 
-@lru_cache(maxsize=None)
-def _small_sweep():
-    return tuple(sweep(SweepConfig(ns=(2,), gs=(2,), ks=(1, 2), ds=(0,), seeds=(1,),
-                                   scales=(Fraction(1),))))
+@pytest.fixture(scope="module")
+def small_sweep():
+    return sweep(SweepConfig(ns=(2,), gs=(2,), ks=(1, 2), ds=(0,), seeds=(1,),
+                             scales=(Fraction(1),)))
 
 
 @given(errors=st.lists(ERRORS, max_size=4), timings=st.booleans(), data=st.data())
-def test_sweep_csv_writes_the_bytes_of_the_csv_module(tmp_path_factory, errors, timings, data):
+def test_sweep_csv_writes_the_bytes_of_the_csv_module(small_sweep, tmp_path_factory, errors,
+                                                      timings, data):
     """The sweep CSV, written line by line, holds the bytes csv.writer
     writes for the same rows: failures whose error text holds commas,
     quotes, CR, LF or non-ASCII text among reports, with and without
     total_ms."""
-    failures = [SweepFailure(3, 2, 1, 0, 1, Fraction(1), f"ValueError: {text}")
-                for text in errors]
-    results = data.draw(st.permutations([*_small_sweep(), *failures]))
+    failures = [SweepFailure(3, 2, 1, 0, 1, Fraction(1), text) for text in errors]
+    results = data.draw(st.permutations([*small_sweep, *failures]))
     path = tmp_path_factory.mktemp("csv") / "sweep.csv"
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(parmirror.cli, "sweep", lambda config: results)

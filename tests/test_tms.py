@@ -290,9 +290,11 @@ def test_sweep_computes_weight_free_totals_once_per_params(monkeypatch):
     assert calls == {name: 16 for name in WEIGHT_FREE}
 
 
+DEFAULT = SweepConfig.default()
+
+
 @pytest.mark.parametrize("spec", [
-    *product(SweepConfig.default().ns, SweepConfig.default().ks, SweepConfig.default().ds,
-             SweepConfig.default().seeds, SweepConfig.default().scales),
+    *product(DEFAULT.ns, DEFAULT.ks, DEFAULT.ds, DEFAULT.seeds, DEFAULT.scales),
     *((5, 2, 0, seed, Fraction(1)) for seed in (1, 2, 3)),
 ], ids=lambda spec: "-".join(map(str, spec)))
 def test_sampler_reads_no_genus(spec):

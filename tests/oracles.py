@@ -11,8 +11,8 @@ degree, cover genus, parabolic slope), or an observed closed form the
 census is compared against (its component count). None of them runs on a
 CLI path.
 
-The first part holds the references that once lived in the package with
-no caller there: the tensor-by-line-bundle shift of a weight system, the
+The first part holds references that no package code calls: the
+tensor-by-line-bundle shift of a weight system, the
 degree congruence, d_n and the stability test of one component in exact
 rationals, the projection out of the cyclotomic ring, the rotation orbits
 counted by marking, and one torsion point's stringy summand. Whatever puts
